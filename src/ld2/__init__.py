@@ -20,7 +20,6 @@ from .cipher import (
 )
 from .gf2n import (
     Field,
-    FieldElement,
     bits_to_hex,
     bytes_to_bits,
     bits_to_bytes,
@@ -64,7 +63,6 @@ __all__ = [
     "CentralMap",
     "DecryptionError",
     "Field",
-    "FieldElement",
     "KeyFormatError",
     "MalformedKeyError",
     "PaddingError",

@@ -218,13 +218,8 @@ def _cmd_inspect(args) -> int:
         n = key.n
         print(f"type: public\nn: {n}\nm: {key.m}")
         print(f"modulus: {bits_to_hex(find_irreducible(n), n + 1)}")
-        xx = sum(sum(r.bit_count() for r in eq.xx_rows) for eq in key.equations)
-        xy = sum(sum(r.bit_count() for r in eq.xy_rows) for eq in key.equations)
-        xl = sum(eq.x_linear.bit_count() for eq in key.equations)
-        yl = sum(eq.y_linear.bit_count() for eq in key.equations)
-        const = sum(eq.constant for eq in key.equations)
         print(f"equations: {n}")
-        print(f"terms: xx={xx} xy={xy} x={xl} y={yl} constants={const}")
+        print(f"terms: {sum(eq.form.bit_count() for eq in key.equations)}")
     else:
         n = key.field.n
         print(f"type: secret\nn: {n}\nm: {key.field.m}")

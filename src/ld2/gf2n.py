@@ -135,12 +135,6 @@ class Field:
     def order(self) -> int:
         return 1 << self.n
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(self, value)
-
-    def element_from_hex(self, text: str) -> FieldElement:
-        return FieldElement(self, hex_to_bits(text, self.n))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Field)
@@ -295,60 +289,3 @@ def hex_to_bits(text: str, nbits: int) -> int:
         raise ValueError("invalid hex string") from exc
     return bytes_to_bits(data, nbits)
 
-
-class FieldElement:
-    """A field element bound to its Field, with checked operators."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        if not 0 <= value < field.order:
-            raise ValueError("coefficient vector out of range for the field")
-        self.field = field
-        self.value = value
-
-    def _peer(self, other: FieldElement) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected a FieldElement")
-        if other.field != self.field:
-            raise ValueError("elements belong to different fields")
-        return other.value
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.value ^ self._peer(other))
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.mul(self.value, self._peer(other)))
-
-    def __pow__(self, e: int) -> FieldElement:
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def frobenius(self, k: int) -> FieldElement:
-        return FieldElement(self.field, self.field.frobenius_pow(self.value, k))
-
-    def inv(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def trace(self) -> int:
-        return self.field.trace(self.value)
-
-    def to_hex(self) -> str:
-        return bits_to_hex(self.value, self.field.n)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value:#x} in F(2^{self.field.n}))"

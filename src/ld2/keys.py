@@ -3,7 +3,7 @@
 A public key consists of n equations over GF(2),
 
     sum_{j<k} a_jk x_j x_k + sum_{j,k} b_jk x_j y_k
-        + sum_k c_k y_k + sum_j d_j x_j + e = 0,
+        + sum_k d_k x_k + sum_k c_k y_k + e = 0,
 
 quadratic in the plaintext bits x and linear in the ciphertext bits y once
 x is fixed.  The coefficients fall out of the hidden field relation
@@ -11,6 +11,28 @@ residual by evaluation at unit vectors, which is exact because every
 coordinate of the residual has total degree at most two over F_2 (each
 monomial of the relation is a product of at most two affine coordinate
 functions of x and y).
+
+Each equation is one int, its form, of n + 1 lanes of w = 2n + 1 bits;
+lane j starts at bit j*w and indices below are 0-based:
+
+    lane j < n   bits 0..n-1: a_jk (zero for k <= j), bits n..2n-1: b_jk,
+                 bit 2n: zero
+    lane n       bits 0..n-1: d_k, bits n..2n-1: c_k, bit 2n: e
+
+Let outer(x, y) hold z = x | y << n | 1 << 2n in lane n and in every lane
+j with x_j = 1.  Then form & outer(x, y) keeps exactly the monomials that
+are 1 at (x, y), so the equation's value is the parity of that AND.
+outer needs no loop over the bits of x.  The product x * comb, with
+comb = sum_{k<n} 2^(2nk), writes a copy of x at every multiple of 2n; the
+copies are n bits wide and 2n bits apart, so they never overlap and the
+product has no carries.  Copy j holds x_j at bit 2nj + j = j*w, the start
+of lane j, so masking with diagonal = sum_j 2^(j*w) leaves one bit per
+selected lane, and multiplying that by z, which is at most one lane wide,
+again adds copies that do not overlap.  With x fixed, the XOR v of lane
+n and the lanes that x selects is the whole equation in y: bits n..2n-1
+of v are the coefficients of y, and parity(v & x) ^ v_2n is the rest.
+linear_system folds the selected lanes together in log2(n + 1) halving
+steps, without a loop over the bits of x.
 
 Key files are line oriented:
 
@@ -24,12 +46,18 @@ Key files are line oriented:
              eq<i>.xl=<hex>, eq<i>.yl=<hex>, eq<i>.c=<0|1>
 
 All hex fields are lowercase and pack bit i of the value into bit i % 8 of
-byte i // 8 (see gf2n).  Unknown or out-of-order lines are format errors.
+byte i // 8 (see gf2n).  Every line ends with a newline, and the modulus
+is the canonical one for the degree.  A file decodes only if it is
+exactly the text encode_key writes for the key it describes, so unknown,
+out-of-order or reformatted lines are format errors.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2n import (
     Field,
@@ -47,109 +75,107 @@ class KeyFormatError(ValueError):
     """Raised when a key file is malformed or violates a key invariant."""
 
 
+class _Layout(NamedTuple):
+    comb: int
+    diagonal: int
+    valid: int  # the bits a form may set
+    folds: tuple[tuple[int, int], ...]  # (shift, low mask), each halving the lanes
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    """The constant masks of the lane layout for n variables."""
+    w = 2 * n + 1
+    low = (1 << n) - 1
+    # lane j may use a_jk for k > j and every b_jk; lane n is all valid
+    valid = sum(((low << n | low) & ~((2 << j) - 1)) << (j * w) for j in range(n))
+    folds = []
+    lanes = n + 1
+    while lanes > 1:
+        lanes = (lanes + 1) // 2
+        folds.append((lanes * w, (1 << lanes * w) - 1))
+    return _Layout(
+        sum(1 << (2 * n * k) for k in range(n)),
+        sum(1 << (j * w) for j in range(n)),
+        valid | ((1 << w) - 1) << (n * w),
+        tuple(folds),
+    )
+
+
+def _lane_starts(n: int, x: int) -> int:
+    """A set bit at the start of lane n and of every lane j with x_j = 1."""
+    layout = _layout(n)
+    return (x * layout.comb) & layout.diagonal | 1 << (n * (2 * n + 1))
+
+
+def _outer(n: int, x: int, y: int) -> int:
+    return _lane_starts(n, x) * (x | y << n | 1 << 2 * n)
+
+
 @dataclass(frozen=True)
 class QuadraticEquation:
-    """One public equation, coefficients stored as bit-mask rows."""
+    """One public equation packed into a single int of n + 1 lanes.
+
+    Lane j < n (bits j(2n+1) up) holds the x_{j+1} x_{k+1} terms (k > j)
+    in its bits 0..n-1 and the x_{j+1} y_{k+1} terms in bits n..2n-1; lane
+    n holds the x_{k+1} terms, then the y_{k+1} terms, then the constant in
+    its bit 2n.  See the module docstring for how the hot paths use it.
+    """
 
     n: int
-    xx_rows: tuple[int, ...]  # xx_rows[j] bit k: term x_{j+1} x_{k+1}, k > j
-    xy_rows: tuple[int, ...]  # xy_rows[j] bit k: term x_{j+1} y_{k+1}
-    x_linear: int
-    y_linear: int
-    constant: int
+    form: int
 
     def __post_init__(self):
-        n = self.n
-        top = 1 << n
-        if len(self.xx_rows) != n or len(self.xy_rows) != n:
-            raise ValueError("coefficient row count mismatch")
-        for j, row in enumerate(self.xx_rows):
-            # squares fold into the linear part, so row j may only use k > j
-            if not 0 <= row < top or row & ((2 << j) - 1):
-                raise ValueError("xx coefficients must be strictly upper triangular")
-        if any(not 0 <= row < top for row in self.xy_rows):
-            raise ValueError("xy coefficient row out of range")
-        if not 0 <= self.x_linear < top or not 0 <= self.y_linear < top:
-            raise ValueError("linear coefficients out of range")
-        if self.constant not in (0, 1):
-            raise ValueError("constant must be a single bit")
+        # squares fold into the linear part, so lane j may only use k > j
+        if self.form < 0 or self.form & ~_layout(self.n).valid:
+            raise ValueError("coefficients outside the lane layout")
 
     @classmethod
     def from_terms(cls, n, xx=(), xy=(), x=(), y=(), constant=0) -> QuadraticEquation:
         """Build an equation from 1-based term indices."""
-        xx_rows = [0] * n
+        w = 2 * n + 1
+        form = constant << (n * w + 2 * n)
         for j, k in xx:
             if not 1 <= j < k <= n:
                 raise ValueError("xx pair must satisfy 1 <= j < k <= n")
-            xx_rows[j - 1] |= 1 << (k - 1)
-        xy_rows = [0] * n
+            form |= 1 << ((j - 1) * w + k - 1)
         for j, k in xy:
             if not (1 <= j <= n and 1 <= k <= n):
                 raise ValueError("xy pair out of range")
-            xy_rows[j - 1] |= 1 << (k - 1)
-        x_linear = 0
-        for j in x:
-            x_linear |= 1 << (j - 1)
-        y_linear = 0
-        for k in y:
-            y_linear |= 1 << (k - 1)
-        return cls(n, tuple(xx_rows), tuple(xy_rows), x_linear, y_linear, constant)
+            form |= 1 << ((j - 1) * w + n + k - 1)
+        for offset, indices in ((0, x), (n, y)):
+            for j in indices:
+                if not 1 <= j <= n:
+                    raise ValueError("linear term out of range")
+                form |= 1 << (n * w + offset + j - 1)
+        return cls(n, form)
 
     def terms(self):
         """The equation as sorted 1-based term indices.
 
         Returns (xx_pairs, xy_pairs, x_indices, y_indices, constant).
         """
-        xx = tuple(
-            (j + 1, k + 1)
-            for j, row in enumerate(self.xx_rows)
-            for k in range(self.n)
-            if row >> k & 1
-        )
-        xy = tuple(
-            (j + 1, k + 1)
-            for j, row in enumerate(self.xy_rows)
-            for k in range(self.n)
-            if row >> k & 1
-        )
-        x = tuple(j + 1 for j in range(self.n) if self.x_linear >> j & 1)
-        y = tuple(k + 1 for k in range(self.n) if self.y_linear >> k & 1)
+        n = self.n
+        bits = [
+            divmod(pos, 2 * n + 1)
+            for pos, bit in enumerate(reversed(f"{self.form:b}"))
+            if bit == "1"
+        ]
+        xx = tuple((j + 1, k + 1) for j, k in bits if j < n and k < n)
+        xy = tuple((j + 1, k - n + 1) for j, k in bits if j < n and k >= n)
+        x = tuple(k + 1 for j, k in bits if j == n and k < n)
+        y = tuple(k - n + 1 for j, k in bits if j == n and n <= k < 2 * n)
         return xx, xy, x, y, self.constant
 
-    def y_coefficients(self, x: int) -> int:
-        """Coefficient row of the y variables once x is substituted."""
-        acc = self.y_linear
-        v = x
-        while v:
-            low = v & -v
-            acc ^= self.xy_rows[low.bit_length() - 1]
-            v ^= low
-        return acc
-
-    def x_side(self, x: int) -> int:
-        """Value of the pure-x terms plus the constant (the solve target)."""
-        acc = self.constant ^ ((self.x_linear & x).bit_count() & 1)
-        v = x
-        while v:
-            low = v & -v
-            acc ^= (self.xx_rows[low.bit_length() - 1] & x).bit_count() & 1
-            v ^= low
-        return acc
+    @property
+    def constant(self) -> int:
+        """The constant term: the top bit of the form."""
+        return self.form >> (self.n * (2 * self.n + 3))
 
     def evaluate(self, x: int, y: int) -> int:
-        """Value of the equation's left side at (x, y); 0 when it holds."""
-        acc = self.constant ^ ((self.x_linear & x).bit_count() & 1)
-        y_row = self.y_linear
-        xx = self.xx_rows
-        xy = self.xy_rows
-        v = x
-        while v:
-            low = v & -v
-            j = low.bit_length() - 1
-            acc ^= (xx[j] & x).bit_count() & 1
-            y_row ^= xy[j]
-            v ^= low
-        return acc ^ ((y_row & y).bit_count() & 1)
+        """Value of the equation's left side at n-bit blocks (x, y); 0 when
+        it holds."""
+        return (self.form & _outer(self.n, x, y)).bit_count() & 1
 
 
 class PublicKey:
@@ -174,17 +200,26 @@ class PublicKey:
         top = 1 << self.n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
-        return all(eq.evaluate(x, y) == 0 for eq in self.equations)
+        outer = _outer(self.n, x, y)
+        return not any((eq.form & outer).bit_count() & 1 for eq in self.equations)
 
     def linear_system(self, x: int):
         """Matrix and right-hand side of the linear system in y at fixed x."""
-        if not 0 <= x < 1 << self.n:
+        n = self.n
+        if not 0 <= x < 1 << n:
             raise ValueError("block length mismatch")
-        rows = tuple(eq.y_coefficients(x) for eq in self.equations)
+        folds = _layout(n).folds
+        select = _lane_starts(n, x) * ((1 << (2 * n + 1)) - 1)
+        low = (1 << n) - 1
+        rows = []
         rhs = 0
         for i, eq in enumerate(self.equations):
-            rhs |= eq.x_side(x) << i
-        return BitMatrix(rows, self.n), rhs
+            v = eq.form & select
+            for shift, mask in folds:
+                v = (v & mask) ^ (v >> shift)
+            rows.append(v >> n & low)
+            rhs |= (((v & x).bit_count() ^ v >> 2 * n) & 1) << i
+        return BitMatrix(rows, n), rhs
 
     def __eq__(self, other) -> bool:
         return (
@@ -295,51 +330,27 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     px = [_residual_uv(sk, u, v0) for u in u_units]
     py = [_residual_uv(sk, u0, v) for v in v_units]
 
-    x_lin_cols = [p ^ base for p in px]
-    y_lin_cols = [p ^ base for p in py]
-
-    # coefficient vectors arrive indexed by output coordinate; scatter the
-    # set bits into per-equation rows
-    xx_acc = [[0] * n for _ in range(n)]
-    xy_acc = [[0] * n for _ in range(n)]
+    # coefficient vector (bit i for equation i) of every bit of a form
+    w = 2 * n + 1
+    coeffs = [0] * ((n + 1) * w)
     for j in range(n):
         pxj = px[j]
         uj = u_units[j]
         for k in range(j + 1, n):
             coeff = _residual_uv(sk, s_cols[j] ^ s_cols[k] ^ u0, v0)
-            coeff ^= pxj ^ px[k] ^ base
-            bit_k = 1 << k
-            while coeff:
-                low = coeff & -coeff
-                xx_acc[low.bit_length() - 1][j] |= bit_k
-                coeff ^= low
+            coeffs[j * w + k] = coeff ^ pxj ^ px[k] ^ base
         for k in range(n):
-            coeff = _residual_uv(sk, uj, v_units[k]) ^ pxj ^ py[k] ^ base
-            bit_k = 1 << k
-            while coeff:
-                low = coeff & -coeff
-                xy_acc[low.bit_length() - 1][j] |= bit_k
-                coeff ^= low
-
-    equations = []
-    for i in range(n):
-        x_linear = 0
-        for j, col in enumerate(x_lin_cols):
-            x_linear |= ((col >> i) & 1) << j
-        y_linear = 0
-        for k, col in enumerate(y_lin_cols):
-            y_linear |= ((col >> i) & 1) << k
-        equations.append(
-            QuadraticEquation(
-                n,
-                tuple(xx_acc[i]),
-                tuple(xy_acc[i]),
-                x_linear,
-                y_linear,
-                (base >> i) & 1,
-            )
-        )
-    return PublicKey(n, field.m, tuple(equations))
+            coeff = _residual_uv(sk, uj, v_units[k])
+            coeffs[j * w + n + k] = coeff ^ pxj ^ py[k] ^ base
+        coeffs[n * w + j] = pxj ^ base
+        coeffs[n * w + n + j] = py[j] ^ base
+    coeffs[n * w + 2 * n] = base
+    # transpose: form i collects bit i of every vector.  Written top bit
+    # first, column t of the binary strings is the form of equation n-1-t.
+    bit_strings = [f"{c:0{n}b}" for c in reversed(coeffs)]
+    forms = [int("".join(bits), 2) for bits in zip(*bit_strings)]
+    equations = (QuadraticEquation(n, form) for form in reversed(forms))
+    return PublicKey(n, field.m, equations)
 
 
 def keygen(n: int, seed: int) -> tuple[SecretKey, PublicKey]:
@@ -380,45 +391,51 @@ def encode_key(key) -> str:
 def decode_key(text: str):
     """Parse a key file; returns a SecretKey or a PublicKey.
 
-    Any structural problem, including invariant violations such as a
+    The text must be exactly what encode_key writes for the key it
+    describes.  Anything else, including invariant violations such as a
     trace-0 alpha or a singular matrix, raises KeyFormatError.
     """
     lines = text.splitlines()
     if not lines:
         raise KeyFormatError("empty key file")
     if lines[0] == _SECRET_MAGIC:
-        return _decode_secret(lines)
-    if lines[0] == _PUBLIC_MAGIC:
-        return _decode_public(lines)
-    raise KeyFormatError("unrecognised key header")
+        key = _decode_secret(lines)
+    elif lines[0] == _PUBLIC_MAGIC:
+        key = _decode_public(lines)
+    else:
+        raise KeyFormatError("unrecognised key header")
+    canonical = encode_key(key)
+    if canonical != text:
+        line = os.path.commonprefix((canonical, text)).count("\n") + 1
+        raise KeyFormatError(f"line {line} is not in canonical form")
+    return key
 
 
-def _pack_pairs(xx_rows, n: int) -> int:
-    acc = 0
+def _file_fields(eq: QuadraticEquation):
+    """The v1 file's xx, xy, xl, yl and c fields of one equation."""
+    n = eq.n
+    w = 2 * n + 1
+    low = (1 << n) - 1
+    xx = xy = pos = 0
+    for j in range(n):
+        lane = eq.form >> (j * w) & ((1 << 2 * n) - 1)
+        xx |= (lane & low) >> (j + 1) << pos
+        xy |= lane >> n << (j * n)
+        pos += n - 1 - j
+    affine = eq.form >> (n * w)
+    return xx, xy, affine & low, affine >> n & low, affine >> 2 * n
+
+
+def _from_file_fields(n: int, xx: int, xy: int, xl: int, yl: int, c: int):
+    w = 2 * n + 1
+    low = (1 << n) - 1
+    form = (xl | yl << n | c << 2 * n) << (n * w)
     pos = 0
     for j in range(n):
-        row = xx_rows[j]
-        for k in range(j + 1, n):
-            acc |= ((row >> k) & 1) << pos
-            pos += 1
-    return acc
-
-
-def _unpack_pairs(value: int, n: int) -> tuple[int, ...]:
-    rows = [0] * n
-    pos = 0
-    for j in range(n):
-        for k in range(j + 1, n):
-            rows[j] |= ((value >> pos) & 1) << k
-            pos += 1
-    return tuple(rows)
-
-
-def _pack_rows(rows, n: int) -> int:
-    acc = 0
-    for j, row in enumerate(rows):
-        acc |= row << (j * n)
-    return acc
+        pairs = xx >> pos & low >> (j + 1)
+        form |= (pairs << (j + 1) | (xy >> (j * n) & low) << n) << (j * w)
+        pos += n - 1 - j
+    return QuadraticEquation(n, form)
 
 
 def _encode_secret(sk: SecretKey) -> str:
@@ -446,103 +463,71 @@ def _encode_public(pk: PublicKey) -> str:
         f"poly={bits_to_hex(find_irreducible(n), n + 1)}",
     ]
     for i, eq in enumerate(pk.equations, start=1):
-        lines.append(f"eq{i}.xx={bits_to_hex(_pack_pairs(eq.xx_rows, n), npairs)}")
-        lines.append(f"eq{i}.xy={bits_to_hex(_pack_rows(eq.xy_rows, n), n * n)}")
-        lines.append(f"eq{i}.xl={bits_to_hex(eq.x_linear, n)}")
-        lines.append(f"eq{i}.yl={bits_to_hex(eq.y_linear, n)}")
-        lines.append(f"eq{i}.c={eq.constant}")
+        xx, xy, xl, yl, c = _file_fields(eq)
+        lines.append(f"eq{i}.xx={bits_to_hex(xx, npairs)}")
+        lines.append(f"eq{i}.xy={bits_to_hex(xy, n * n)}")
+        lines.append(f"eq{i}.xl={bits_to_hex(xl, n)}")
+        lines.append(f"eq{i}.yl={bits_to_hex(yl, n)}")
+        lines.append(f"eq{i}.c={c}")
     return "\n".join(lines) + "\n"
 
 
-def _field_value(line: str, name: str) -> str:
-    prefix = name + "="
-    if not line.startswith(prefix):
-        raise KeyFormatError(f"expected a {name}= line")
-    return line[len(prefix):]
+def _value(line: str) -> str:
+    """The text after the first '='.  Field names, the poly line and number
+    formatting are left to the canonical-form check in decode_key."""
+    return line.partition("=")[2]
 
 
-def _parse_header(lines) -> tuple[int, int, int]:
+def _hex_field(lines, index: int, nbits: int) -> int:
+    try:
+        return hex_to_bits(_value(lines[index]), nbits)
+    except ValueError as exc:
+        raise KeyFormatError(f"line {index + 1}: {exc}") from exc
+
+
+def _parse_header(lines) -> tuple[int, int]:
     if len(lines) < 3:
         raise KeyFormatError("truncated key file")
-    parts = lines[1].split(" ")
-    if len(parts) != 2:
-        raise KeyFormatError("malformed dimension line")
     try:
-        n = int(_field_value(parts[0], "n"))
-        m = int(_field_value(parts[1], "m"))
+        n, m = (int(_value(part)) for part in lines[1].split(" "))
     except ValueError as exc:
-        raise KeyFormatError(f"malformed dimension line: {exc}") from exc
+        raise KeyFormatError(f"line 2: malformed dimensions: {exc}") from exc
     if n != 2 * m - 1 or n < 3:
-        raise KeyFormatError("dimensions must satisfy n = 2m - 1 with n >= 3")
-    try:
-        modulus = hex_to_bits(_field_value(lines[2], "poly"), n + 1)
-    except ValueError as exc:
-        raise KeyFormatError(f"malformed poly line: {exc}") from exc
-    # keys are always over the canonical modulus for their degree
-    if modulus != find_irreducible(n):
-        raise KeyFormatError("modulus is not the canonical one for this degree")
-    return n, m, modulus
+        raise KeyFormatError("line 2: need n = 2m - 1 with n >= 3")
+    return n, m
 
 
 def _decode_secret(lines) -> SecretKey:
-    n, _, modulus = _parse_header(lines)
+    n, _ = _parse_header(lines)
     if len(lines) != 8:
         raise KeyFormatError("secret key file must have exactly 8 lines")
     nn = n * n
+    alpha, a1, c1, a2, c2 = (
+        _hex_field(lines, index, nbits)
+        for index, nbits in enumerate((n, nn, n, nn, n), start=3)
+    )
     try:
-        alpha = hex_to_bits(_field_value(lines[3], "alpha"), n)
-        a1 = hex_to_bits(_field_value(lines[4], "A1"), nn)
-        c1 = hex_to_bits(_field_value(lines[5], "c1"), n)
-        a2 = hex_to_bits(_field_value(lines[6], "A2"), nn)
-        c2 = hex_to_bits(_field_value(lines[7], "c2"), n)
-    except KeyFormatError:
-        raise
-    except ValueError as exc:
-        raise KeyFormatError(f"malformed secret key field: {exc}") from exc
-    try:
-        field = Field(n, modulus)
         s = AffineMap(BitMatrix.from_bits(a1, n, n), c1)
         t = AffineMap(BitMatrix.from_bits(a2, n, n), c2)
-        return SecretKey(field, s, t, alpha)
+        return SecretKey(Field(n), s, t, alpha)
     except ValueError as exc:
         raise KeyFormatError(f"invalid secret key: {exc}") from exc
 
 
 def _decode_public(lines) -> PublicKey:
-    n, m, _ = _parse_header(lines)
-    npairs = n * (n - 1) // 2
+    n, m = _parse_header(lines)
     if len(lines) != 3 + 5 * n:
         raise KeyFormatError("public key file has the wrong number of lines")
+    npairs = n * (n - 1) // 2
     equations = []
-    pos = 3
-    for i in range(1, n + 1):
+    for first in range(3, len(lines), 5):
+        xx, xy, xl, yl = (
+            _hex_field(lines, first + f, nbits)
+            for f, nbits in enumerate((npairs, n * n, n, n))
+        )
         try:
-            xx = hex_to_bits(_field_value(lines[pos], f"eq{i}.xx"), npairs)
-            xy = hex_to_bits(_field_value(lines[pos + 1], f"eq{i}.xy"), n * n)
-            xl = hex_to_bits(_field_value(lines[pos + 2], f"eq{i}.xl"), n)
-            yl = hex_to_bits(_field_value(lines[pos + 3], f"eq{i}.yl"), n)
-            c_text = _field_value(lines[pos + 4], f"eq{i}.c")
-        except KeyFormatError:
-            raise
+            c = int(_value(lines[first + 4]))
+            equations.append(_from_file_fields(n, xx, xy, xl, yl, c))
         except ValueError as exc:
-            raise KeyFormatError(f"malformed equation {i}: {exc}") from exc
-        if c_text not in ("0", "1"):
-            raise KeyFormatError(f"malformed equation {i}: constant must be 0 or 1")
-        try:
-            equations.append(
-                QuadraticEquation(
-                    n,
-                    _unpack_pairs(xx, n),
-                    BitMatrix.from_bits(xy, n, n).rows,
-                    xl,
-                    yl,
-                    int(c_text),
-                )
-            )
-        except ValueError as exc:
-            raise KeyFormatError(f"invalid equation {i}: {exc}") from exc
-        pos += 5
-    try:
-        return PublicKey(n, m, tuple(equations))
-    except ValueError as exc:
-        raise KeyFormatError(f"invalid public key: {exc}") from exc
+            raise KeyFormatError(f"line {first + 5}: {exc}") from exc
+    return PublicKey(n, m, equations)

@@ -4,7 +4,6 @@ import pytest
 
 from ld2.gf2n import (
     Field,
-    FieldElement,
     apply_columns,
     bits_to_hex,
     bytes_to_bits,
@@ -94,14 +93,6 @@ def test_add_is_xor(f8):
     assert f8.add(0b101, 0b111) == GAMMA  # (1 + g^2) + (1 + g + g^2) = g
     for a in range(8):
         assert f8.add(a, a) == 0
-
-
-def test_element_add_checks_fields(f8):
-    other = Field(5)
-    with pytest.raises(ValueError):
-        f8.element(1) + other.element(1)
-    with pytest.raises(ValueError):
-        f8.element(1) * other.element(1)
 
 
 def test_mul_known_answers(f8):
@@ -250,26 +241,3 @@ def test_bit_packing_rejects_slack_and_bad_lengths():
     with pytest.raises(ValueError):
         bits_to_bytes(8, 3)
 
-
-# --- the element wrapper --------------------------------------------------
-
-def test_field_element_operators(f8):
-    a = f8.element(0b101)
-    b = f8.element(0b111)
-    assert (a + b).value == GAMMA
-    assert (a - b) == (a + b)
-    assert (a * b).value == f8.mul(0b101, 0b111)
-    assert (a ** 3).value == f8.pow(0b101, 3)
-    assert a.inv().value == f8.inv(0b101)
-    assert a.frobenius(2).value == f8.frobenius_pow(0b101, 2)
-    assert b.trace() == 1
-    assert a.to_hex() == "05"
-    assert f8.element_from_hex("05") == a
-    assert bool(f8.element(0)) is False
-
-
-def test_field_element_range_check(f8):
-    with pytest.raises(ValueError):
-        f8.element(8)
-    with pytest.raises(ValueError):
-        FieldElement(f8, -1)

@@ -91,14 +91,17 @@ def test_equation_term_round_trip(toy_expected):
 
 
 def test_equation_rejects_bad_shapes():
+    # n = 3: lanes are 7 bits wide, lane 3 (bits 21..27) is the affine part
     with pytest.raises(ValueError):
-        QuadraticEquation(3, (0b001, 0, 0), (0, 0, 0), 0, 0, 0)  # diagonal xx
+        QuadraticEquation(3, 1 << 0)  # diagonal xx: x1*x1 in lane 0
     with pytest.raises(ValueError):
-        QuadraticEquation(3, (0, 0b010, 0), (0, 0, 0), 0, 0, 0)  # lower triangle
+        QuadraticEquation(3, 1 << 7)  # lower triangle: x2*x1 in lane 1
     with pytest.raises(ValueError):
-        QuadraticEquation(3, (0, 0, 0), (0, 0, 0), 0b1000, 0, 0)
+        QuadraticEquation(3, 1 << 6)  # bit 2n of a quadratic lane
     with pytest.raises(ValueError):
-        QuadraticEquation(3, (0, 0, 0), (0, 0, 0), 0, 0, 2)
+        QuadraticEquation(3, 2 << 27)  # constant 2, past the affine lane
+    with pytest.raises(ValueError):
+        QuadraticEquation(3, -1)
     with pytest.raises(ValueError):
         QuadraticEquation.from_terms(3, xx=((2, 2),))
 
@@ -236,6 +239,26 @@ def test_decode_rejects_noncanonical_modulus(toy_sk):
     # x^3 + x^2 + 1 is irreducible but not the canonical pick
     with pytest.raises(KeyFormatError):
         decode_key(text.replace("poly=0b", "poly=0d"))
+
+
+@pytest.mark.parametrize("kind", ["secret", "public"])
+def test_decode_rejects_noncanonical_text(kind):
+    key = keygen(5, seed=0x5A5A)[kind == "public"]
+    text = encode_key(key)
+    assert decode_key(text) == key
+    lines = text.splitlines(keepends=True)
+    fields = (line.partition("=") for line in lines[3:])
+    upper = "".join(lines[:3]) + "".join(
+        f"{name}={value.upper()}" for name, _, value in fields
+    )
+    assert upper != text  # some hex digit is a letter
+    for bad, line in (
+        (text.replace("n=5 m=3", "n=+5 m=0_3"), 2),
+        (upper, 4),
+        (text[:-1], len(lines)),
+    ):
+        with pytest.raises(KeyFormatError, match=f"line {line} is not in canonical form"):
+            decode_key(bad)
 
 
 def test_encode_rejects_other_types():

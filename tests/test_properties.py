@@ -1,0 +1,125 @@
+"""Property-based tests of invariants the acceptance criteria check only at
+a few sizes: the packed equation layout, encryption solvability and the
+strictness of the key-file codec."""
+
+import functools
+
+from hypothesis import given, settings, strategies as st
+
+from ld2.keys import (
+    KeyFormatError,
+    PublicKey,
+    QuadraticEquation,
+    decode_key,
+    encode_key,
+    keygen,
+)
+from ld2.linalg import solve_linear
+
+
+def _full(n):
+    """The equation with every term of the layout set."""
+    every = range(1, n + 1)
+    return QuadraticEquation.from_terms(
+        n,
+        xx=[(j, k) for j in every for k in every if j < k],
+        xy=[(j, k) for j in every for k in every],
+        x=every,
+        y=every,
+        constant=1,
+    )
+
+
+@st.composite
+def equations(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 9))
+    full = _full(n).form
+    return QuadraticEquation(n, draw(st.integers(0, full)) & full)
+
+
+def _reference_value(eq, x, y):
+    """Equation value summed term by term from its 1-based terms."""
+    def bit(v, i):
+        return v >> (i - 1) & 1
+
+    xx, xy, xs, ys, value = eq.terms()
+    for j, k in xx:
+        value ^= bit(x, j) & bit(x, k)
+    for j, k in xy:
+        value ^= bit(x, j) & bit(y, k)
+    for j in xs:
+        value ^= bit(x, j)
+    for k in ys:
+        value ^= bit(y, k)
+    return value
+
+
+@given(equations())
+def test_terms_round_trip(eq):
+    assert QuadraticEquation.from_terms(eq.n, *eq.terms()) == eq
+
+
+@given(equations(), st.data())
+def test_evaluate_matches_terms(eq, data):
+    x = data.draw(st.integers(0, (1 << eq.n) - 1))
+    y = data.draw(st.integers(0, (1 << eq.n) - 1))
+    assert eq.evaluate(x, y) == _reference_value(eq, x, y)
+
+
+@given(st.sampled_from([3, 5, 7, 9]), st.data())
+def test_linear_system_and_holds_match_evaluate(n, data):
+    pk = PublicKey(n, (n + 1) // 2, [data.draw(equations(n)) for _ in range(n)])
+    x = data.draw(st.integers(0, (1 << n) - 1))
+    y = data.draw(st.integers(0, (1 << n) - 1))
+    matrix, rhs = pk.linear_system(x)
+    values = [eq.evaluate(x, y) for eq in pk.equations]
+    for i, row in enumerate(matrix.rows):
+        assert ((row & y).bit_count() ^ rhs >> i) & 1 == values[i]
+    assert pk.holds(x, y) == (not any(values))
+
+
+@functools.lru_cache(maxsize=None)
+def _public_key(n):
+    return keygen(n, seed=0x9E0 + n)[1]
+
+
+@settings(deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_encryption_system_solves_to_a_valid_ciphertext(half, data):
+    pk = _public_key(2 * half + 1)
+    x = data.draw(st.integers(0, (1 << pk.n) - 1))
+    assert pk.holds(x, solve_linear(*pk.linear_system(x)))
+
+
+@functools.lru_cache(maxsize=None)
+def _key_file(kind):
+    sk, pk = keygen(5, seed=0x6D75)
+    return encode_key(sk if kind == "secret" else pk).encode()
+
+
+def _decodes_faithfully(kind, data):
+    """A changed key file fails with KeyFormatError, or it is the canonical
+    encoding of the key it decodes to, which is the original key only when
+    the file is unchanged."""
+    text = data.decode("latin-1")
+    try:
+        key = decode_key(text)
+    except KeyFormatError:
+        return
+    assert encode_key(key) == text
+    assert (key == decode_key(_key_file(kind).decode())) == (data == _key_file(kind))
+
+
+@given(st.sampled_from(["secret", "public"]), st.data())
+def test_single_byte_mutations(kind, data):
+    original = _key_file(kind)
+    pos = data.draw(st.integers(0, len(original) - 1))
+    byte = data.draw(st.integers(0, 255))
+    _decodes_faithfully(kind, original[:pos] + bytes([byte]) + original[pos + 1 :])
+
+
+@given(st.sampled_from(["secret", "public"]), st.data())
+def test_truncations(kind, data):
+    original = _key_file(kind)
+    _decodes_faithfully(kind, original[: data.draw(st.integers(0, len(original) - 1))])
