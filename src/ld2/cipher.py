@@ -3,8 +3,9 @@
 Encryption substitutes the plaintext block into the public equations,
 which leaves a linear system in the ciphertext bits to be solved by
 Gaussian elimination.  Decryption inverts the central map with a single
-field exponentiation and picks the right preimage by re-checking the
-hidden relation.  Signing is decryption of the digest; verification is
+field exponentiation; the central map is a bijection, so the preimage is
+unique and is always the second of the two candidates the inversion
+formula gives.  Signing is decryption of the digest; verification is
 evaluation of the public equations.
 
 Messages longer than one block use electronic-codebook composition with
@@ -24,7 +25,9 @@ class MalformedKeyError(ValueError):
 
 
 class DecryptionError(ValueError):
-    """No decryption candidate satisfies the hidden relation."""
+    """A decrypted block fails the hidden relation: a fault or a bug, not a
+    wrong-key signal.  The central map is a bijection, so every block
+    decrypts under every key."""
 
 
 class PaddingError(ValueError):
@@ -70,13 +73,14 @@ def decrypt_candidates(sk: SecretKey, y: int) -> tuple[int, int]:
 
 
 def decrypt_block(sk: SecretKey, y: int) -> int:
-    """Decrypt one block: the unique candidate satisfying the relation."""
-    x1, x2 = decrypt_candidates(sk, y)
-    if relation_residual(sk, x1, y) == 0:
-        return x1
-    if relation_residual(sk, x2, y) == 0:
-        return x2
-    raise DecryptionError("no candidate satisfies the relation; corrupt block or wrong key")
+    """Decrypt one block: the second candidate, s^-1(z3), is the preimage.
+
+    One residual evaluation checks the result against faults.
+    """
+    x = decrypt_candidates(sk, y)[1]
+    if relation_residual(sk, x, y):
+        raise DecryptionError("decrypted block fails the hidden relation")
+    return x
 
 
 def sign(sk: SecretKey, digest: int) -> int:

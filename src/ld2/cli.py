@@ -36,6 +36,8 @@ from .linalg import AffineMap, BitMatrix, Prng
 
 # "LD2_SEED" in ASCII; used when --seed is omitted (with a warning)
 DEFAULT_SEED = 0x4C44325F53454544
+# largest block size keygen accepts; a larger --n is most likely a typo
+MAX_N = 257
 
 
 class CliError(Exception):
@@ -54,7 +56,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a key pair")
-    p.add_argument("--n", type=int, required=True, help="block size in bits (odd, >= 3)")
+    p.add_argument("--n", type=int, required=True, help=f"block size (odd, 3..{MAX_N})")
     p.add_argument("--seed", help="64-bit seed in hex (default: 4c44325f53454544, insecure)")
     p.add_argument("--secret-out", required=True)
     p.add_argument("--public-out", required=True)
@@ -106,10 +108,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -143,6 +142,8 @@ def _load_secret(path: str) -> SecretKey:
 
 
 def _cmd_keygen(args) -> int:
+    if args.n > MAX_N:
+        raise CliError(f"--n must be at most {MAX_N}")
     if args.seed is None:
         seed = DEFAULT_SEED
         print(

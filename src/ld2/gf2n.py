@@ -165,14 +165,7 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         """Product of the representing polynomials, reduced by the modulus."""
-        if b.bit_length() <= 32:
-            acc = 0
-            while b:
-                low = b & -b
-                acc ^= a << (low.bit_length() - 1)
-                b ^= low
-            return self._reduce(acc)
-        # wide operands: combine 4-bit windows of b against a small table
+        # combine 4-bit windows of b against a small table of multiples of a
         table = [0] * 16
         table[1] = a
         for w in range(2, 16, 2):

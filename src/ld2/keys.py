@@ -6,11 +6,10 @@ A public key consists of n equations over GF(2),
         + sum_k d_k x_k + sum_k c_k y_k + e = 0,
 
 quadratic in the plaintext bits x and linear in the ciphertext bits y once
-x is fixed.  The coefficients fall out of the hidden field relation
-residual by evaluation at unit vectors, which is exact because every
-coordinate of the residual has total degree at most two over F_2 (each
-monomial of the relation is a product of at most two affine coordinate
-functions of x and y).
+x is fixed.  They are the coordinates of the hidden relation's residual
+R(u, v) at u = s(x), v = t(y).  The degree-two part of R is
+F(u) u + (F(u) + u) v, with F the Frobenius map u -> u^(2^m), so
+derive_public_key reads a_jk and b_jk off its polar (bilinear) forms.
 
 Each equation is one int, its form, of n + 1 lanes of w = 2n + 1 bits;
 lane j starts at bit j*w and indices below are 0-based:
@@ -304,46 +303,40 @@ def _residual_uv(sk: SecretKey, u: int, v: int) -> int:
 def derive_public_key(sk: SecretKey) -> PublicKey:
     """Expand the hidden relation into the n public quadratic equations.
 
-    Writing R for the residual vector, the coefficients of every output
-    coordinate are read off unit-vector evaluations:
+    With s_j, t_k the columns of A1, A2 and F the Frobenius map by 2^m,
+    every coefficient is an n-bit vector (bit i for equation i):
 
-        e    = R(0, 0)
-        d_j  = R(e_j, 0) + e
-        c_k  = R(0, e_k) + e
-        a_jk = R(e_j + e_k, 0) + R(e_j, 0) + R(e_k, 0) + e    (j < k)
-        b_jk = R(e_j, e_k) + R(e_j, 0) + R(0, e_k) + e
+        a_jk = F(s_j) s_k + F(s_k) s_j    (j < k)
+        b_jk = (F(s_j) + s_j) t_k
+        e    = R(u0, v0)
+        d_j  = R(u0 + s_j, v0) + e
+        c_k  = R(u0, v0 + t_k) + e
 
-    All n coordinates are extracted at once since R returns an n-bit
-    vector; s(x) and t(y) at unit vectors are just matrix columns plus the
-    translations, so each evaluation costs a few field multiplications.
+    where u0, v0 are the translations of s and t.  a_jk is the polar form
+    F(a) b + F(b) a of R's part F(u) u at a = s_j, b = s_k, and b_jk is
+    R's part (F(u) + u) v at u = s_j, v = t_k; the linear terms and e
+    take 2n + 1 residual evaluations.
     """
     field = sk.field
     n = field.n
+    mul = field.mul
     s_cols = sk.s.matrix.transpose().rows
     t_cols = sk.t.matrix.transpose().rows
+    s_frob = [apply_columns(sk._frob_cols, col) for col in s_cols]
     u0 = sk.s.translation
     v0 = sk.t.translation
-
     base = _residual_uv(sk, u0, v0)
-    u_units = [c ^ u0 for c in s_cols]
-    v_units = [c ^ v0 for c in t_cols]
-    px = [_residual_uv(sk, u, v0) for u in u_units]
-    py = [_residual_uv(sk, u0, v) for v in v_units]
 
     # coefficient vector (bit i for equation i) of every bit of a form
     w = 2 * n + 1
     coeffs = [0] * ((n + 1) * w)
-    for j in range(n):
-        pxj = px[j]
-        uj = u_units[j]
+    for j, (sj, fj) in enumerate(zip(s_cols, s_frob)):
         for k in range(j + 1, n):
-            coeff = _residual_uv(sk, s_cols[j] ^ s_cols[k] ^ u0, v0)
-            coeffs[j * w + k] = coeff ^ pxj ^ px[k] ^ base
-        for k in range(n):
-            coeff = _residual_uv(sk, uj, v_units[k])
-            coeffs[j * w + n + k] = coeff ^ pxj ^ py[k] ^ base
-        coeffs[n * w + j] = pxj ^ base
-        coeffs[n * w + n + j] = py[j] ^ base
+            coeffs[j * w + k] = mul(fj, s_cols[k]) ^ mul(s_frob[k], sj)
+        for k, tk in enumerate(t_cols):
+            coeffs[j * w + n + k] = mul(fj ^ sj, tk)
+        coeffs[n * w + j] = _residual_uv(sk, u0 ^ sj, v0) ^ base
+        coeffs[n * w + n + j] = _residual_uv(sk, u0, v0 ^ t_cols[j]) ^ base
     coeffs[n * w + 2 * n] = base
     # transpose: form i collects bit i of every vector.  Written top bit
     # first, column t of the binary strings is the form of equation n-1-t.

@@ -212,15 +212,15 @@ class Prng:
         """Next `count` bits; the first bit drawn lands in bit 0."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        out = 0
-        for i in range(count):
-            if not self._remaining:
-                self._buffer = self.next_word()
-                self._remaining = 64
-            out |= ((self._buffer >> 63) & 1) << i
-            self._buffer = (self._buffer << 1) & _MASK64
-            self._remaining -= 1
-        return out
+        # the buffer holds the undrawn bits bit-reversed, next bit in bit 0
+        buffer = self._buffer
+        have = self._remaining
+        while have < count:
+            buffer |= int(f"{self.next_word():064b}"[::-1], 2) << have
+            have += 64
+        self._buffer = buffer >> count
+        self._remaining = have - count
+        return buffer & ((1 << count) - 1)
 
 
 def random_invertible(n: int, prng: Prng) -> BitMatrix:

@@ -85,20 +85,30 @@ def test_round_trip_thousand_random_blocks(n):
 
 
 def test_decrypt_performs_exactly_one_exponentiation(monkeypatch, toy_sk):
+    # and exactly one relation residual, the fault check
+    import ld2.cipher as cipher_mod
     from ld2.gf2n import Field
 
     calls = []
+    residuals = []
     original = Field.pow
 
     def counting_pow(self, a, e):
         calls.append(e)
         return original(self, a, e)
 
+    def counting_residual(sk, x, y):
+        residuals.append(x)
+        return relation_residual(sk, x, y)
+
     monkeypatch.setattr(Field, "pow", counting_pow)
+    monkeypatch.setattr(cipher_mod, "relation_residual", counting_residual)
     for y in range(8):
         calls.clear()
+        residuals.clear()
         decrypt_block(toy_sk, y)
         assert calls == [(1 << toy_sk.field.m) - 1]
+        assert len(residuals) == 1
 
 
 @pytest.mark.parametrize("n", [3, 5])

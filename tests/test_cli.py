@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ld2.cli import DEFAULT_SEED, fitted_exponent, main, run_bench
+from ld2.cli import DEFAULT_SEED, MAX_N, fitted_exponent, main, run_bench
 
 
 def _keygen(tmp_path, n=5, seed="2a"):
@@ -100,7 +100,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["keygen", "--n", "3", "--seed", "zz",
                  "--secret-out", str(tmp_path / "sa"),
                  "--public-out", str(tmp_path / "sb")]) == 1
-    assert capsys.readouterr().err.count("error:") == 3
+    # block size above the bound, rejected before any work
+    assert main(["keygen", "--n", str(MAX_N + 2), "--seed", "1",
+                 "--secret-out", str(tmp_path / "sa"),
+                 "--public-out", str(tmp_path / "sb")]) == 1
+    assert not (tmp_path / "sa").exists()
+    err = capsys.readouterr().err
+    assert err.count("error:") == 4 and err.count("\n") == 4
+    assert f"at most {MAX_N}" in err
 
 
 def test_inspect_hides_secrets_by_default(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Property-based tests of invariants the acceptance criteria check only at
-a few sizes: the packed equation layout, encryption solvability and the
-strictness of the key-file codec."""
+a few sizes: the packed equation layout, public-key derivation, encryption
+solvability, message framing and the strictness of the key-file codec."""
 
 import functools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ld2.cipher import decrypt_message, encrypt_message
 from ld2.keys import (
     KeyFormatError,
     PublicKey,
@@ -13,6 +14,7 @@ from ld2.keys import (
     decode_key,
     encode_key,
     keygen,
+    relation_residual,
 )
 from ld2.linalg import solve_linear
 
@@ -90,6 +92,53 @@ def test_encryption_system_solves_to_a_valid_ciphertext(half, data):
     pk = _public_key(2 * half + 1)
     x = data.draw(st.integers(0, (1 << pk.n) - 1))
     assert pk.holds(x, solve_linear(*pk.linear_system(x)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(3, 15), st.integers(0, (1 << 64) - 1), st.data())
+def test_derived_equations_match_residual(half, seed, data):
+    # odd n in 7..31, between the exhaustive sizes and the golden ones
+    n = 2 * half + 1
+    sk, pk = keygen(n, seed)
+    for _ in range(8):
+        x = data.draw(st.integers(0, (1 << n) - 1))
+        y = data.draw(st.integers(0, (1 << n) - 1))
+        residual = relation_residual(sk, x, y)
+        for i, eq in enumerate(pk.equations):
+            assert eq.evaluate(x, y) == (residual >> i) & 1
+
+
+_MESSAGE_N = 9
+
+
+@functools.lru_cache(maxsize=None)
+def _message_keys():
+    return keygen(_MESSAGE_N, seed=0x3E55)
+
+
+# lengths that fill whole blocks, so padding adds one block of its own
+_aligned = st.integers(0, 6).flatmap(
+    lambda k: st.binary(min_size=k * _MESSAGE_N, max_size=k * _MESSAGE_N)
+)
+
+
+@given(st.binary(max_size=80) | _aligned)
+@example(b"")
+@example(bytes(_MESSAGE_N))
+def test_messages_round_trip(data):
+    sk, pk = _message_keys()
+    assert decrypt_message(sk, encrypt_message(pk, data)) == data
+
+
+@given(st.binary(max_size=40))
+@example(b"")
+def test_decrypt_message_rejects_only_with_value_errors(data):
+    # every failure is a ValueError subclass: framing, padding or the
+    # decryption fault check
+    try:
+        decrypt_message(_message_keys()[0], data)
+    except ValueError:
+        pass
 
 
 @functools.lru_cache(maxsize=None)
