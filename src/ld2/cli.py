@@ -141,9 +141,13 @@ def _load_secret(path: str) -> SecretKey:
     return key
 
 
+def _check_n(n: int) -> None:
+    if n > MAX_N:
+        raise CliError(f"n must be at most {MAX_N}, got {n}")
+
+
 def _cmd_keygen(args) -> int:
-    if args.n > MAX_N:
-        raise CliError(f"--n must be at most {MAX_N}")
+    _check_n(args.n)
     if args.seed is None:
         seed = DEFAULT_SEED
         print(
@@ -375,6 +379,7 @@ def _cmd_bench(args) -> int:
         raise CliError(f"bad --n-list: {exc}") from exc
     if not n_list:
         raise CliError("--n-list must name at least one size")
+    _check_n(max(n_list))
     print_bench_report(run_bench(n_list, args.reps))
     return 0
 

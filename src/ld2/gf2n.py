@@ -7,8 +7,8 @@ multiplicative identity.  Every bit string in this package uses the same
 packing, and byte/hex serialisation is little-endian: bit i of a string
 lands in bit i % 8 of byte i // 8.
 
-The modulus of each field defaults to the first irreducible polynomial in
-the deterministic scan order of find_irreducible, so key material and wire
+The modulus of each field is the first irreducible polynomial in the
+deterministic scan order of find_irreducible, so key material and wire
 formats are reproducible across runs and machines.
 """
 
@@ -112,23 +112,16 @@ class Field:
 
     __slots__ = ("n", "m", "modulus", "_mask", "_low_shifts")
 
-    def __init__(self, n: int, modulus: int | None = None):
+    def __init__(self, n: int):
         if n < 3 or n % 2 == 0:
             raise ValueError("extension degree must be odd and at least 3")
-        if modulus is None:
-            modulus = find_irreducible(n)
-        else:
-            if poly_degree(modulus) != n or not modulus & 1:
-                raise ValueError("modulus must have degree n and constant term 1")
-            if not is_irreducible(modulus):
-                raise ValueError("modulus is not irreducible")
         self.n = n
         self.m = (n + 1) // 2
-        self.modulus = modulus
+        self.modulus = find_irreducible(n)
         self._mask = (1 << n) - 1
         # x^n = low part of the modulus, so reduction folds the high words
         # through these shifts (few of them: canonical moduli are sparse)
-        low = modulus & self._mask
+        low = self.modulus & self._mask
         self._low_shifts = tuple(i for i in range(n) if low >> i & 1)
 
     @property

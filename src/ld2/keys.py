@@ -338,11 +338,9 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
         coeffs[n * w + j] = _residual_uv(sk, u0 ^ sj, v0) ^ base
         coeffs[n * w + n + j] = _residual_uv(sk, u0, v0 ^ t_cols[j]) ^ base
     coeffs[n * w + 2 * n] = base
-    # transpose: form i collects bit i of every vector.  Written top bit
-    # first, column t of the binary strings is the form of equation n-1-t.
-    bit_strings = [f"{c:0{n}b}" for c in reversed(coeffs)]
-    forms = [int("".join(bits), 2) for bits in zip(*bit_strings)]
-    equations = (QuadraticEquation(n, form) for form in reversed(forms))
+    # form i collects bit i of every vector
+    forms = BitMatrix(coeffs, n).transpose().rows
+    equations = (QuadraticEquation(n, form) for form in forms)
     return PublicKey(n, field.m, equations)
 
 

@@ -1,9 +1,9 @@
 """Vectors, matrices and invertible affine maps over GF(2).
 
 Vectors are ints (bit j holds coordinate j + 1) and matrices are tuples of
-row ints, which keeps Gaussian elimination down to word-wide xors.  The
-module is also home to the deterministic xorshift64* generator that feeds
-reproducible key generation.
+row ints, which keeps Gaussian elimination down to word-wide xors; one
+forward elimination serves rank, solve_linear and invert_matrix.  The module
+also holds the deterministic xorshift64* generator of key generation.
 """
 
 from __future__ import annotations
@@ -59,11 +59,10 @@ class BitMatrix:
         return BitMatrix(rows, other.cols)
 
     def transpose(self) -> BitMatrix:
-        rows = tuple(
-            sum(((self.rows[i] >> j) & 1) << i for i in range(self.nrows))
-            for j in range(self.cols)
-        )
-        return BitMatrix(rows, self.nrows)
+        # column t of the top-bit-first strings is matrix column cols - 1 - t
+        strings = [f"{row:0{self.cols}b}" for row in reversed(self.rows)]
+        columns = [int("".join(bits), 2) for bits in zip(*strings)]
+        return BitMatrix(tuple(reversed(columns)), self.nrows)
 
     def to_bits(self) -> int:
         """Rows concatenated row-major into one bit string."""
@@ -80,26 +79,33 @@ class BitMatrix:
         return cls(tuple((value >> (i * cols)) & mask for i in range(nrows)), cols)
 
 
-def rank(matrix: BitMatrix) -> int:
-    """Rank over GF(2) by Gaussian elimination."""
-    rows = list(matrix.rows)
+def _echelon(rows: list[int], cols: int) -> tuple[list[int], int]:
+    """Row echelon form, in place, and rank of the low `cols` bits of rows:
+    first-nonzero pivoting, columns without a pivot skipped.  Higher bits
+    ride along with their row, so a caller augments the matrix there."""
     r = 0
-    for col in range(matrix.cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
+    for col in range(cols):
+        bit = 1 << col  # a mask test builds no shifted copy of the row
+        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] >> col & 1:
-                rows[i] ^= rows[r]
+        lead = rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i] & bit:
+                rows[i] ^= lead
         r += 1
-        if r == len(rows):
-            break
-    return r
+    return rows, r
+
+
+def rank(matrix: BitMatrix) -> int:
+    """Rank over GF(2): the number of pivots forward elimination finds."""
+    return _echelon(list(matrix.rows), matrix.cols)[1]
 
 
 def solve_linear(matrix: BitMatrix, b: int) -> int:
-    """The unique y with M y = b, by elimination with first-nonzero pivoting."""
+    """The unique y with M y = b: forward elimination of [M | b], then back
+    substitution.  Raises SingularMatrixError unless M has full rank."""
     n = matrix.cols
     if matrix.nrows != n:
         raise ValueError("matrix must be square")
@@ -107,15 +113,9 @@ def solve_linear(matrix: BitMatrix, b: int) -> int:
         raise ValueError("right-hand side length mismatch")
     # right-hand side rides along in bit n of each working row
     rows = [row | (((b >> i) & 1) << n) for i, row in enumerate(matrix.rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i] >> col & 1), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col]
-        for i in range(col + 1, n):
-            if rows[i] >> col & 1:
-                rows[i] ^= lead
+    rows, r = _echelon(rows, n)
+    if r < n:
+        raise SingularMatrixError("matrix is singular")
     y = 0
     for col in range(n - 1, -1, -1):
         bit = ((rows[col] >> n) & 1) ^ ((rows[col] & y).bit_count() & 1)
@@ -124,20 +124,19 @@ def solve_linear(matrix: BitMatrix, b: int) -> int:
 
 
 def invert_matrix(matrix: BitMatrix) -> BitMatrix:
-    """Inverse over GF(2) by Gauss-Jordan on the augmented matrix [M | I]."""
+    """Inverse over GF(2): forward elimination of [M | I], then clearing above
+    each pivot.  Raises SingularMatrixError unless M has full rank."""
     n = matrix.cols
     if matrix.nrows != n:
         raise ValueError("matrix must be square")
-    rows = [row | (1 << (n + i)) for i, row in enumerate(matrix.rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i] >> col & 1), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col]
-        for i in range(n):
-            if i != col and rows[i] >> col & 1:
-                rows[i] ^= lead
+    rows, r = _echelon([row | (1 << (n + i)) for i, row in enumerate(matrix.rows)], n)
+    if r < n:
+        raise SingularMatrixError("matrix is singular")
+    # with full rank, row col has its pivot in column col
+    for col in range(n - 1, 0, -1):
+        for i in range(col):
+            if rows[i] >> col & 1:
+                rows[i] ^= rows[col]
     return BitMatrix(tuple(row >> n for row in rows), n)
 
 

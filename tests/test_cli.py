@@ -141,7 +141,13 @@ def test_bench_report(capsys):
     assert "encrypt-time growth fits" in out
 
 
-def test_bench_rejects_bad_args():
+def test_bench_rejects_bad_args(capsys):
     assert main(["bench", "--n-list", "x"]) == 1
     assert main(["bench", "--n-list", ""]) == 1
     assert main(["bench", "--n-list", "5", "--reps", "0"]) == 1
+    capsys.readouterr()
+    # a size above the bound is rejected before the sizes ahead of it run
+    assert main(["bench", "--n-list", f"5,{MAX_N + 2}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and err.count("\n") == 1
+    assert f"at most {MAX_N}" in err

@@ -67,17 +67,9 @@ def test_field_rejects_even_or_small_n():
             Field(n)
 
 
-def test_field_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        Field(3, 0b1111)  # x^3 + x^2 + x + 1 = (x + 1)(x^2 + 1)
-    with pytest.raises(ValueError):
-        Field(3, 0b1010)  # no constant term
-    with pytest.raises(ValueError):
-        Field(3, 0b10011)  # degree 4, not 3
-
-
 def test_field_equality_and_m():
-    assert Field(3) == Field(3, 0b1011)
+    assert Field(3).modulus == 0b1011
+    assert Field(3) == Field(3)
     assert Field(3) != Field(5)
     assert Field(9).m == 5
 

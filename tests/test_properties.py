@@ -1,9 +1,11 @@
 """Property-based tests of invariants the acceptance criteria check only at
-a few sizes: the packed equation layout, public-key derivation, encryption
-solvability, message framing and the strictness of the key-file codec."""
+a few sizes: GF(2) transpose, rank, solving and inversion on any shape, the
+packed equation layout, public-key derivation, encryption solvability,
+message framing and the strictness of the key-file codec."""
 
 import functools
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ld2.cipher import decrypt_message, encrypt_message
@@ -16,7 +18,72 @@ from ld2.keys import (
     keygen,
     relation_residual,
 )
-from ld2.linalg import solve_linear
+from ld2.linalg import (
+    BitMatrix,
+    SingularMatrixError,
+    invert_matrix,
+    rank,
+    solve_linear,
+)
+
+
+@st.composite
+def bit_matrices(draw, max_rows=8, max_cols=8, square=False):
+    """Any shape up to the bounds; a drawn column mask makes zero columns
+    (and with them zero rows and low rank) common."""
+    nrows = draw(st.integers(1, max_rows))
+    cols = nrows if square else draw(st.integers(1, max_cols))
+    full = (1 << cols) - 1
+    keep = draw(st.just(full) | st.integers(0, full))
+    row = st.integers(0, full).map(lambda r: r & keep)
+    return BitMatrix(tuple(draw(st.lists(row, min_size=nrows, max_size=nrows))), cols)
+
+
+def _reference_transpose(m):
+    """Entry (i, j) moved to (j, i) bit by bit."""
+    rows = tuple(
+        sum(((m.rows[i] >> j) & 1) << i for i in range(m.nrows))
+        for j in range(m.cols)
+    )
+    return BitMatrix(rows, m.nrows)
+
+
+def _span_size(m):
+    """Number of distinct xors of subsets of the rows, by brute force."""
+    span = {0}
+    for row in m.rows:
+        span |= {v ^ row for v in span}
+    return len(span)
+
+
+@given(bit_matrices(max_rows=40, max_cols=40))
+@example(BitMatrix((0b101,), 3))
+@example(BitMatrix((1, 0, 1, 1), 1))
+def test_transpose_matches_bitwise_reference(m):
+    assert m.transpose() == _reference_transpose(m)
+
+
+@given(bit_matrices())
+@example(BitMatrix((0, 0, 0), 4))
+@example(BitMatrix((0b10, 0b10, 0), 2))
+def test_rank_is_log_of_row_span(m):
+    assert 1 << rank(m) == _span_size(m)
+    assert rank(m) == rank(m.transpose())
+
+
+@given(bit_matrices(square=True), st.integers(0, 255))
+@example(BitMatrix((0b011, 0b101, 0b110), 3), 0)
+def test_solve_and_invert_fail_exactly_on_singular(m, b):
+    n = m.cols
+    b &= (1 << n) - 1
+    if _span_size(m) < 1 << n:
+        with pytest.raises(SingularMatrixError):
+            solve_linear(m, b)
+        with pytest.raises(SingularMatrixError):
+            invert_matrix(m)
+    else:
+        assert m.mul_vec(solve_linear(m, b)) == b
+        assert invert_matrix(m).mul_mat(m) == BitMatrix.identity(n)
 
 
 def _full(n):
