@@ -15,7 +15,7 @@ but deterministic, so it leaks block equality; see the README caveats.
 
 from __future__ import annotations
 
-from .gf2n import apply_columns, packed_size
+from .gf2n import packed_size
 from .keys import PublicKey, SecretKey, relation_residual
 from .linalg import SingularMatrixError, solve_linear
 
@@ -65,8 +65,7 @@ def decrypt_candidates(sk: SecretKey, y: int) -> tuple[int, int]:
     field = sk.field
     _check_block(y, field.n)
     v = sk.t.apply(y)
-    v_frob = apply_columns(sk._frob_cols, v)
-    z1 = sk.alpha ^ 1 ^ v ^ v_frob
+    z1 = sk.alpha ^ 1 ^ v ^ field.frobenius(v)
     z2 = field.pow(z1, (1 << field.m) - 1)
     z3 = v ^ 1 ^ z2
     return sk.s.invert_apply(v ^ 1), sk.s.invert_apply(z3)

@@ -142,8 +142,8 @@ def _load_secret(path: str) -> SecretKey:
 
 
 def _check_n(n: int) -> None:
-    if n > MAX_N:
-        raise CliError(f"n must be at most {MAX_N}, got {n}")
+    if n < 3 or n % 2 == 0 or n > MAX_N:
+        raise CliError(f"n must be odd, at least 3 and at most {MAX_N}, got {n}")
 
 
 def _cmd_keygen(args) -> int:
@@ -256,13 +256,12 @@ def format_equation(eq: QuadraticEquation) -> str:
 
 # Toy fixture: n = 3 over x^3 + x + 1 with alpha = 1 + g + g^2 and the
 # fixed affine maps below; the expected public system is known.
-_TOY_N = 3
-_TOY_ALPHA = 0b111
-_TOY_A1 = (0b011, 0b110, 0b100)
-_TOY_C1 = 0b101
-_TOY_A2 = (0b111, 0b110, 0b100)
-_TOY_C2 = 0b010
-_TOY_EXPECTED = (
+TOY_ALPHA = 0b111
+TOY_A1 = (0b011, 0b110, 0b100)
+TOY_C1 = 0b101
+TOY_A2 = (0b111, 0b110, 0b100)
+TOY_C2 = 0b010
+TOY_EQUATIONS = (
     dict(xx=((2, 3),), xy=((2, 2), (2, 3), (3, 3)), x=(1, 2), y=(1, 2, 3), constant=0),
     dict(xx=((1, 3), (2, 3)), xy=((2, 2), (3, 1), (3, 2)), x=(2, 3), y=(2, 3), constant=1),
     dict(xx=((1, 2),), xy=((2, 1), (2, 2), (3, 2), (3, 3)), x=(2,), y=(3,), constant=1),
@@ -270,10 +269,9 @@ _TOY_EXPECTED = (
 
 
 def toy_secret_key() -> SecretKey:
-    field = Field(_TOY_N)
-    s = AffineMap(BitMatrix(_TOY_A1, _TOY_N), _TOY_C1)
-    t = AffineMap(BitMatrix(_TOY_A2, _TOY_N), _TOY_C2)
-    return SecretKey(field, s, t, _TOY_ALPHA)
+    s = AffineMap(BitMatrix(TOY_A1, 3), TOY_C1)
+    t = AffineMap(BitMatrix(TOY_A2, 3), TOY_C2)
+    return SecretKey(Field(3), s, t, TOY_ALPHA)
 
 
 def _cmd_selftest(args) -> int:
@@ -284,7 +282,7 @@ def _cmd_selftest(args) -> int:
     for i, eq in enumerate(pk.equations):
         print(f"eq{i + 1}: {format_equation(eq)}")
     expected = tuple(
-        QuadraticEquation.from_terms(_TOY_N, **terms) for terms in _TOY_EXPECTED
+        QuadraticEquation.from_terms(3, **terms) for terms in TOY_EQUATIONS
     )
     # the first equation's constant is pinned by the relation itself, the
     # other two match the known system directly
@@ -379,7 +377,8 @@ def _cmd_bench(args) -> int:
         raise CliError(f"bad --n-list: {exc}") from exc
     if not n_list:
         raise CliError("--n-list must name at least one size")
-    _check_n(max(n_list))
+    for n in n_list:
+        _check_n(n)
     print_bench_report(run_bench(n_list, args.reps))
     return 0
 

@@ -108,13 +108,13 @@ _SQUARE_SPREAD = tuple(
 
 
 class Field:
-    """The field F(2^n) for odd n = 2m - 1, with arithmetic on element ints."""
+    """F(2^n), n = 2m - 1: arithmetic on element ints and x -> x^(2^m)."""
 
     __slots__ = ("n", "m", "modulus", "_mask", "_low_shifts")
 
     def __init__(self, n: int):
         if n < 3 or n % 2 == 0:
-            raise ValueError("extension degree must be odd and at least 3")
+            raise ValueError("n must be odd and at least 3")
         self.n = n
         self.m = (n + 1) // 2
         self.modulus = find_irreducible(n)
@@ -184,13 +184,9 @@ class Field:
             shift += 16
         return self._reduce(acc)
 
-    def frobenius_pow(self, a: int, k: int) -> int:
-        """a^(2^k) by repeated squaring; k is reduced mod n since x^(2^n) = x."""
-        if k < 0:
-            raise ValueError("Frobenius power must be non-negative")
-        for _ in range(k % self.n):
-            a = self.sqr(a)
-        return a
+    def frobenius(self, a: int) -> int:
+        """a^(2^m), through the basis images cached by frobenius_columns."""
+        return apply_columns(frobenius_columns(self), a)
 
     def pow(self, a: int, e: int) -> int:
         """a^e by square and multiply; 0^0 is defined as 1."""
@@ -224,13 +220,14 @@ class Field:
 
 
 @functools.lru_cache(maxsize=None)
-def frobenius_columns(field: Field, k: int) -> tuple[int, ...]:
-    """Images of the basis elements under x -> x^(2^k).
-
-    The map is F_2-linear, so any element maps to the xor of the columns
-    at its set bits; see apply_columns.
-    """
-    return tuple(field.frobenius_pow(1 << j, k) for j in range(field.n))
+def frobenius_columns(field: Field) -> tuple[int, ...]:
+    """Images h^j of the basis elements g^j under x -> x^(2^m), h = g^(2^m);
+    the map is F_2-linear, so apply_columns maps any element with them."""
+    h = field.pow(2, 1 << field.m)
+    columns = [1]
+    for _ in range(field.n - 1):
+        columns.append(field.mul(columns[-1], h))
+    return tuple(columns)
 
 
 def apply_columns(columns, a: int) -> int:

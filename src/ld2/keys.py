@@ -58,16 +58,8 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2n import (
-    Field,
-    apply_columns,
-    bits_to_hex,
-    find_irreducible,
-    frobenius_columns,
-    hex_to_bits,
-)
+from .gf2n import Field, bits_to_hex, find_irreducible, hex_to_bits
 from .linalg import AffineMap, BitMatrix, Prng, random_invertible
-from .permutation import CentralMap
 
 
 class KeyFormatError(ValueError):
@@ -178,21 +170,24 @@ class QuadraticEquation:
 
 
 class PublicKey:
-    """The n public quadratic equations, plus the field dimensions."""
+    """The n public quadratic equations over F(2^n), n = 2m - 1."""
 
-    __slots__ = ("n", "m", "equations")
+    __slots__ = ("n", "equations")
 
-    def __init__(self, n: int, m: int, equations):
-        if n != 2 * m - 1 or n < 3:
-            raise ValueError("need n = 2m - 1 with n >= 3")
+    def __init__(self, n: int, equations):
+        if n < 3 or n % 2 == 0:
+            raise ValueError("n must be odd and at least 3")
         equations = tuple(equations)
         if len(equations) != n:
             raise ValueError("expected exactly n equations")
         if any(eq.n != n for eq in equations):
             raise ValueError("equation size mismatch")
         self.n = n
-        self.m = m
         self.equations = equations
+
+    @property
+    def m(self) -> int:
+        return (self.n + 1) // 2
 
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y)."""
@@ -224,12 +219,11 @@ class PublicKey:
         return (
             isinstance(other, PublicKey)
             and self.n == other.n
-            and self.m == other.m
             and self.equations == other.equations
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.m, self.equations))
+        return hash((self.n, self.equations))
 
     def __repr__(self) -> str:
         return f"PublicKey(n={self.n})"
@@ -238,7 +232,7 @@ class PublicKey:
 class SecretKey:
     """Secret material: the field, affine maps s and t, and alpha (trace 1)."""
 
-    __slots__ = ("field", "s", "t", "alpha", "_frob_cols", "_alpha_frob")
+    __slots__ = ("field", "s", "t", "alpha", "_alpha_frob")
 
     def __init__(self, field: Field, s: AffineMap, t: AffineMap, alpha: int):
         if s.n != field.n or t.n != field.n:
@@ -251,11 +245,7 @@ class SecretKey:
         self.s = s
         self.t = t
         self.alpha = alpha
-        self._frob_cols = frobenius_columns(field, field.m)
-        self._alpha_frob = apply_columns(self._frob_cols, alpha)
-
-    def central_map(self) -> CentralMap:
-        return CentralMap(self.field, self.alpha)
+        self._alpha_frob = field.frobenius(alpha)
 
     def __eq__(self, other) -> bool:
         return (
@@ -290,7 +280,7 @@ def _residual_uv(sk: SecretKey, u: int, v: int) -> int:
     # u^(2^m) u + u^(2^m) v + u v + u a + u^(2^m) + v a + a^(2^m),
     # grouped by distributivity into three multiplications
     f = sk.field
-    uf = apply_columns(sk._frob_cols, u)
+    uf = f.frobenius(u)
     return (
         f.mul(uf, u ^ v)
         ^ f.mul(u, v ^ sk.alpha)
@@ -322,7 +312,7 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     mul = field.mul
     s_cols = sk.s.matrix.transpose().rows
     t_cols = sk.t.matrix.transpose().rows
-    s_frob = [apply_columns(sk._frob_cols, col) for col in s_cols]
+    s_frob = [field.frobenius(col) for col in s_cols]
     u0 = sk.s.translation
     v0 = sk.t.translation
     base = _residual_uv(sk, u0, v0)
@@ -341,7 +331,7 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     # form i collects bit i of every vector
     forms = BitMatrix(coeffs, n).transpose().rows
     equations = (QuadraticEquation(n, form) for form in forms)
-    return PublicKey(n, field.m, equations)
+    return PublicKey(n, equations)
 
 
 def keygen(n: int, seed: int) -> tuple[SecretKey, PublicKey]:
@@ -350,8 +340,6 @@ def keygen(n: int, seed: int) -> tuple[SecretKey, PublicKey]:
     Draw order is fixed: alpha (redrawn until its trace is 1), then A1,
     c1, A2, c2, with matrices filled row-major by rejection sampling.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and at least 3")
     field = Field(n)
     prng = Prng(seed)
     while True:
@@ -476,20 +464,21 @@ def _hex_field(lines, index: int, nbits: int) -> int:
         raise KeyFormatError(f"line {index + 1}: {exc}") from exc
 
 
-def _parse_header(lines) -> tuple[int, int]:
+def _parse_header(lines) -> int:
+    """n from line 2; the m there is left to the canonical-form check."""
     if len(lines) < 3:
         raise KeyFormatError("truncated key file")
     try:
-        n, m = (int(_value(part)) for part in lines[1].split(" "))
+        n = int(_value(lines[1].partition(" ")[0]))
     except ValueError as exc:
         raise KeyFormatError(f"line 2: malformed dimensions: {exc}") from exc
-    if n != 2 * m - 1 or n < 3:
-        raise KeyFormatError("line 2: need n = 2m - 1 with n >= 3")
-    return n, m
+    if n < 3 or n % 2 == 0:
+        raise KeyFormatError("line 2: n must be odd and at least 3")
+    return n
 
 
 def _decode_secret(lines) -> SecretKey:
-    n, _ = _parse_header(lines)
+    n = _parse_header(lines)
     if len(lines) != 8:
         raise KeyFormatError("secret key file must have exactly 8 lines")
     nn = n * n
@@ -506,7 +495,7 @@ def _decode_secret(lines) -> SecretKey:
 
 
 def _decode_public(lines) -> PublicKey:
-    n, m = _parse_header(lines)
+    n = _parse_header(lines)
     if len(lines) != 3 + 5 * n:
         raise KeyFormatError("public key file has the wrong number of lines")
     npairs = n * (n - 1) // 2
@@ -521,4 +510,4 @@ def _decode_public(lines) -> PublicKey:
             equations.append(_from_file_fields(n, xx, xy, xl, yl, c))
         except ValueError as exc:
             raise KeyFormatError(f"line {first + 5}: {exc}") from exc
-    return PublicKey(n, m, equations)
+    return PublicKey(n, equations)

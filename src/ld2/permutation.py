@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .gf2n import Field, apply_columns, frobenius_columns
+from .gf2n import Field
 
 # enumeration guard: a 2^n occupancy table beyond this is not practical here
 ENUMERATION_LIMIT = 24
@@ -49,8 +49,7 @@ def inner_term_never_zero(field: Field, alpha: int) -> bool:
         raise ValueError(f"field too large to enumerate (n > {ENUMERATION_LIMIT})")
     if not 0 <= alpha < field.order:
         raise ValueError("alpha out of range")
-    cols = frobenius_columns(field, field.m)
-    return all(apply_columns(cols, x) ^ x ^ alpha for x in range(field.order))
+    return all(field.frobenius(x) ^ x ^ alpha for x in range(field.order))
 
 
 class CentralMap:
@@ -61,7 +60,7 @@ class CentralMap:
     congruent to 1 mod 2^n - 1 when n = 2m - 1.
     """
 
-    __slots__ = ("field", "alpha", "frobenius_steps", "exponent")
+    __slots__ = ("field", "alpha")
 
     def __init__(self, field: Field, alpha: int):
         if not 0 <= alpha < field.order:
@@ -70,13 +69,11 @@ class CentralMap:
             raise ValueError("alpha must have trace 1")
         self.field = field
         self.alpha = alpha
-        self.frobenius_steps = field.m
-        self.exponent = (1 << field.m) - 1
 
     def evaluate(self, x: int) -> int:
         f = self.field
-        inner = f.frobenius_pow(x, self.frobenius_steps) ^ x ^ self.alpha
-        return f.pow(inner, self.exponent) ^ x
+        inner = f.frobenius(x) ^ x ^ self.alpha
+        return f.pow(inner, (1 << f.m) - 1) ^ x
 
     __call__ = evaluate
 

@@ -1,22 +1,17 @@
 import pytest
 
-from ld2.gf2n import Field
-from ld2.keys import QuadraticEquation, SecretKey, derive_public_key
-from ld2.linalg import AffineMap, BitMatrix
-
-# The n = 3 toy fixture over x^3 + x + 1: alpha = 1 + g + g^2 and fixed
-# invertible affine maps with known public equations.
-TOY_ALPHA = 0b111
-TOY_A1 = (0b011, 0b110, 0b100)
-TOY_C1 = 0b101
-TOY_A2 = (0b111, 0b110, 0b100)
-TOY_C2 = 0b010
-
-TOY_EQUATIONS = (
-    dict(xx=((2, 3),), xy=((2, 2), (2, 3), (3, 3)), x=(1, 2), y=(1, 2, 3), constant=0),
-    dict(xx=((1, 3), (2, 3)), xy=((2, 2), (3, 1), (3, 2)), x=(2, 3), y=(2, 3), constant=1),
-    dict(xx=((1, 2),), xy=((2, 1), (2, 2), (3, 2), (3, 3)), x=(2,), y=(3,), constant=1),
+# the n = 3 toy fixture; test modules import its constants from here
+from ld2.cli import (
+    TOY_A1,
+    TOY_A2,
+    TOY_ALPHA,
+    TOY_C1,
+    TOY_C2,
+    TOY_EQUATIONS,
+    toy_secret_key,
 )
+from ld2.gf2n import Field
+from ld2.keys import QuadraticEquation, derive_public_key
 
 
 @pytest.fixture(scope="session")
@@ -25,10 +20,8 @@ def f8():
 
 
 @pytest.fixture(scope="session")
-def toy_sk(f8):
-    s = AffineMap(BitMatrix(TOY_A1, 3), TOY_C1)
-    t = AffineMap(BitMatrix(TOY_A2, 3), TOY_C2)
-    return SecretKey(f8, s, t, TOY_ALPHA)
+def toy_sk():
+    return toy_secret_key()
 
 
 @pytest.fixture(scope="session")

@@ -141,13 +141,21 @@ def test_bench_report(capsys):
     assert "encrypt-time growth fits" in out
 
 
-def test_bench_rejects_bad_args(capsys):
+def test_bench_rejects_bad_args(capsys, monkeypatch):
     assert main(["bench", "--n-list", "x"]) == 1
     assert main(["bench", "--n-list", ""]) == 1
     assert main(["bench", "--n-list", "5", "--reps", "0"]) == 1
     capsys.readouterr()
-    # a size above the bound is rejected before the sizes ahead of it run
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_bench called with a bad size")
+
+    # every size is checked before the sizes ahead of it run
+    monkeypatch.setattr("ld2.cli.run_bench", no_run)
     assert main(["bench", "--n-list", f"5,{MAX_N + 2}"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("error:") == 1 and err.count("\n") == 1
     assert f"at most {MAX_N}" in err
+    assert main(["bench", "--n-list", "65,4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "got 4" in err

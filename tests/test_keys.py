@@ -151,7 +151,7 @@ def test_keygen_rejects_bad_n():
 
 def test_keygen_central_map_is_bijective():
     sk, _ = keygen(11, seed=5)
-    assert is_permutation_bruteforce(sk.central_map(), sk.field)
+    assert is_permutation_bruteforce(CentralMap(sk.field, sk.alpha), sk.field)
 
 
 def test_secret_key_invariants(f8, toy_sk):
@@ -254,6 +254,7 @@ def test_decode_rejects_noncanonical_text(kind):
     assert upper != text  # some hex digit is a letter
     for bad, line in (
         (text.replace("n=5 m=3", "n=+5 m=0_3"), 2),
+        (text.replace("n=5 m=3", "n=5 m=4"), 2),
         (upper, 4),
         (text[:-1], len(lines)),
     ):

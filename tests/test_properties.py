@@ -1,7 +1,8 @@
 """Property-based tests of invariants the acceptance criteria check only at
-a few sizes: GF(2) transpose, rank, solving and inversion on any shape, the
-packed equation layout, public-key derivation, encryption solvability,
-message framing and the strictness of the key-file codec."""
+a few sizes: the Frobenius map, GF(2) transpose, rank, solving and
+inversion on any shape, the packed equation layout, public-key derivation,
+encryption solvability, message framing and the strictness of the key-file
+codec."""
 
 import functools
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ld2.cipher import decrypt_message, encrypt_message
+from ld2.gf2n import Field, frobenius_columns
 from ld2.keys import (
     KeyFormatError,
     PublicKey,
@@ -25,6 +27,18 @@ from ld2.linalg import (
     rank,
     solve_linear,
 )
+
+
+@settings(deadline=None)
+@given(st.integers(1, 64), st.data())
+def test_frobenius_is_the_power_two_to_the_m(half, data):
+    # odd n in 3..129
+    field = Field(2 * half + 1)
+    exponent = 1 << field.m
+    for j, column in enumerate(frobenius_columns(field)):
+        assert column == field.pow(1 << j, exponent)
+    a = data.draw(st.integers(0, field.order - 1))
+    assert field.frobenius(a) == field.pow(a, exponent)
 
 
 @st.composite
@@ -138,7 +152,7 @@ def test_evaluate_matches_terms(eq, data):
 
 @given(st.sampled_from([3, 5, 7, 9]), st.data())
 def test_linear_system_and_holds_match_evaluate(n, data):
-    pk = PublicKey(n, (n + 1) // 2, [data.draw(equations(n)) for _ in range(n)])
+    pk = PublicKey(n, [data.draw(equations(n)) for _ in range(n)])
     x = data.draw(st.integers(0, (1 << n) - 1))
     y = data.draw(st.integers(0, (1 << n) - 1))
     matrix, rhs = pk.linear_system(x)
