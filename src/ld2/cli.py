@@ -21,7 +21,7 @@ from .cipher import (
     sign,
     verify,
 )
-from .gf2n import Field, bits_to_hex, find_irreducible, hex_to_bits
+from .gf2n import Field, bits_to_hex, hex_to_bits
 from .keys import (
     PublicKey,
     QuadraticEquation,
@@ -123,21 +123,11 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _load_key(path: str):
-    return decode_key(Path(path).read_text())
-
-
-def _load_public(path: str) -> PublicKey:
-    key = _load_key(path)
-    if not isinstance(key, PublicKey):
-        raise CliError(f"{path} is not a public key")
-    return key
-
-
-def _load_secret(path: str) -> SecretKey:
-    key = _load_key(path)
-    if not isinstance(key, SecretKey):
-        raise CliError(f"{path} is not a secret key")
+def _load_key(path: str, cls):
+    key = decode_key(Path(path).read_text())
+    if not isinstance(key, cls):
+        kind = "public" if cls is PublicKey else "secret"
+        raise CliError(f"{path} is not a {kind} key")
     return key
 
 
@@ -163,40 +153,33 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
-def _one_of_block_or_file(args) -> None:
+def _block_or_file(args, key, n: int, block_fn, message_fn) -> int:
+    """Apply block_fn(key, block) to --block, or message_fn(key, data) to
+    the --in file, writing --out."""
     if (args.block is None) == (args.infile is None):
         raise CliError("give exactly one of --block or --in/--out")
-    if args.infile is not None and args.outfile is None:
+    if args.block is not None:
+        print(bits_to_hex(block_fn(key, hex_to_bits(args.block, n)), n))
+        return 0
+    if args.outfile is None:
         raise CliError("file mode needs --out")
+    data = Path(args.infile).read_bytes()
+    Path(args.outfile).write_bytes(message_fn(key, data))
+    return 0
 
 
 def _cmd_encrypt(args) -> int:
-    pk = _load_public(args.public)
-    _one_of_block_or_file(args)
-    if args.block is not None:
-        x = hex_to_bits(args.block, pk.n)
-        print(bits_to_hex(encrypt_block(pk, x), pk.n))
-    else:
-        data = Path(args.infile).read_bytes()
-        Path(args.outfile).write_bytes(encrypt_message(pk, data))
-    return 0
+    pk = _load_key(args.public, PublicKey)
+    return _block_or_file(args, pk, pk.n, encrypt_block, encrypt_message)
 
 
 def _cmd_decrypt(args) -> int:
-    sk = _load_secret(args.secret)
-    n = sk.field.n
-    _one_of_block_or_file(args)
-    if args.block is not None:
-        y = hex_to_bits(args.block, n)
-        print(bits_to_hex(decrypt_block(sk, y), n))
-    else:
-        data = Path(args.infile).read_bytes()
-        Path(args.outfile).write_bytes(decrypt_message(sk, data))
-    return 0
+    sk = _load_key(args.secret, SecretKey)
+    return _block_or_file(args, sk, sk.field.n, decrypt_block, decrypt_message)
 
 
 def _cmd_sign(args) -> int:
-    sk = _load_secret(args.secret)
+    sk = _load_key(args.secret, SecretKey)
     n = sk.field.n
     digest = hex_to_bits(args.digest, n)
     print(bits_to_hex(sign(sk, digest), n))
@@ -204,7 +187,7 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    pk = _load_public(args.public)
+    pk = _load_key(args.public, PublicKey)
     digest = hex_to_bits(args.digest, pk.n)
     signature = hex_to_bits(args.sig, pk.n)
     if verify(pk, digest, signature):
@@ -214,30 +197,30 @@ def _cmd_verify(args) -> int:
     return 2
 
 
+def _print_fields(fields) -> None:
+    for field in fields:
+        name, _, value = field.partition("=")
+        print(f"{name}: {value}")
+
+
 def _cmd_inspect(args) -> int:
-    path = Path(args.key)
-    text = path.read_text()
+    text = Path(args.key).read_text()
     key = decode_key(text)
-    size = len(text.encode())
-    if isinstance(key, PublicKey):
-        n = key.n
-        print(f"type: public\nn: {n}\nm: {key.m}")
-        print(f"modulus: {bits_to_hex(find_irreducible(n), n + 1)}")
-        print(f"equations: {n}")
+    # decode_key accepts only canonical text, so its lines are the key's:
+    # "n=<n> m=<m>", "poly=<hex>", then one "name=value" per secret value
+    lines = text.splitlines()
+    public = isinstance(key, PublicKey)
+    print(f"type: {'public' if public else 'secret'}")
+    _print_fields(lines[1].split())
+    print(f"modulus: {lines[2].partition('=')[2]}")
+    if public:
+        print(f"equations: {key.n}")
         print(f"terms: {sum(eq.form.bit_count() for eq in key.equations)}")
+    elif args.reveal:
+        _print_fields(lines[3:])
     else:
-        n = key.field.n
-        print(f"type: secret\nn: {n}\nm: {key.field.m}")
-        print(f"modulus: {bits_to_hex(key.field.modulus, n + 1)}")
-        if args.reveal:
-            print(f"alpha: {bits_to_hex(key.alpha, n)}")
-            print(f"A1: {bits_to_hex(key.s.matrix.to_bits(), n * n)}")
-            print(f"c1: {bits_to_hex(key.s.translation, n)}")
-            print(f"A2: {bits_to_hex(key.t.matrix.to_bits(), n * n)}")
-            print(f"c2: {bits_to_hex(key.t.translation, n)}")
-        else:
-            print("secret values hidden (pass --reveal to print them)")
-    print(f"size: {size} bytes")
+        print("secret values hidden (pass --reveal to print them)")
+    print(f"size: {len(text.encode())} bytes")
     return 0
 
 
@@ -284,8 +267,6 @@ def _cmd_selftest(args) -> int:
     expected = tuple(
         QuadraticEquation.from_terms(3, **terms) for terms in TOY_EQUATIONS
     )
-    # the first equation's constant is pinned by the relation itself, the
-    # other two match the known system directly
     if pk.equations != expected:
         failures.append("public equations differ from the expected system")
 

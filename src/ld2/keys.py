@@ -46,14 +46,17 @@ Key files are line oriented:
 
 All hex fields are lowercase and pack bit i of the value into bit i % 8 of
 byte i // 8 (see gf2n).  Every line ends with a newline, and the modulus
-is the canonical one for the degree.  A file decodes only if it is
-exactly the text encode_key writes for the key it describes, so unknown,
-out-of-order or reformatted lines are format errors.
+is the canonical one for the degree.  One table, _body_layout, names
+every line after the header and gives its width; encode_key writes from
+it and decode_key parses by it.  A file decodes only if it is exactly the
+text encode_key writes for the key it describes, so unknown, out-of-order
+or reformatted lines are format errors.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -358,13 +361,38 @@ _SECRET_MAGIC = "LD2-SECRET v1"
 _PUBLIC_MAGIC = "LD2-PUBLIC v1"
 
 
+def _body_layout(secret: bool, n: int) -> list[tuple[str, int]]:
+    """Name and bit width of every line after the 3-line header.
+
+    The 1-bit eq<i>.c is the digit 0 or 1; every other value is hex (all
+    other widths are at least n >= 3).
+    """
+    if secret:
+        return [("alpha", n), ("A1", n * n), ("c1", n), ("A2", n * n), ("c2", n)]
+    fields = (("xx", n * (n - 1) // 2), ("xy", n * n), ("xl", n), ("yl", n), ("c", 1))
+    return [(f"eq{i}.{name}", nbits) for i in range(1, n + 1) for name, nbits in fields]
+
+
 def encode_key(key) -> str:
     """Serialise a key to its line-oriented text form."""
-    if isinstance(key, SecretKey):
-        return _encode_secret(key)
-    if isinstance(key, PublicKey):
-        return _encode_public(key)
-    raise TypeError("expected a SecretKey or PublicKey")
+    secret = isinstance(key, SecretKey)
+    if secret:
+        n, s, t = key.field.n, key.s, key.t
+        values = (key.alpha, s.matrix.to_bits(), s.translation,
+                  t.matrix.to_bits(), t.translation)
+    elif isinstance(key, PublicKey):
+        n = key.n
+        values = itertools.chain.from_iterable(map(_file_fields, key.equations))
+    else:
+        raise TypeError("expected a SecretKey or PublicKey")
+    lines = [
+        _SECRET_MAGIC if secret else _PUBLIC_MAGIC,
+        f"n={n} m={(n + 1) // 2}",
+        f"poly={bits_to_hex(find_irreducible(n), n + 1)}",
+    ]
+    for (name, nbits), value in zip(_body_layout(secret, n), values):
+        lines.append(f"{name}={value if nbits == 1 else bits_to_hex(value, nbits)}")
+    return "\n".join(lines) + "\n"
 
 
 def decode_key(text: str):
@@ -377,12 +405,46 @@ def decode_key(text: str):
     lines = text.splitlines()
     if not lines:
         raise KeyFormatError("empty key file")
-    if lines[0] == _SECRET_MAGIC:
-        key = _decode_secret(lines)
-    elif lines[0] == _PUBLIC_MAGIC:
-        key = _decode_public(lines)
-    else:
+    if lines[0] not in (_SECRET_MAGIC, _PUBLIC_MAGIC):
         raise KeyFormatError("unrecognised key header")
+    secret = lines[0] == _SECRET_MAGIC
+    kind = "secret" if secret else "public"
+    if len(lines) < 3:
+        raise KeyFormatError("truncated key file")
+    # only n and the values are parsed; field names, the m on line 2, the
+    # poly line and number formatting are left to the canonical-form check
+    try:
+        n = int(lines[1].partition(" ")[0].partition("=")[2])
+    except ValueError as exc:
+        raise KeyFormatError(f"line 2: malformed dimensions: {exc}") from exc
+    if n < 3 or n % 2 == 0:
+        raise KeyFormatError("line 2: n must be odd and at least 3")
+    # counted before the table is built, so a huge n fails at once
+    expected = 3 + (5 if secret else 5 * n)
+    if len(lines) != expected:
+        raise KeyFormatError(f"{kind} key file has {len(lines)} lines, expected {expected}")
+
+    values = []
+    for number, ((_, nbits), line) in enumerate(zip(_body_layout(secret, n), lines[3:]), 4):
+        value = line.partition("=")[2]
+        try:
+            if nbits == 1 and value not in ("0", "1"):
+                raise ValueError("constant must be 0 or 1")
+            values.append(int(value) if nbits == 1 else hex_to_bits(value, nbits))
+        except ValueError as exc:
+            raise KeyFormatError(f"line {number}: {exc}") from exc
+    try:
+        if secret:
+            alpha, a1, c1, a2, c2 = values
+            s = AffineMap(BitMatrix.from_bits(a1, n, n), c1)
+            t = AffineMap(BitMatrix.from_bits(a2, n, n), c2)
+            key = SecretKey(Field(n), s, t, alpha)
+        else:
+            fields = (values[i : i + 5] for i in range(0, 5 * n, 5))
+            key = PublicKey(n, (_from_file_fields(n, *f) for f in fields))
+    except ValueError as exc:
+        raise KeyFormatError(f"invalid {kind} key: {exc}") from exc
+
     canonical = encode_key(key)
     if canonical != text:
         line = os.path.commonprefix((canonical, text)).count("\n") + 1
@@ -415,99 +477,3 @@ def _from_file_fields(n: int, xx: int, xy: int, xl: int, yl: int, c: int):
         form |= (pairs << (j + 1) | (xy >> (j * n) & low) << n) << (j * w)
         pos += n - 1 - j
     return QuadraticEquation(n, form)
-
-
-def _encode_secret(sk: SecretKey) -> str:
-    n = sk.field.n
-    nn = n * n
-    lines = [
-        _SECRET_MAGIC,
-        f"n={n} m={sk.field.m}",
-        f"poly={bits_to_hex(sk.field.modulus, n + 1)}",
-        f"alpha={bits_to_hex(sk.alpha, n)}",
-        f"A1={bits_to_hex(sk.s.matrix.to_bits(), nn)}",
-        f"c1={bits_to_hex(sk.s.translation, n)}",
-        f"A2={bits_to_hex(sk.t.matrix.to_bits(), nn)}",
-        f"c2={bits_to_hex(sk.t.translation, n)}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _encode_public(pk: PublicKey) -> str:
-    n = pk.n
-    npairs = n * (n - 1) // 2
-    lines = [
-        _PUBLIC_MAGIC,
-        f"n={n} m={pk.m}",
-        f"poly={bits_to_hex(find_irreducible(n), n + 1)}",
-    ]
-    for i, eq in enumerate(pk.equations, start=1):
-        xx, xy, xl, yl, c = _file_fields(eq)
-        lines.append(f"eq{i}.xx={bits_to_hex(xx, npairs)}")
-        lines.append(f"eq{i}.xy={bits_to_hex(xy, n * n)}")
-        lines.append(f"eq{i}.xl={bits_to_hex(xl, n)}")
-        lines.append(f"eq{i}.yl={bits_to_hex(yl, n)}")
-        lines.append(f"eq{i}.c={c}")
-    return "\n".join(lines) + "\n"
-
-
-def _value(line: str) -> str:
-    """The text after the first '='.  Field names, the poly line and number
-    formatting are left to the canonical-form check in decode_key."""
-    return line.partition("=")[2]
-
-
-def _hex_field(lines, index: int, nbits: int) -> int:
-    try:
-        return hex_to_bits(_value(lines[index]), nbits)
-    except ValueError as exc:
-        raise KeyFormatError(f"line {index + 1}: {exc}") from exc
-
-
-def _parse_header(lines) -> int:
-    """n from line 2; the m there is left to the canonical-form check."""
-    if len(lines) < 3:
-        raise KeyFormatError("truncated key file")
-    try:
-        n = int(_value(lines[1].partition(" ")[0]))
-    except ValueError as exc:
-        raise KeyFormatError(f"line 2: malformed dimensions: {exc}") from exc
-    if n < 3 or n % 2 == 0:
-        raise KeyFormatError("line 2: n must be odd and at least 3")
-    return n
-
-
-def _decode_secret(lines) -> SecretKey:
-    n = _parse_header(lines)
-    if len(lines) != 8:
-        raise KeyFormatError("secret key file must have exactly 8 lines")
-    nn = n * n
-    alpha, a1, c1, a2, c2 = (
-        _hex_field(lines, index, nbits)
-        for index, nbits in enumerate((n, nn, n, nn, n), start=3)
-    )
-    try:
-        s = AffineMap(BitMatrix.from_bits(a1, n, n), c1)
-        t = AffineMap(BitMatrix.from_bits(a2, n, n), c2)
-        return SecretKey(Field(n), s, t, alpha)
-    except ValueError as exc:
-        raise KeyFormatError(f"invalid secret key: {exc}") from exc
-
-
-def _decode_public(lines) -> PublicKey:
-    n = _parse_header(lines)
-    if len(lines) != 3 + 5 * n:
-        raise KeyFormatError("public key file has the wrong number of lines")
-    npairs = n * (n - 1) // 2
-    equations = []
-    for first in range(3, len(lines), 5):
-        xx, xy, xl, yl = (
-            _hex_field(lines, first + f, nbits)
-            for f, nbits in enumerate((npairs, n * n, n, n))
-        )
-        try:
-            c = int(_value(lines[first + 4]))
-            equations.append(_from_file_fields(n, xx, xy, xl, yl, c))
-        except ValueError as exc:
-            raise KeyFormatError(f"line {first + 5}: {exc}") from exc
-    return PublicKey(n, equations)

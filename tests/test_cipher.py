@@ -44,8 +44,9 @@ def test_encrypt_is_injective(toy_pk):
 
 
 def test_encrypt_rejects_oversized_block(toy_pk):
-    with pytest.raises(ValueError):
-        encrypt_block(toy_pk, 8)
+    for x in (8, -1):
+        with pytest.raises(ValueError, match="block length mismatch"):
+            encrypt_block(toy_pk, x)
 
 
 # --- block decryption ------------------------------------------------------------
@@ -163,10 +164,11 @@ def test_verify_matches_encryption(toy_pk):
 
 
 def test_verify_rejects_oversized_inputs(toy_pk):
-    with pytest.raises(ValueError):
-        verify(toy_pk, 8, 0)
-    with pytest.raises(ValueError):
-        verify(toy_pk, 0, 8)
+    for bad in (8, -1):
+        with pytest.raises(ValueError, match="block length mismatch"):
+            verify(toy_pk, bad, 0)
+        with pytest.raises(ValueError, match="block length mismatch"):
+            verify(toy_pk, 0, bad)
 
 
 # --- padding ------------------------------------------------------------------------

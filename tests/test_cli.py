@@ -94,8 +94,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # both block and file mode at once
     assert main(["encrypt", "--public", str(public), "--block", "00",
                  "--in", "x", "--out", "y"]) == 1
-    # secret where public expected
+    # secret where public expected, and public where secret expected
     assert main(["encrypt", "--public", str(secret), "--block", "00"]) == 1
+    assert main(["sign", "--secret", str(public), "--digest", "00"]) == 1
     # bad seed
     assert main(["keygen", "--n", "3", "--seed", "zz",
                  "--secret-out", str(tmp_path / "sa"),
@@ -106,22 +107,32 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  "--public-out", str(tmp_path / "sb")]) == 1
     assert not (tmp_path / "sa").exists()
     err = capsys.readouterr().err
-    assert err.count("error:") == 4 and err.count("\n") == 4
+    assert err.count("error:") == 5 and err.count("\n") == 5
+    assert f"error: {public} is not a secret key\n" in err
     assert f"at most {MAX_N}" in err
 
 
 def test_inspect_hides_secrets_by_default(tmp_path, capsys):
     secret, public = _keygen(tmp_path, 3, seed="1")
     capsys.readouterr()
+    header = "n: 3\nm: 2\nmodulus: 0b\n"
     assert main(["inspect", "--key", str(secret)]) == 0
-    out = capsys.readouterr().out
-    assert "type: secret" in out and "n: 3" in out
-    assert "alpha" not in out
+    assert capsys.readouterr().out == (
+        "type: secret\n" + header
+        + "secret values hidden (pass --reveal to print them)\n"
+        "size: 67 bytes\n"
+    )
     assert main(["inspect", "--key", str(secret), "--reveal"]) == 0
-    assert "alpha:" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "type: secret\n" + header
+        + "alpha: 07\nA1: 9301\nc1: 04\nA2: bb00\nc2: 04\n"
+        "size: 67 bytes\n"
+    )
     assert main(["inspect", "--key", str(public)]) == 0
-    out = capsys.readouterr().out
-    assert "type: public" in out and "equations: 3" in out
+    assert capsys.readouterr().out == (
+        "type: public\n" + header
+        + "equations: 3\nterms: 27\nsize: 180 bytes\n"
+    )
 
 
 def test_selftest_passes(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -220,10 +221,32 @@ def test_decode_rejects_truncation_and_junk(toy_sk, toy_pk):
             decode_key("\n".join(lines[:-1]) + "\n")
         with pytest.raises(KeyFormatError):
             decode_key(text + "spurious=1\n")
+        # a huge n must fail on the line count, before any per-line work
+        start = time.perf_counter()
+        with pytest.raises(KeyFormatError):
+            decode_key(text.replace("n=3 m=2", "n=100000001 m=50000001"))
+        assert time.perf_counter() - start < 1
     with pytest.raises(KeyFormatError):
         decode_key("")
     with pytest.raises(KeyFormatError):
         decode_key("LD2-SECRET v2\nn=3 m=2\npoly=0b\n")
+
+
+@pytest.mark.parametrize(
+    "kind, line, corrupt",
+    [
+        ("secret", 5, lambda value: "z" * len(value)),
+        ("public", 8, lambda value: "7"),
+        ("public", 10, lambda value: value[:-2]),  # one byte short
+    ],
+    ids=["A1-not-hex", "eq1.c-not-a-bit", "eq2.xy-short"],
+)
+def test_decode_names_the_bad_line(toy_sk, toy_pk, kind, line, corrupt):
+    lines = encode_key(toy_sk if kind == "secret" else toy_pk).splitlines()
+    name, _, value = lines[line - 1].partition("=")
+    lines[line - 1] = f"{name}={corrupt(value)}"
+    with pytest.raises(KeyFormatError, match=f"^line {line}: "):
+        decode_key("\n".join(lines) + "\n")
 
 
 def test_decode_rejects_wrong_dimensions(toy_sk):
