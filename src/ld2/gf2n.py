@@ -185,16 +185,35 @@ class Field:
         return self._reduce(acc)
 
     def frobenius(self, a: int) -> int:
-        """a^(2^m), through the basis images cached by frobenius_columns."""
-        return apply_columns(frobenius_columns(self), a)
+        """a^(2^m), through the window tables of frobenius_tables(self, m)."""
+        return apply_columns(frobenius_tables(self, self.m), a)
 
     def pow(self, a: int, e: int) -> int:
-        """a^e by square and multiply; 0^0 is defined as 1."""
+        """a^e; 0^0 is defined as 1.
+
+        When e mod (2^n - 1) is 2^k - 1 (k >= 1), the Itoh-Tsujii chain
+        computes it: a doubling step x^(2^(2j)-1) = Frob_j(x^(2^j-1)) *
+        x^(2^j-1), with Frob_j: x -> x^(2^j) applied through window tables,
+        and for each 1 bit of k below its leading one an extra step
+        x^(2^(j+1)-1) = (x^(2^j-1))^2 * a.  Every other exponent takes
+        square and multiply.
+        """
         if e < 0:
             raise ValueError("exponent must be non-negative")
         if a == 0:
             return 1 if e == 0 else 0
         e %= self.order - 1
+        if e and e & (e + 1) == 0:
+            k = e.bit_length()
+            x = a
+            j = 1
+            for bit in bin(k)[3:]:  # the bits of k below its leading one
+                x = self.mul(apply_columns(frobenius_tables(self, j), x), x)
+                j *= 2
+                if bit == "1":
+                    x = self.mul(self.sqr(x), a)
+                    j += 1
+            return x
         acc = 1
         while e:
             if e & 1:
@@ -204,10 +223,10 @@ class Field:
         return acc
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse, computed as a^(2^n - 2)."""
+        """Multiplicative inverse a^(2^n - 2), the square of a^(2^(n-1) - 1)."""
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
+        return self.sqr(self.pow(a, (1 << (self.n - 1)) - 1))
 
     def trace(self, a: int) -> int:
         """The F_2-valued trace a + a^2 + a^4 + ... + a^(2^(n-1))."""
@@ -219,24 +238,41 @@ class Field:
         return acc
 
 
-@functools.lru_cache(maxsize=None)
-def frobenius_columns(field: Field) -> tuple[int, ...]:
-    """Images h^j of the basis elements g^j under x -> x^(2^m), h = g^(2^m);
-    the map is F_2-linear, so apply_columns maps any element with them."""
-    h = field.pow(2, 1 << field.m)
-    columns = [1]
-    for _ in range(field.n - 1):
-        columns.append(field.mul(columns[-1], h))
-    return tuple(columns)
+# One field's chains and Frobenius use the tables for k = 0 and for the
+# binary prefixes of m and n - 1: 10 tables and about 5 MB at n = 257.  The
+# bound keeps the last few fields' tables, not every size a process touched.
+@functools.lru_cache(maxsize=32)
+def frobenius_tables(field: Field, k: int) -> tuple[tuple[int, ...], ...]:
+    """Byte-window tables of Frob_k: x -> x^(2^k), which is F_2-linear.
+
+    Table w maps a byte value b to the image of the element b << 8w, so
+    apply_columns maps any element with one lookup per byte.  Frob_k is
+    Frob_(k//2) applied twice, then squared when k is odd, so the images of
+    the basis elements g^j come from the tables for k // 2.
+    """
+    if k == 0:
+        images = [1 << j for j in range(field.n)]
+    else:
+        half = frobenius_tables(field, k // 2)
+        images = [
+            apply_columns(half, half[j >> 3][1 << (j & 7)]) for j in range(field.n)
+        ]
+        if k & 1:
+            images = [field.sqr(image) for image in images]
+    tables = []
+    for w in range(0, field.n, 8):
+        table = [0]
+        for image in images[w:w + 8]:
+            table += [t ^ image for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-def apply_columns(columns, a: int) -> int:
-    """Apply an F_2-linear map, given by its basis images, to the element a."""
+def apply_columns(tables, a: int) -> int:
+    """Apply an F_2-linear map, given by its byte-window tables, to a."""
     acc = 0
-    while a:
-        low = a & -a
-        acc ^= columns[low.bit_length() - 1]
-        a ^= low
+    for table, byte in zip(tables, a.to_bytes(len(tables), "little")):
+        acc ^= table[byte]
     return acc
 
 

@@ -1,5 +1,6 @@
 """Property-based tests of invariants the acceptance criteria check only at
-a few sizes: the Frobenius map, GF(2) transpose, rank, solving and
+a few sizes: the Frobenius map, the Itoh-Tsujii chain in Field.pow against
+square and multiply, GF(2) transpose, rank, solving and
 inversion on any shape, the packed equation layout, public-key derivation,
 encryption solvability, message framing and the strictness of the key-file
 codec."""
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ld2.cipher import decrypt_message, encrypt_message
-from ld2.gf2n import Field, frobenius_columns
+from ld2.gf2n import Field, apply_columns, frobenius_tables
 from ld2.keys import (
     KeyFormatError,
     PublicKey,
@@ -35,10 +36,39 @@ def test_frobenius_is_the_power_two_to_the_m(half, data):
     # odd n in 3..129
     field = Field(2 * half + 1)
     exponent = 1 << field.m
-    for j, column in enumerate(frobenius_columns(field)):
-        assert column == field.pow(1 << j, exponent)
+    tables = frobenius_tables(field, field.m)
+    for j in range(field.n):
+        # the image of the basis element g^j: bit j % 8 of byte window j // 8
+        assert tables[j >> 3][1 << (j & 7)] == field.pow(1 << j, exponent)
     a = data.draw(st.integers(0, field.order - 1))
     assert field.frobenius(a) == field.pow(a, exponent)
+
+
+def _square_and_multiply(field, a, e):
+    """a^e by plain square and multiply over the unreduced exponent."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = field.mul(acc, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return acc
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 128), st.data())
+def test_pow_chain_matches_square_and_multiply(half, data):
+    # odd n in 3..257; e = 2^k - 1 takes the chain, except k = n (e = 0)
+    field = Field(2 * half + 1)
+    n = field.n
+    k = data.draw(st.integers(1, 2 * n), label="k")
+    exponents = [(1 << j) - 1 for j in (1, field.m, n - 1, n, k)]
+    exponents.append(data.draw(st.integers(0, 1 << n + 1), label="e"))
+    tables = frobenius_tables(field, k)
+    for a in (0, 1, data.draw(st.integers(2, field.order - 1), label="a")):
+        for e in exponents:
+            assert field.pow(a, e) == _square_and_multiply(field, a, e)
+        assert apply_columns(tables, a) == field.pow(a, 1 << k)
 
 
 @st.composite
