@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from ld2.gf2n import (
     hex_to_bits,
     is_irreducible,
 )
+from ld2.cli import MAX_N
 
 
 # --- independent oracle: irreducibility by trial division ---------------
@@ -52,6 +54,15 @@ def test_find_irreducible_degree_9_matches_scan_oracle():
         if _irreducible_by_trial_division(base | (mid << 1))
     )
     assert find_irreducible(9) == expected == 0x203  # x^9 + x + 1
+
+
+# sha256 of the lines "<n> <modulus in hex>\n" for every odd n in 3..MAX_N
+MODULI_SHA256 = "6f95a7b83f77397d52347f7b85588ce9581cdef5bf16157648368c8598386fe9"
+
+
+def test_find_irreducible_pins_every_supported_modulus():
+    text = "".join(f"{n} {find_irreducible(n):x}\n" for n in range(3, MAX_N + 1, 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == MODULI_SHA256
 
 
 def test_find_irreducible_rejects_tiny_degree():

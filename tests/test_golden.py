@@ -14,7 +14,7 @@ from ld2.cipher import encrypt_message, sign
 from ld2.gf2n import bits_to_hex
 from ld2.keys import encode_key, keygen
 
-SEEDS = {5: 0x5EED05, 33: 0x5EED21, 129: 0x5EED81}
+SEEDS = {5: 0x5EED05, 33: 0x5EED21, 129: 0x5EED81, 257: 0x5EED101}
 
 MESSAGES = (b"", b"Little Dragon Two", bytes(range(256)))
 
@@ -38,6 +38,12 @@ GOLDEN = {
         "29359aef7000b4597fc99aba56cfe9a2a74b41dd77bfd9f3a59e55f9eb92faf9",
         "a5b5d6c5d9a57db45fcd6f76979c9357c22757445906b29beb0330529dfcd98b",
         "adb612a292bdfbbfd167e888c352e0a1e34e2f65eb44be194a8e4a126792bf3c",
+    ),
+    257: (
+        "b0856e91ed3d3af148fa46b17aabc63378a1fca75dbcbb0cd00968a9c6aabe4b",
+        "9b7caa1e5ebeb2ae5a7b654233895be8d440d07b28305ace800d3a903664fe1f",
+        "98abaaf71e6187f6c9350061a2f04cd6ead36526d2e9093cd93adef43a672bfe",
+        "38fb24204fd0f886c42115cf7ccdaca28c55bb06b20bf4dfc3960c6ceeed57b8",
     ),
 }
 
