@@ -5,7 +5,10 @@ for a root g of the field modulus, packed into Python ints: bit i of the
 int is the coefficient of g^i, so 0 is the additive and 1 the
 multiplicative identity.  Every bit string in this package uses the same
 packing, and byte/hex serialisation is little-endian: bit i of a string
-lands in bit i % 8 of byte i // 8.
+lands in bit i % 8 of byte i // 8.  Field.mul_lanes multiplies one element
+by up to n others at once, packed one per byte-aligned lane of 2n bits or
+more (Field.pack_lanes), with the same carry-less product and reduction as
+Field.mul.
 
 The modulus of each field is the first irreducible polynomial in the
 deterministic scan order of find_irreducible, so key material and wire
@@ -28,17 +31,6 @@ def poly_mod(a: int, f: int) -> int:
     while a.bit_length() >= d:
         a ^= f << (a.bit_length() - d)
     return a
-
-
-def poly_mulmod(a: int, b: int, f: int) -> int:
-    """Product a * b reduced modulo f in GF(2)[x]."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return poly_mod(acc, f)
 
 
 def poly_gcd(a: int, b: int) -> int:
@@ -74,9 +66,11 @@ def is_irreducible(f: int) -> bool:
     if n == 1:
         return True
     checkpoints = {n // p for p in _prime_factors(n)}
+    low = (1 << n) - 1
+    shifts = tuple(i for i in range(n) if f >> i & 1)
     t = 2  # the polynomial x
     for i in range(1, n + 1):
-        t = poly_mulmod(t, t, f)
+        t = _fold(_spread(t), n, shifts, low)
         if i in checkpoints and poly_gcd(t ^ 2, f) != 1:
             return False
     return t == 2
@@ -107,10 +101,58 @@ _SQUARE_SPREAD = tuple(
 )
 
 
+def _spread(a: int) -> int:
+    """The square of a in GF(2)[x]: bit i moves to bit 2i."""
+    acc = 0
+    shift = 0
+    while a:
+        acc |= _SQUARE_SPREAD[a & 0xFF] << shift
+        a >>= 8
+        shift += 16
+    return acc
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of a and b: 4-bit windows of b against a table of
+    the 16 multiples of a, so the loop runs over b's bits only."""
+    table = [0] * 16
+    table[1] = a
+    for w in range(2, 16, 2):
+        table[w] = table[w >> 1] << 1
+        table[w | 1] = table[w] ^ a
+    acc = 0
+    shift = 0
+    while b:
+        w = b & 15
+        if w:
+            acc ^= table[w] << shift
+        b >>= 4
+        shift += 4
+    return acc
+
+
+def _fold(v: int, n: int, shifts: tuple[int, ...], low: int) -> int:
+    """Reduce v by x^n + sum(x^s for s in shifts), lane by lane.
+
+    x^n is the sum of the low terms, so each round folds the high part of
+    every lane onto its low part through the shifts (few of them: canonical
+    moduli are sparse).  low masks bits 0..n-1 of every lane; lanes are at
+    least 2n bits wide and hold values of degree below 2n - 1, so the high
+    part of a lane never reaches the next one.
+    """
+    hi = v >> n & low
+    while hi:
+        v &= low
+        for s in shifts:
+            v ^= hi << s
+        hi = v >> n & low
+    return v
+
+
 class Field:
     """F(2^n), n = 2m - 1: arithmetic on element ints and x -> x^(2^m)."""
 
-    __slots__ = ("n", "m", "modulus", "_mask", "_low_shifts")
+    __slots__ = ("n", "m", "modulus", "lane_bytes", "_mask", "_low_shifts", "_lanes_low")
 
     def __init__(self, n: int):
         if n < 3 or n % 2 == 0:
@@ -119,10 +161,14 @@ class Field:
         self.m = (n + 1) // 2
         self.modulus = find_irreducible(n)
         self._mask = (1 << n) - 1
-        # x^n = low part of the modulus, so reduction folds the high words
-        # through these shifts (few of them: canonical moduli are sparse)
+        # x^n = low part of the modulus, the shifts that _fold applies
         low = self.modulus & self._mask
         self._low_shifts = tuple(i for i in range(n) if low >> i & 1)
+        # bits 0..n-1 of each of the n lanes that mul_lanes reduces
+        self.lane_bytes = (2 * n + 7) // 8
+        self._lanes_low = int.from_bytes(
+            self._mask.to_bytes(self.lane_bytes, "little") * n, "little"
+        )
 
     @property
     def order(self) -> int:
@@ -141,48 +187,34 @@ class Field:
     def __repr__(self) -> str:
         return f"Field(n={self.n}, modulus={self.modulus:#x})"
 
-    def _reduce(self, v: int) -> int:
-        n = self.n
-        mask = self._mask
-        shifts = self._low_shifts
-        while v >> n:
-            hi = v >> n
-            v &= mask
-            for s in shifts:
-                v ^= hi << s
-        return v
-
     def add(self, a: int, b: int) -> int:
         """Coordinatewise xor; subtraction is the same map."""
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         """Product of the representing polynomials, reduced by the modulus."""
-        # combine 4-bit windows of b against a small table of multiples of a
-        table = [0] * 16
-        table[1] = a
-        for w in range(2, 16, 2):
-            table[w] = table[w >> 1] << 1
-            table[w | 1] = table[w] ^ a
-        acc = 0
-        shift = 0
-        while b:
-            w = b & 15
-            if w:
-                acc ^= table[w] << shift
-            b >>= 4
-            shift += 4
-        return self._reduce(acc)
+        return _fold(_clmul(a, b), self.n, self._low_shifts, self._mask)
+
+    def mul_lanes(self, a: int, lanes: int) -> int:
+        """a times each of up to n elements packed into lanes, lane by lane.
+
+        Element k sits in bytes k * lane_bytes up, and lane_bytes =
+        ceil(2n / 8) leaves room for the unreduced product, so one
+        carry-less product by a and one lane-masked fold serve every lane at
+        once.  The result is packed the same way.
+        """
+        if lanes.bit_length() > self._lanes_low.bit_length():
+            raise ValueError("lanes do not fit n field elements")
+        return _fold(_clmul(lanes, a), self.n, self._low_shifts, self._lanes_low)
+
+    def pack_lanes(self, elements) -> int:
+        """The elements packed one per lane of lane_bytes, the first in lane 0."""
+        size = self.lane_bytes
+        return int.from_bytes(b"".join(a.to_bytes(size, "little") for a in elements), "little")
 
     def sqr(self, a: int) -> int:
         """Square by bit spreading; squaring is F_2-linear in characteristic 2."""
-        acc = 0
-        shift = 0
-        while a:
-            acc |= _SQUARE_SPREAD[a & 0xFF] << shift
-            a >>= 8
-            shift += 16
-        return self._reduce(acc)
+        return _fold(_spread(a), self.n, self._low_shifts, self._mask)
 
     def frobenius(self, a: int) -> int:
         """a^(2^m), through the window tables of frobenius_tables(self, m)."""

@@ -9,7 +9,9 @@ quadratic in the plaintext bits x and linear in the ciphertext bits y once
 x is fixed.  They are the coordinates of the hidden relation's residual
 R(u, v) at u = s(x), v = t(y).  The degree-two part of R is
 F(u) u + (F(u) + u) v, with F the Frobenius map u -> u^(2^m), so
-derive_public_key reads a_jk and b_jk off its polar (bilinear) forms.
+derive_public_key reads a_jk and b_jk off its polar (bilinear) forms:
+three lane-packed field products per lane of the forms, then one bit
+transpose.
 
 Each equation is one int, its form, of n + 1 lanes of w = 2n + 1 bits;
 lane j starts at bit j*w and indices below are 0-based:
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf2n import Field, bits_to_hex, find_irreducible, hex_to_bits
-from .linalg import AffineMap, BitMatrix, Prng, random_invertible
+from .linalg import AffineMap, BitMatrix, Prng, bit_columns, random_invertible
 
 
 class KeyFormatError(ValueError):
@@ -188,10 +190,6 @@ class PublicKey:
         self.n = n
         self.equations = equations
 
-    @property
-    def m(self) -> int:
-        return (self.n + 1) // 2
-
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y)."""
         top = 1 << self.n
@@ -296,45 +294,44 @@ def _residual_uv(sk: SecretKey, u: int, v: int) -> int:
 def derive_public_key(sk: SecretKey) -> PublicKey:
     """Expand the hidden relation into the n public quadratic equations.
 
-    With s_j, t_k the columns of A1, A2 and F the Frobenius map by 2^m,
-    every coefficient is an n-bit vector (bit i for equation i):
+    With s_j, t_k the columns of A1, A2, u0, v0 their translations and F
+    the Frobenius map by 2^m, every coefficient is an n-bit vector (bit i
+    for equation i):
 
-        a_jk = F(s_j) s_k + F(s_k) s_j    (j < k)
-        b_jk = (F(s_j) + s_j) t_k
-        e    = R(u0, v0)
-        d_j  = R(u0 + s_j, v0) + e
-        c_k  = R(u0, v0 + t_k) + e
+        a_jk = F(s_j) s_k + F(s_k) s_j    (j < k: R's F(u) u, polarised)
+        b_jk = (F(s_j) + s_j) t_k         (R's (F(u) + u) v)
+        e    = R(u0, v0),  d_j = R(u0 + s_j, v0) + e,  c_k = R(u0, v0 + t_k) + e
 
-    where u0, v0 are the translations of s and t.  a_jk is the polar form
-    F(a) b + F(b) a of R's part F(u) u at a = s_j, b = s_k, and b_jk is
-    R's part (F(u) + u) v at u = s_j, v = t_k; the linear terms and e
-    take 2n + 1 residual evaluations.
+    s_k, F(s_k) and t_k are packed once, a field element per lane.  Lane j
+    of all forms then takes three Field.mul_lanes products: F(s_j) and s_j
+    times lanes k > j of the first two (a_jk), F(s_j) + s_j times the third
+    (b_jk).  Their bytes are the coefficient vectors in form-bit order, and
+    one bit transpose turns them into the n forms.
     """
     field = sk.field
     n = field.n
-    mul = field.mul
+    width = 8 * field.lane_bytes  # bits per lane
     s_cols = sk.s.matrix.transpose().rows
     t_cols = sk.t.matrix.transpose().rows
     s_frob = [field.frobenius(col) for col in s_cols]
-    u0 = sk.s.translation
-    v0 = sk.t.translation
+    s_lanes, frob_lanes, t_lanes = map(field.pack_lanes, (s_cols, s_frob, t_cols))
+    u0, v0 = sk.s.translation, sk.t.translation
     base = _residual_uv(sk, u0, v0)
 
-    # coefficient vector (bit i for equation i) of every bit of a form
-    w = 2 * n + 1
-    coeffs = [0] * ((n + 1) * w)
+    rows = []
     for j, (sj, fj) in enumerate(zip(s_cols, s_frob)):
-        for k in range(j + 1, n):
-            coeffs[j * w + k] = mul(fj, s_cols[k]) ^ mul(s_frob[k], sj)
-        for k, tk in enumerate(t_cols):
-            coeffs[j * w + n + k] = mul(fj ^ sj, tk)
-        coeffs[n * w + j] = _residual_uv(sk, u0 ^ sj, v0) ^ base
-        coeffs[n * w + n + j] = _residual_uv(sk, u0, v0 ^ t_cols[j]) ^ base
-    coeffs[n * w + 2 * n] = base
-    # form i collects bit i of every vector
-    forms = BitMatrix(coeffs, n).transpose().rows
-    equations = (QuadraticEquation(n, form) for form in forms)
-    return PublicKey(n, equations)
+        cut = width * (j + 1)  # lanes k <= j of a_jk stay zero
+        a_row = field.mul_lanes(fj, s_lanes >> cut) ^ field.mul_lanes(sj, frob_lanes >> cut)
+        b_row = field.mul_lanes(fj ^ sj, t_lanes)
+        # lanes 0..n-1 hold a_jk, n..2n-1 hold b_jk and 2n is zero
+        rows.append(a_row << cut | b_row << width * n)
+    linear = [_residual_uv(sk, u0 ^ sj, v0) for sj in s_cols]
+    linear += [_residual_uv(sk, u0, v0 ^ tk) for tk in t_cols]
+    rows.append(field.pack_lanes([v ^ base for v in linear] + [base]))
+    # form i collects bit i of every coefficient vector, one per lane
+    data = b"".join(row.to_bytes(field.lane_bytes * (2 * n + 1), "little") for row in rows)
+    forms = bit_columns(data, field.lane_bytes, n)
+    return PublicKey(n, (QuadraticEquation(n, form) for form in forms))
 
 
 def keygen(n: int, seed: int) -> tuple[SecretKey, PublicKey]:

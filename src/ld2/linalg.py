@@ -2,8 +2,10 @@
 
 Vectors are ints (bit j holds coordinate j + 1) and matrices are tuples of
 row ints, which keeps Gaussian elimination down to word-wide xors; one
-forward elimination serves rank, solve_linear and invert_matrix.  The module
-also holds the deterministic xorshift64* generator of key generation.
+forward elimination serves rank, solve_linear and invert_matrix, and one bit
+transpose, bit_columns, serves BitMatrix.transpose and public-key
+derivation.  The module also holds the deterministic xorshift64* generator
+of key generation.
 """
 
 from __future__ import annotations
@@ -11,6 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
+
+
+# t -> the table that maps a byte to the ASCII digit of its bit t
+_BIT_DIGITS = tuple(bytes(48 + (b >> t & 1) for b in range(256)) for t in range(8))
+
+
+def bit_columns(data: bytes, stride: int, count: int) -> list[int]:
+    """The bit transpose of data, read as records of stride bytes.
+
+    Each record is a little-endian bit string; entry i < count of the
+    result has bit r equal to bit i of record r.  Byte i // 8 of every
+    record is one strided slice, translated to the digits of bit i % 8,
+    reversed so that record 0 is the last digit, and parsed in base 2.
+    """
+    return [
+        int(data[i >> 3 :: stride].translate(_BIT_DIGITS[i & 7])[::-1], 2)
+        for i in range(count)
+    ]
 
 
 class SingularMatrixError(ValueError):
@@ -59,10 +79,9 @@ class BitMatrix:
         return BitMatrix(rows, other.cols)
 
     def transpose(self) -> BitMatrix:
-        # column t of the top-bit-first strings is matrix column cols - 1 - t
-        strings = [f"{row:0{self.cols}b}" for row in reversed(self.rows)]
-        columns = [int("".join(bits), 2) for bits in zip(*strings)]
-        return BitMatrix(tuple(reversed(columns)), self.nrows)
+        stride = (self.cols + 7) // 8
+        data = b"".join(row.to_bytes(stride, "little") for row in self.rows)
+        return BitMatrix(tuple(bit_columns(data, stride, self.cols)), self.nrows)
 
     def to_bits(self) -> int:
         """Rows concatenated row-major into one bit string."""

@@ -214,6 +214,16 @@ def test_sqr_matches_mul():
         assert field.sqr(a) == field.mul(a, a)
 
 
+def test_mul_lanes_known_answers_and_lane_bound(f8):
+    # n = 3: lanes of one byte; g * (g^2, 1, g^2 + g) = (g + 1, g, g^2 + g + 1)
+    assert f8.lane_bytes == 1
+    assert f8.mul_lanes(GAMMA, f8.pack_lanes([GAMMA2, 1, 0b110])) == 0x07_02_03
+    with pytest.raises(ValueError):
+        f8.mul_lanes(1, f8.pack_lanes([0, 0, 0, 1]))  # a fourth lane
+    with pytest.raises(ValueError):
+        f8.mul_lanes(1, f8.pack_lanes([0, 0, 8]))  # a lane above the field
+
+
 # --- packing and hex ------------------------------------------------------
 
 def test_bit_packing_convention():

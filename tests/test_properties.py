@@ -1,9 +1,12 @@
 """Property-based tests of invariants the acceptance criteria check only at
 a few sizes: the Frobenius map, the Itoh-Tsujii chain in Field.pow against
-square and multiply, GF(2) transpose, rank, solving and
-inversion on any shape, the packed equation layout, public-key derivation,
-encryption solvability, message framing and the strictness of the key-file
-codec."""
+square and multiply, the lane-packed product Field.mul_lanes against
+Field.mul lane by lane (test_mul_lanes_matches_mul_lane_by_lane), GF(2)
+transpose, rank, solving and inversion on any shape, the packed equation
+layout, public-key derivation (against the residual, and against one
+Field.mul per coefficient with a bitwise transpose in
+test_derive_public_key_matches_per_coefficient_reference), encryption
+solvability, message framing and the strictness of the key-file codec."""
 
 import functools
 
@@ -17,6 +20,7 @@ from ld2.keys import (
     PublicKey,
     QuadraticEquation,
     decode_key,
+    derive_public_key,
     encode_key,
     keygen,
     relation_residual,
@@ -71,6 +75,21 @@ def test_pow_chain_matches_square_and_multiply(half, data):
         assert apply_columns(tables, a) == field.pow(a, 1 << k)
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 128), st.data())
+def test_mul_lanes_matches_mul_lane_by_lane(half, data):
+    # odd n in 3..257; lanes of 0 and 2^n - 1 (the top lane) around random ones
+    field = Field(2 * half + 1)
+    n = field.n
+    top = field.order - 1
+    middle = data.draw(st.lists(st.integers(0, top), max_size=n - 2), label="lanes")
+    elements = [0, *middle, top]
+    lanes = field.pack_lanes(elements)
+    for a in (0, 1, data.draw(st.integers(2, top), label="a")):
+        expected = field.pack_lanes(field.mul(a, e) for e in elements)
+        assert field.mul_lanes(a, lanes) == expected
+
+
 @st.composite
 def bit_matrices(draw, max_rows=8, max_cols=8, square=False):
     """Any shape up to the bounds; a drawn column mask makes zero columns
@@ -103,6 +122,7 @@ def _span_size(m):
 @given(bit_matrices(max_rows=40, max_cols=40))
 @example(BitMatrix((0b101,), 3))
 @example(BitMatrix((1, 0, 1, 1), 1))
+@example(BitMatrix((1 << 15, 0xFF00, 1 << 8, 1), 16))
 def test_transpose_matches_bitwise_reference(m):
     assert m.transpose() == _reference_transpose(m)
 
@@ -217,6 +237,40 @@ def test_derived_equations_match_residual(half, seed, data):
         residual = relation_residual(sk, x, y)
         for i, eq in enumerate(pk.equations):
             assert eq.evaluate(x, y) == (residual >> i) & 1
+
+
+def _reference_public_key(sk):
+    """The public key from one Field.mul per quadratic coefficient, the
+    linear terms from relation_residual at unit vectors, and a bitwise
+    transpose of the coefficient vectors into the forms."""
+    field = sk.field
+    n = field.n
+    w = 2 * n + 1
+    s_cols = _reference_transpose(sk.s.matrix).rows
+    t_cols = _reference_transpose(sk.t.matrix).rows
+    s_frob = [field.frobenius(col) for col in s_cols]
+    base = relation_residual(sk, 0, 0)
+    coeffs = [0] * ((n + 1) * w)
+    for j in range(n):
+        for k in range(j + 1, n):
+            coeffs[j * w + k] = field.mul(s_frob[j], s_cols[k]) ^ field.mul(s_frob[k], s_cols[j])
+        for k in range(n):
+            coeffs[j * w + n + k] = field.mul(s_frob[j] ^ s_cols[j], t_cols[k])
+        coeffs[n * w + j] = relation_residual(sk, 1 << j, 0) ^ base
+        coeffs[n * w + n + j] = relation_residual(sk, 0, 1 << j) ^ base
+    coeffs[n * w + 2 * n] = base
+    forms = (
+        sum((c >> i & 1) << pos for pos, c in enumerate(coeffs)) for i in range(n)
+    )
+    return PublicKey(n, (QuadraticEquation(n, form) for form in forms))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 32), st.integers(0, (1 << 64) - 1))
+def test_derive_public_key_matches_per_coefficient_reference(half, seed):
+    # odd n in 3..65
+    sk, _ = keygen(2 * half + 1, seed)
+    assert derive_public_key(sk) == _reference_public_key(sk)
 
 
 _MESSAGE_N = 9
