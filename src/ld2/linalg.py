@@ -23,14 +23,13 @@ def bit_columns(data: bytes, stride: int, count: int) -> list[int]:
     """The bit transpose of data, read as records of stride bytes.
 
     Each record is a little-endian bit string; entry i < count of the
-    result has bit r equal to bit i of record r.  Byte i // 8 of every
-    record is one strided slice, translated to the digits of bit i % 8,
-    reversed so that record 0 is the last digit, and parsed in base 2.
+    result has bit r equal to bit i of record r.  Byte b of every record is
+    one strided slice, reversed so that record 0 comes last; bit i of the
+    records is then the slice for b = i // 8 translated to the digits of
+    bit i % 8 and parsed in base 2.
     """
-    return [
-        int(data[i >> 3 :: stride].translate(_BIT_DIGITS[i & 7])[::-1], 2)
-        for i in range(count)
-    ]
+    slices = [data[b::stride][::-1] for b in range((count + 7) // 8)]
+    return [int(slices[i >> 3].translate(_BIT_DIGITS[i & 7]), 2) for i in range(count)]
 
 
 class SingularMatrixError(ValueError):
