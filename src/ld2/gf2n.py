@@ -40,61 +40,6 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def is_irreducible(f: int) -> bool:
-    """Rabin irreducibility test for f in GF(2)[x].
-
-    A degree-n polynomial is irreducible iff x^(2^n) = x (mod f) and
-    gcd(x^(2^(n/p)) - x, f) = 1 for every prime p dividing n.
-    """
-    n = poly_degree(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    checkpoints = {n // p for p in _prime_factors(n)}
-    low = (1 << n) - 1
-    shifts = tuple(i for i in range(n) if f >> i & 1)
-    t = 2  # the polynomial x
-    for i in range(1, n + 1):
-        t = _fold(_spread(t), n, shifts, low)
-        if i in checkpoints and poly_gcd(t ^ 2, f) != 1:
-            return False
-    return t == 2
-
-
-@functools.lru_cache(maxsize=None)
-def find_irreducible(n: int) -> int:
-    """Smallest irreducible degree-n polynomial with constant term 1.
-
-    Candidates are scanned in increasing value of the packed coefficient
-    string (constant term in bit 0, leading coefficient in bit n); the
-    first irreducible one wins, which makes the choice deterministic.
-    """
-    if n < 2:
-        raise ValueError("degree must be at least 2")
-    base = (1 << n) | 1
-    for mid in range(1 << (n - 1)):
-        f = base | (mid << 1)
-        # an even number of terms means f(1) = 0, i.e. f divisible by x + 1
-        if f.bit_count() & 1 and is_irreducible(f):
-            return f
-    raise AssertionError("irreducible polynomials exist for every degree")
-
-
 # byte value -> the same bits spread to even positions, for fast squaring
 _SQUARE_SPREAD = tuple(
     sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)
@@ -147,6 +92,62 @@ def _fold(v: int, n: int, shifts: tuple[int, ...], low: int) -> int:
             v ^= hi << s
         hi = v >> n & low
     return v
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_irreducible(f: int) -> bool:
+    """Rabin irreducibility test for f in GF(2)[x].
+
+    A degree-n polynomial is irreducible iff x^(2^n) = x (mod f) and
+    gcd(x^(2^(n/p)) - x, f) = 1 for every prime p dividing n.
+    """
+    n = poly_degree(f)
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    checkpoints = {n // p for p in _prime_factors(n)}
+    # squares by spreading the bits, reduced through f's low terms
+    low = (1 << n) - 1
+    shifts = tuple(i for i in range(n) if f >> i & 1)
+    t = 2  # the polynomial x
+    for i in range(1, n + 1):
+        t = _fold(_spread(t), n, shifts, low)
+        if i in checkpoints and poly_gcd(t ^ 2, f) != 1:
+            return False
+    return t == 2
+
+
+@functools.lru_cache(maxsize=None)
+def find_irreducible(n: int) -> int:
+    """Smallest irreducible degree-n polynomial with constant term 1.
+
+    Candidates are scanned in increasing value of the packed coefficient
+    string (constant term in bit 0, leading coefficient in bit n); the
+    first irreducible one wins, which makes the choice deterministic.
+    """
+    if n < 2:
+        raise ValueError("degree must be at least 2")
+    base = (1 << n) | 1
+    for mid in range(1 << (n - 1)):
+        f = base | (mid << 1)
+        # an even number of terms means f(1) = 0, i.e. f divisible by x + 1
+        if f.bit_count() & 1 and is_irreducible(f):
+            return f
+    raise AssertionError("irreducible polynomials exist for every degree")
 
 
 class Field:

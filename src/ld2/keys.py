@@ -324,7 +324,7 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
         a_row = field.mul_lanes(fj, s_lanes >> cut) ^ field.mul_lanes(sj, frob_lanes >> cut)
         b_row = field.mul_lanes(fj ^ sj, t_lanes)
         # lanes 0..n-1 hold a_jk, n..2n-1 hold b_jk and 2n is zero
-        rows.append(a_row << cut | b_row << width * n)
+        rows.append(a_row << cut | b_row << (width * n))
     linear = [_residual_uv(sk, u0 ^ sj, v0) for sj in s_cols]
     linear += [_residual_uv(sk, u0, v0 ^ tk) for tk in t_cols]
     rows.append(field.pack_lanes([v ^ base for v in linear] + [base]))
