@@ -1,8 +1,9 @@
 """Golden vectors: SHA-256 digests of byte-exact outputs for fixed seeds.
 
-Key files, message ciphertexts and signatures are pinned here, so a rewrite
-of the PRNG, of key derivation, of the key codec or of a hot path cannot
-change what a given seed, message or digest produces without failing.
+Key files, message ciphertexts and signatures are pinned here, and each
+pinned key file must decode back to its key, so a rewrite of the PRNG, of
+key derivation, of the key codec or of a hot path cannot change what a
+given seed, message, digest or key file produces without failing.
 """
 
 import functools
@@ -12,7 +13,7 @@ import pytest
 
 from ld2.cipher import encrypt_message, sign
 from ld2.gf2n import bits_to_hex
-from ld2.keys import encode_key, keygen
+from ld2.keys import decode_key, encode_key, keygen
 
 SEEDS = {5: 0x5EED05, 33: 0x5EED21, 129: 0x5EED81, 257: 0x5EED101}
 
@@ -70,8 +71,10 @@ def _sha(data):
 @pytest.mark.parametrize("n", sorted(GOLDEN))
 def test_key_files(n):
     sk, pk = _keys(n)
-    assert _sha(encode_key(sk)) == GOLDEN[n][0]
-    assert _sha(encode_key(pk)) == GOLDEN[n][1]
+    for key, digest in zip((sk, pk), GOLDEN[n]):
+        text = encode_key(key)
+        assert _sha(text) == digest
+        assert decode_key(text) == key
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN))
