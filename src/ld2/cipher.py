@@ -133,15 +133,21 @@ def encrypt_message(pk: PublicKey, data: bytes) -> bytes:
 
 
 def decrypt_message(sk: SecretKey, data: bytes) -> bytes:
-    """Decrypt, then unpad; rejects misaligned input and slack bits."""
+    """Decrypt, then unpad; rejects misaligned input and slack bits.
+
+    Errors in a block name its 0-based index, as in "block 3: ...".
+    """
     n = sk.field.n
     block_bytes = packed_size(n)
     if len(data) == 0 or len(data) % block_bytes:
         raise ValueError("ciphertext length is not a multiple of the block size")
     blocks = []
-    for i in range(0, len(data), block_bytes):
+    for index, i in enumerate(range(0, len(data), block_bytes)):
         value = int.from_bytes(data[i : i + block_bytes], "little")
         if value >> n:
-            raise ValueError("nonzero slack bits in ciphertext block")
-        blocks.append(decrypt_block(sk, value))
+            raise ValueError(f"block {index}: nonzero slack bits in ciphertext block")
+        try:
+            blocks.append(decrypt_block(sk, value))
+        except DecryptionError as exc:
+            raise DecryptionError(f"block {index}: {exc}") from exc
     return unpad_message(blocks, n)

@@ -53,6 +53,12 @@ every line after the header and gives its width; encode_key writes from
 it and decode_key parses by it.  A file decodes only if it is exactly the
 text encode_key writes for the key it describes, so unknown, out-of-order
 or reformatted lines are format errors.
+
+xx holds a form's a-bits in position order and xy its b-bits row-major,
+so each is the compress of the form by a mask fixed for each n, and
+decoding is the matching expand (Hacker's Delight, 2nd ed., 7-4 and 7-5).
+Each takes about log2(n(2n + 1)) masked shifts, by move masks that
+_file_masks builds once per n; xl, yl and c are plain shifts of lane n.
 """
 
 from __future__ import annotations
@@ -96,6 +102,35 @@ def _layout(n: int) -> _Layout:
         valid | ((1 << w) - 1) << (n * w),
         tuple(folds),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _file_masks(n: int) -> tuple:
+    """(mask, steps) for the file's xx and xy fields: the a-bits and the
+    b-bits of a form.  Step (s, move) shifts the bits in move right by s:
+    the mask bits whose count of clear mask bits below them has the bit s
+    set, counted by a parallel suffix (Hacker's Delight, 2nd ed., 7-4)."""
+    width = n * (2 * n + 1)
+    full = (1 << width) - 1
+    layout = _layout(n)
+    b_bits = ((1 << n) - 1 << n) * layout.diagonal
+    plans = []
+    for mask in (layout.valid & full ^ b_bits, b_bits):
+        zeros = ~mask << 1 & full  # bit i set: mask bit i - 1 is clear
+        rest, steps, shift = mask, [], 1
+        while shift < width:
+            suffix, span = zeros, 1
+            while span < width:
+                suffix = (suffix ^ suffix << span) & full
+                span *= 2
+            move = suffix & rest
+            rest = rest ^ move | move >> shift
+            zeros &= ~suffix
+            if move:
+                steps.append((shift, move))
+            shift *= 2
+        plans.append((mask, tuple(steps)))
+    return tuple(plans)
 
 
 def _lane_starts(n: int, x: int) -> int:
@@ -452,25 +487,22 @@ def decode_key(text: str):
 def _file_fields(eq: QuadraticEquation):
     """The v1 file's xx, xy, xl, yl and c fields of one equation."""
     n = eq.n
-    w = 2 * n + 1
+    fields = []
+    for mask, steps in _file_masks(n):
+        x = eq.form & mask
+        for shift, move in steps:
+            t = x & move
+            x = x ^ t | t >> shift
+        fields.append(x)
     low = (1 << n) - 1
-    xx = xy = pos = 0
-    for j in range(n):
-        lane = eq.form >> (j * w) & ((1 << 2 * n) - 1)
-        xx |= (lane & low) >> (j + 1) << pos
-        xy |= lane >> n << (j * n)
-        pos += n - 1 - j
-    affine = eq.form >> (n * w)
-    return xx, xy, affine & low, affine >> n & low, affine >> 2 * n
+    affine = eq.form >> (n * (2 * n + 1))
+    return (*fields, affine & low, affine >> n & low, affine >> 2 * n)
 
 
 def _from_file_fields(n: int, xx: int, xy: int, xl: int, yl: int, c: int):
-    w = 2 * n + 1
-    low = (1 << n) - 1
-    form = (xl | yl << n | c << 2 * n) << (n * w)
-    pos = 0
-    for j in range(n):
-        pairs = xx >> pos & low >> (j + 1)
-        form |= (pairs << (j + 1) | (xy >> (j * n) & low) << n) << (j * w)
-        pos += n - 1 - j
+    form = (xl | yl << n | c << 2 * n) << (n * (2 * n + 1))
+    for x, (mask, steps) in zip((xx, xy), _file_masks(n)):
+        for shift, move in reversed(steps):
+            x ^= (x ^ x << shift) & move
+        form |= x & mask
     return QuadraticEquation(n, form)

@@ -250,3 +250,29 @@ def test_decrypt_error_branch(monkeypatch, toy_sk):
     monkeypatch.setattr(cipher_mod, "relation_residual", lambda sk, x, y: 1)
     with pytest.raises(DecryptionError):
         decrypt_block(toy_sk, 0)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_decrypt_message_errors_name_the_block(monkeypatch, k):
+    import ld2.cipher as cipher_mod
+
+    sk, pk = keygen(9, seed=0xB10C)
+    # 25 padded bits: three 9-bit blocks of 2 bytes each
+    ciphertext = bytearray(encrypt_message(pk, b"abc"))
+    assert len(ciphertext) == 6
+    blocks = [int.from_bytes(ciphertext[i : i + 2], "little") for i in (0, 2, 4)]
+    assert len(set(blocks)) == 3
+
+    slack = bytearray(ciphertext)
+    slack[2 * k + 1] |= 0x80
+    with pytest.raises(ValueError, match=rf"^block {k}: nonzero slack bits"):
+        decrypt_message(sk, bytes(slack))
+
+    # a fault in block k only: its residual check fails
+    residual = cipher_mod.relation_residual
+    monkeypatch.setattr(
+        cipher_mod, "relation_residual",
+        lambda sk, x, y: 1 if y == blocks[k] else residual(sk, x, y),
+    )
+    with pytest.raises(DecryptionError, match=rf"^block {k}: decrypted block fails"):
+        decrypt_message(sk, bytes(ciphertext))

@@ -55,6 +55,24 @@ def test_file_mode_round_trip(tmp_path):
     assert dec.read_bytes() == data
 
 
+def test_decrypt_error_names_the_block(tmp_path, capsys):
+    secret, public = _keygen(tmp_path, 9, seed="b1")
+    plain = tmp_path / "msg.bin"
+    plain.write_bytes(b"abc")  # three 2-byte ciphertext blocks
+    enc = tmp_path / "msg.enc"
+    assert main(["encrypt", "--public", str(public),
+                 "--in", str(plain), "--out", str(enc)]) == 0
+    data = bytearray(enc.read_bytes())
+    data[5] |= 0x80  # a slack bit of block 2
+    enc.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["decrypt", "--secret", str(secret),
+                 "--in", str(enc), "--out", str(tmp_path / "msg.dec")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block 2: nonzero slack bits in ciphertext block\n"
+
+
 def test_file_mode_round_trip_1kib_n33(tmp_path):
     secret, public = _keygen(tmp_path, 33, seed="c3")
     data = random.Random(2).randbytes(1024)

@@ -206,10 +206,13 @@ def test_decode_rejects_tampered_alpha(toy_sk):
 
 
 def test_decode_rejects_singular_matrix(toy_sk):
+    # a singular A1 or A2 is a key invariant violation, not a format slip
     text = encode_key(toy_sk)
-    tampered = text.replace("A1=3301", "A1=0000")
-    with pytest.raises(KeyFormatError):
-        decode_key(tampered)
+    for line in ("A1=3301", "A2=3701"):
+        tampered = text.replace(line, line[:3] + "0000")
+        assert tampered != text
+        with pytest.raises(KeyFormatError, match="invalid secret key"):
+            decode_key(tampered)
 
 
 def test_decode_rejects_truncation_and_junk(toy_sk, toy_pk):

@@ -6,9 +6,13 @@ transpose, rank, solving and inversion on any shape, the packed equation
 layout, public-key derivation (against the residual, and against one
 Field.mul per coefficient with a bitwise transpose in
 test_derive_public_key_matches_per_coefficient_reference), encryption
-solvability, message framing and the strictness of the key-file codec."""
+solvability, message framing, the key-file codec's compress and expand
+against the per-lane loops they replaced
+(test_file_fields_match_per_lane_reference), key-file round trips
+(test_key_files_round_trip) and the strictness of the key-file codec."""
 
 import functools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +23,9 @@ from ld2.keys import (
     KeyFormatError,
     PublicKey,
     QuadraticEquation,
+    _file_fields,
+    _from_file_fields,
+    _layout,
     decode_key,
     derive_public_key,
     encode_key,
@@ -304,6 +311,58 @@ def test_decrypt_message_rejects_only_with_value_errors(data):
         decrypt_message(_message_keys()[0], data)
     except ValueError:
         pass
+
+
+def _reference_file_fields(eq):
+    """The v1 file fields by one shift of the whole form per lane."""
+    n = eq.n
+    w = 2 * n + 1
+    low = (1 << n) - 1
+    xx = xy = pos = 0
+    for j in range(n):
+        lane = eq.form >> (j * w) & ((1 << 2 * n) - 1)
+        xx |= (lane & low) >> (j + 1) << pos
+        xy |= lane >> n << (j * n)
+        pos += n - 1 - j
+    affine = eq.form >> (n * w)
+    return xx, xy, affine & low, affine >> n & low, affine >> 2 * n
+
+
+def _reference_from_file_fields(n, xx, xy, xl, yl, c):
+    w = 2 * n + 1
+    low = (1 << n) - 1
+    form = (xl | yl << n | c << 2 * n) << (n * w)
+    pos = 0
+    for j in range(n):
+        pairs = xx >> pos & low >> (j + 1)
+        form |= (pairs << (j + 1) | (xy >> (j * n) & low) << n) << (j * w)
+        pos += n - 1 - j
+    return QuadraticEquation(n, form)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 128), st.integers(0, (1 << 64) - 1))
+def test_file_fields_match_per_lane_reference(half, seed):
+    # odd n in 3..257; forms too wide for a Hypothesis integer come from seed
+    n = 2 * half + 1
+    valid = _layout(n).valid
+    rng = random.Random(seed)
+    widths = (n * (n - 1) // 2, n * n, n, n, 1)
+    for form in (0, valid, rng.getrandbits(valid.bit_length()) & valid):
+        eq = QuadraticEquation(n, form)
+        fields = _file_fields(eq)
+        assert fields == _reference_file_fields(eq)
+        assert _from_file_fields(n, *fields) == eq
+    fields = [rng.getrandbits(width) for width in widths]
+    assert _from_file_fields(n, *fields) == _reference_from_file_fields(n, *fields)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(1, 64), st.integers(0, (1 << 64) - 1))
+def test_key_files_round_trip(half, seed):
+    # odd n in 3..129
+    for key in keygen(2 * half + 1, seed):
+        assert decode_key(encode_key(key)) == key
 
 
 @functools.lru_cache(maxsize=None)
