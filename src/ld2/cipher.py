@@ -109,16 +109,22 @@ def pad_message(data: bytes, n: int) -> list[int]:
 
 
 def unpad_message(blocks, n: int) -> bytes:
-    """Inverse of pad_message: strip from the last 1 bit."""
+    """Inverse of pad_message: strip from the last 1 bit.
+
+    A padding error names the 0-based block that holds the last 1 bit, or
+    the last block when there is none, as in "block 3: ...".
+    """
     stream = 0
     for i, block in enumerate(blocks):
         _check_block(block, n)
         stream |= block << (i * n)
     if stream == 0:
-        raise PaddingError("no padding marker found")
+        raise PaddingError(f"block {max(len(blocks), 1) - 1}: no padding marker found")
     total = stream.bit_length() - 1
     if total % 8:
-        raise PaddingError("message length is not a whole number of bytes")
+        raise PaddingError(
+            f"block {total // n}: message length is not a whole number of bytes"
+        )
     stream ^= 1 << total
     return stream.to_bytes(total // 8, "little")
 
@@ -135,7 +141,8 @@ def encrypt_message(pk: PublicKey, data: bytes) -> bytes:
 def decrypt_message(sk: SecretKey, data: bytes) -> bytes:
     """Decrypt, then unpad; rejects misaligned input and slack bits.
 
-    Errors in a block name its 0-based index, as in "block 3: ...".
+    Errors in a block name its 0-based index, as in "block 3: ...", and
+    so do padding errors (see unpad_message).
     """
     n = sk.field.n
     block_bytes = packed_size(n)

@@ -158,6 +158,8 @@ def _block_or_file(args, key, n: int, block_fn, message_fn) -> int:
     the --in file, writing --out."""
     if (args.block is None) == (args.infile is None):
         raise CliError("give exactly one of --block or --in/--out")
+    if args.infile is None and args.outfile is not None:
+        raise CliError("--out needs --in; --block prints to stdout")
     if args.block is not None:
         print(bits_to_hex(block_fn(key, hex_to_bits(args.block, n)), n))
         return 0

@@ -49,10 +49,14 @@ Key files are line oriented:
 All hex fields are lowercase and pack bit i of the value into bit i % 8 of
 byte i // 8 (see gf2n).  Every line ends with a newline, and the modulus
 is the canonical one for the degree.  One table, _body_layout, names
-every line after the header and gives its width; encode_key writes from
+every line after the header and gives its width; _key_text writes from
 it and decode_key parses by it.  A file decodes only if it is exactly the
 text encode_key writes for the key it describes, so unknown, out-of-order
-or reformatted lines are format errors.
+or reformatted lines are format errors.  decode_key compares the file with
+_key_text of the values it parsed, which is that text: each value has
+exactly its line's width, and on such values expand then compress (below)
+and BitMatrix.from_bits then to_bits are the identity, so the values are
+the fields of the key they build.
 
 xx holds a form's a-bits in position order and xy its b-bits row-major,
 so each is the compress of the form by a mask fixed for each n, and
@@ -407,16 +411,19 @@ def _body_layout(secret: bool, n: int) -> list[tuple[str, int]]:
 
 def encode_key(key) -> str:
     """Serialise a key to its line-oriented text form."""
-    secret = isinstance(key, SecretKey)
-    if secret:
-        n, s, t = key.field.n, key.s, key.t
+    if isinstance(key, SecretKey):
+        s, t = key.s, key.t
         values = (key.alpha, s.matrix.to_bits(), s.translation,
                   t.matrix.to_bits(), t.translation)
-    elif isinstance(key, PublicKey):
-        n = key.n
-        values = itertools.chain.from_iterable(map(_file_fields, key.equations))
-    else:
-        raise TypeError("expected a SecretKey or PublicKey")
+        return _key_text(True, key.field.n, values)
+    if isinstance(key, PublicKey):
+        fields = map(_file_fields, key.equations)
+        return _key_text(False, key.n, itertools.chain.from_iterable(fields))
+    raise TypeError("expected a SecretKey or PublicKey")
+
+
+def _key_text(secret: bool, n: int, values) -> str:
+    """The file text of a size-n key whose body lines hold values."""
     lines = [
         _SECRET_MAGIC if secret else _PUBLIC_MAGIC,
         f"n={n} m={(n + 1) // 2}",
@@ -431,8 +438,9 @@ def decode_key(text: str):
     """Parse a key file; returns a SecretKey or a PublicKey.
 
     The text must be exactly what encode_key writes for the key it
-    describes.  Anything else, including invariant violations such as a
-    trace-0 alpha or a singular matrix, raises KeyFormatError.
+    describes, which is _key_text of the parsed values (module docstring).
+    Anything else, including invariant violations such as a trace-0 alpha
+    or a singular matrix, raises KeyFormatError.
     """
     lines = text.splitlines()
     if not lines:
@@ -477,7 +485,7 @@ def decode_key(text: str):
     except ValueError as exc:
         raise KeyFormatError(f"invalid {kind} key: {exc}") from exc
 
-    canonical = encode_key(key)
+    canonical = _key_text(secret, n, values)
     if canonical != text:
         line = os.path.commonprefix((canonical, text)).count("\n") + 1
         raise KeyFormatError(f"line {line} is not in canonical form")

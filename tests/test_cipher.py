@@ -276,3 +276,22 @@ def test_decrypt_message_errors_name_the_block(monkeypatch, k):
     )
     with pytest.raises(DecryptionError, match=rf"^block {k}: decrypted block fails"):
         decrypt_message(sk, bytes(ciphertext))
+
+
+def test_decrypt_message_padding_errors_name_the_block():
+    sk, pk = keygen(9, seed=0xB10C)
+
+    def ciphertext(*blocks):
+        return b"".join(encrypt_block(pk, x).to_bytes(2, "little") for x in blocks)
+
+    # no 1 bit at all: the marker belongs in the last block
+    with pytest.raises(PaddingError, match=r"^block 2: no padding marker found$"):
+        decrypt_message(sk, ciphertext(0, 0, 0))
+    # the last 1 bit is stream bit 9 + 4, in block 1, after 13 message bits
+    with pytest.raises(PaddingError, match=r"^block 1: message length is not a whole"):
+        decrypt_message(sk, ciphertext(0b101, 1 << 4, 0))
+    # unpad_message names the same blocks
+    with pytest.raises(PaddingError, match=r"^block 1: no padding marker"):
+        unpad_message([0, 0], 3)
+    with pytest.raises(PaddingError, match=r"^block 0: no padding marker"):
+        unpad_message([], 3)

@@ -73,6 +73,21 @@ def test_decrypt_error_names_the_block(tmp_path, capsys):
     assert captured.err == "error: block 2: nonzero slack bits in ciphertext block\n"
 
 
+def test_decrypt_padding_error_names_the_block(tmp_path, capsys):
+    secret, public = _keygen(tmp_path, 9, seed="b2")
+    assert main(["encrypt", "--public", str(public), "--block", "0000"]) == 0
+    zero = bytes.fromhex(capsys.readouterr().out.strip())
+    enc = tmp_path / "msg.enc"
+    enc.write_bytes(zero * 3)  # three blocks that decrypt to 0: no padding marker
+    dec = tmp_path / "msg.dec"
+    assert main(["decrypt", "--secret", str(secret),
+                 "--in", str(enc), "--out", str(dec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block 2: no padding marker found\n"
+    assert not dec.exists()
+
+
 def test_file_mode_round_trip_1kib_n33(tmp_path):
     secret, public = _keygen(tmp_path, 33, seed="c3")
     data = random.Random(2).randbytes(1024)
@@ -124,8 +139,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  "--secret-out", str(tmp_path / "sa"),
                  "--public-out", str(tmp_path / "sb")]) == 1
     assert not (tmp_path / "sa").exists()
+    # --out with --block, which prints the block: rejected, no file written
+    for argv in (["encrypt", "--public", str(public)],
+                 ["decrypt", "--secret", str(secret)]):
+        assert main([*argv, "--block", "00", "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
     err = capsys.readouterr().err
-    assert err.count("error:") == 5 and err.count("\n") == 5
+    assert err.count("error:") == 7 and err.count("\n") == 7
+    assert err.count("error: --out needs --in; --block prints to stdout\n") == 2
     assert f"error: {public} is not a secret key\n" in err
     assert f"at most {MAX_N}" in err
 

@@ -185,6 +185,23 @@ def test_round_trip_larger_keys():
     assert decode_key(encode_key(pk)) == pk
 
 
+def test_decode_does_no_encoding(monkeypatch):
+    # the canonical check compares the file with the text of the parsed
+    # values, so decoding never compresses an equation or encodes the key
+    import ld2.keys as keys_mod
+
+    sk, pk = keygen(5, seed=0xDEC0)
+    texts = [(key, encode_key(key)) for key in (sk, pk)]
+
+    def forbidden(*args):
+        raise AssertionError("decode_key must not encode")
+
+    monkeypatch.setattr(keys_mod, "_file_fields", forbidden)
+    monkeypatch.setattr(keys_mod, "encode_key", forbidden)
+    for key, text in texts:
+        assert decode_key(text) == key
+
+
 def test_toy_secret_encoding_is_stable(toy_sk):
     assert encode_key(toy_sk) == (
         "LD2-SECRET v1\n"

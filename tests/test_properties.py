@@ -9,7 +9,11 @@ test_derive_public_key_matches_per_coefficient_reference), encryption
 solvability, message framing, the key-file codec's compress and expand
 against the per-lane loops they replaced
 (test_file_fields_match_per_lane_reference), key-file round trips
-(test_key_files_round_trip) and the strictness of the key-file codec."""
+(test_key_files_round_trip), the text written from any public field values
+of the right widths being the encoding of the key it decodes to, which is
+what decode_key's canonical check relies on
+(test_public_field_values_are_the_key_fields), and the strictness of the
+key-file codec."""
 
 import functools
 import random
@@ -23,8 +27,10 @@ from ld2.keys import (
     KeyFormatError,
     PublicKey,
     QuadraticEquation,
+    _body_layout,
     _file_fields,
     _from_file_fields,
+    _key_text,
     _layout,
     decode_key,
     derive_public_key,
@@ -363,6 +369,21 @@ def test_key_files_round_trip(half, seed):
     # odd n in 3..129
     for key in keygen(2 * half + 1, seed):
         assert decode_key(encode_key(key)) == key
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 32), st.integers(0, (1 << 64) - 1))
+def test_public_field_values_are_the_key_fields(half, seed):
+    # odd n in 3..65; each line's value is zero, all ones or random, at
+    # exactly its width, so eq<i>.c is 0 or 1
+    n = 2 * half + 1
+    rng = random.Random(seed)
+    values = [
+        rng.choice((0, (1 << nbits) - 1, rng.getrandbits(nbits)))
+        for _, nbits in _body_layout(False, n)
+    ]
+    text = _key_text(False, n, values)
+    assert encode_key(decode_key(text)) == text
 
 
 @functools.lru_cache(maxsize=None)
