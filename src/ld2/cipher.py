@@ -67,7 +67,7 @@ def decrypt_candidates(sk: SecretKey, y: int) -> tuple[int, int]:
     z1 = sk.alpha ^ 1 ^ v ^ field.frobenius(v)
     z2 = field.pow(z1, (1 << field.m) - 1)
     z3 = v ^ 1 ^ z2
-    return sk.s.invert_apply(v ^ 1), sk.s.invert_apply(z3)
+    return sk.s_inverse.apply(v ^ 1), sk.s_inverse.apply(z3)
 
 
 def decrypt_block(sk: SecretKey, y: int) -> int:

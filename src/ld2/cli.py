@@ -21,7 +21,7 @@ from .cipher import (
     sign,
     verify,
 )
-from .gf2n import Field, bits_to_hex, hex_to_bits
+from .gf2n import Field, bits_to_hex, hex_to_bits, packed_size
 from .keys import (
     PublicKey,
     QuadraticEquation,
@@ -131,6 +131,15 @@ def _load_key(path: str, cls):
     return key
 
 
+def _hex_arg(option: str, text: str, n: int) -> int:
+    """The n-bit block that a hex option holds; an error names the option."""
+    try:
+        return hex_to_bits(text, n)
+    except ValueError as exc:
+        digits = 2 * packed_size(n)
+        raise CliError(f"{option}: {exc} (n = {n} takes {digits} hex digits)") from exc
+
+
 def _check_n(n: int) -> None:
     if n < 3 or n % 2 == 0 or n > MAX_N:
         raise CliError(f"n must be odd, at least 3 and at most {MAX_N}, got {n}")
@@ -161,7 +170,7 @@ def _block_or_file(args, key, n: int, block_fn, message_fn) -> int:
     if args.infile is None and args.outfile is not None:
         raise CliError("--out needs --in; --block prints to stdout")
     if args.block is not None:
-        print(bits_to_hex(block_fn(key, hex_to_bits(args.block, n)), n))
+        print(bits_to_hex(block_fn(key, _hex_arg("--block", args.block, n)), n))
         return 0
     if args.outfile is None:
         raise CliError("file mode needs --out")
@@ -183,15 +192,15 @@ def _cmd_decrypt(args) -> int:
 def _cmd_sign(args) -> int:
     sk = _load_key(args.secret, SecretKey)
     n = sk.field.n
-    digest = hex_to_bits(args.digest, n)
+    digest = _hex_arg("--digest", args.digest, n)
     print(bits_to_hex(sign(sk, digest), n))
     return 0
 
 
 def _cmd_verify(args) -> int:
     pk = _load_key(args.public, PublicKey)
-    digest = hex_to_bits(args.digest, pk.n)
-    signature = hex_to_bits(args.sig, pk.n)
+    digest = _hex_arg("--digest", args.digest, pk.n)
+    signature = _hex_arg("--sig", args.sig, pk.n)
     if verify(pk, digest, signature):
         print("valid")
         return 0

@@ -74,7 +74,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf2n import Field, bits_to_hex, find_irreducible, hex_to_bits
-from .linalg import AffineMap, BitMatrix, Prng, bit_columns, random_invertible
+from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, bit_columns
+from .linalg import random_invertible, rank
 
 
 class KeyFormatError(ValueError):
@@ -270,13 +271,17 @@ class PublicKey:
 
 
 class SecretKey:
-    """Secret material: the field, affine maps s and t, and alpha (trace 1)."""
+    """Secret material: the field, affine maps s and t, alpha (trace 1) and
+    s_inverse = s^-1.  Construction checks it all; a rank proves t invertible."""
 
-    __slots__ = ("field", "s", "t", "alpha", "_alpha_frob")
+    __slots__ = ("field", "s", "t", "alpha", "s_inverse", "_alpha_frob")
 
     def __init__(self, field: Field, s: AffineMap, t: AffineMap, alpha: int):
         if s.n != field.n or t.n != field.n:
             raise ValueError("affine map dimension mismatch")
+        self.s_inverse = s.inverse()
+        if rank(t.matrix) < field.n:
+            raise SingularMatrixError("matrix is singular")
         if not 0 <= alpha < field.order:
             raise ValueError("alpha out of range")
         if field.trace(alpha) != 1:
@@ -385,11 +390,8 @@ def keygen(n: int, seed: int) -> tuple[SecretKey, PublicKey]:
         alpha = prng.bits(n)
         if field.trace(alpha) == 1:
             break
-    a1 = random_invertible(n, prng)
-    c1 = prng.bits(n)
-    a2 = random_invertible(n, prng)
-    c2 = prng.bits(n)
-    sk = SecretKey(field, AffineMap(a1, c1), AffineMap(a2, c2), alpha)
+    s, t = (AffineMap(random_invertible(n, prng), prng.bits(n)) for _ in range(2))
+    sk = SecretKey(field, s, t, alpha)
     return sk, derive_public_key(sk)
 
 
@@ -437,10 +439,9 @@ def _key_text(secret: bool, n: int, values) -> str:
 def decode_key(text: str):
     """Parse a key file; returns a SecretKey or a PublicKey.
 
-    The text must be exactly what encode_key writes for the key it
-    describes, which is _key_text of the parsed values (module docstring).
-    Anything else, including invariant violations such as a trace-0 alpha
-    or a singular matrix, raises KeyFormatError.
+    The text must be exactly what encode_key writes for its key (module
+    docstring); anything else, a trace-0 alpha or a singular matrix
+    included, raises KeyFormatError.
     """
     lines = text.splitlines()
     if not lines:

@@ -1,11 +1,11 @@
-"""Vectors, matrices and invertible affine maps over GF(2).
+"""Vectors, matrices and affine maps over GF(2).
 
 Vectors are ints (bit j holds coordinate j + 1) and matrices are tuples of
 row ints, which keeps Gaussian elimination down to word-wide xors; one
 forward elimination serves rank, solve_linear and invert_matrix, and one bit
 transpose, bit_columns, serves BitMatrix.transpose and public-key
-derivation.  The module also holds the deterministic xorshift64* generator
-of key generation.
+derivation.  AffineMap eliminates only in inverse(); keys.SecretKey checks
+both secret maps and keeps s^-1.  Keygen's xorshift64* generator is here too.
 """
 
 from __future__ import annotations
@@ -159,9 +159,10 @@ def invert_matrix(matrix: BitMatrix) -> BitMatrix:
 
 
 class AffineMap:
-    """Invertible affine transformation x -> Ax + c on GF(2)^n."""
+    """Affine transformation x -> Ax + c on GF(2)^n; construction does no
+    elimination."""
 
-    __slots__ = ("matrix", "translation", "inverse_matrix")
+    __slots__ = ("matrix", "translation")
 
     def __init__(self, matrix: BitMatrix, translation: int):
         if matrix.nrows != matrix.cols:
@@ -170,7 +171,6 @@ class AffineMap:
             raise ValueError("translation length mismatch")
         self.matrix = matrix
         self.translation = translation
-        self.inverse_matrix = invert_matrix(matrix)  # also proves invertibility
 
     @property
     def n(self) -> int:
@@ -179,11 +179,10 @@ class AffineMap:
     def apply(self, x: int) -> int:
         return self.matrix.mul_vec(x) ^ self.translation
 
-    def invert_apply(self, u: int) -> int:
-        """The unique x with Ax + c = u."""
-        if not 0 <= u < 1 << self.n:
-            raise ValueError("vector length mismatch")
-        return self.inverse_matrix.mul_vec(u ^ self.translation)
+    def inverse(self) -> AffineMap:
+        """u -> A^-1 (u + c); raises SingularMatrixError if A is singular."""
+        inverse = invert_matrix(self.matrix)
+        return AffineMap(inverse, inverse.mul_vec(self.translation))
 
     def __eq__(self, other) -> bool:
         return (

@@ -117,6 +117,28 @@ def test_sign_and_verify_exit_codes(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().out
 
 
+def test_hex_errors_name_the_option(tmp_path, capsys):
+    secret, public = _keygen(tmp_path, 5, seed="5")
+    capsys.readouterr()
+    cases = [
+        (["verify", "--public", str(public), "--digest", "15", "--sig", "0102"],
+         "--sig: byte string has the wrong length"),
+        (["verify", "--public", str(public), "--digest", "zz", "--sig", "01"],
+         "--digest: invalid hex string"),
+        (["sign", "--secret", str(secret), "--digest", "1"],
+         "--digest: invalid hex string"),
+        (["encrypt", "--public", str(public), "--block", "20"],
+         "--block: nonzero slack bits"),
+        (["decrypt", "--secret", str(secret), "--block", "ff"],
+         "--block: nonzero slack bits"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message} (n = 5 takes 2 hex digits)\n"
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["keygen"]) == 1  # missing required flags
     assert main(["encrypt", "--public", str(tmp_path / "nope.pub"),

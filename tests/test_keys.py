@@ -15,7 +15,7 @@ from ld2.keys import (
     keygen,
     relation_residual,
 )
-from ld2.linalg import AffineMap, BitMatrix, Prng, random_invertible
+from ld2.linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, random_invertible
 from ld2.permutation import CentralMap, is_permutation_bruteforce
 
 from conftest import TOY_ALPHA
@@ -163,6 +163,10 @@ def test_secret_key_invariants(f8, toy_sk):
     other = AffineMap(BitMatrix.identity(5), 0)
     with pytest.raises(ValueError):
         SecretKey(f8, other, toy_sk.t, TOY_ALPHA)
+    singular = AffineMap(BitMatrix((0b011, 0b110, 0b101), 3), 0)
+    for s, t in ((singular, toy_sk.t), (toy_sk.s, singular)):
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            SecretKey(f8, s, t, TOY_ALPHA)
 
 
 # --- the codec -------------------------------------------------------------------
@@ -200,6 +204,34 @@ def test_decode_does_no_encoding(monkeypatch):
     monkeypatch.setattr(keys_mod, "encode_key", forbidden)
     for key, text in texts:
         assert decode_key(text) == key
+
+
+def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
+    # decryption applies s^-1 only, so t is proved invertible by a rank and
+    # never inverted
+    import ld2.keys as keys_mod
+    import ld2.linalg as linalg_mod
+
+    sk, _ = keygen(9, seed=0xE11)
+    text = encode_key(sk)
+    calls = []
+    for name in ("invert_matrix", "rank"):
+        original = getattr(linalg_mod, name)
+
+        def counted(matrix, original=original, name=name):
+            calls.append((name, matrix))
+            return original(matrix)
+
+        # wrapped wherever ld2 looks the function up
+        for module in (linalg_mod, keys_mod):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    expected = [("invert_matrix", sk.s.matrix), ("rank", sk.t.matrix)]
+    assert decode_key(text) == sk
+    assert calls == expected
+    calls.clear()
+    SecretKey(sk.field, sk.s, sk.t, sk.alpha)
+    assert calls == expected
 
 
 def test_toy_secret_encoding_is_stable(toy_sk):

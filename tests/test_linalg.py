@@ -112,7 +112,8 @@ def test_affine_toy_known_answers():
     assert s.apply(0b000) == 0b101  # the translation c1
     assert t.apply(0b000) == 0b010  # the translation c2
     assert s.apply(0b111) == 0b001  # row-wise xor of the fixture map
-    assert s.invert_apply(0b101) == 0b000
+    assert s.inverse().apply(0b101) == 0b000
+    assert t.inverse().apply(0b010) == 0b000
 
 
 def test_affine_round_trip_exhaustive_small():
@@ -120,8 +121,10 @@ def test_affine_round_trip_exhaustive_small():
     for n in (2, 3, 5, 7):
         m = random_invertible(n, prng)
         f = AffineMap(m, prng.bits(n))
+        g = f.inverse()
         for x in range(1 << n):
-            assert f.invert_apply(f.apply(x)) == x
+            assert g.apply(f.apply(x)) == x
+            assert f.apply(g.apply(x)) == x
 
 
 def test_affine_rejects_bad_input():
@@ -129,9 +132,11 @@ def test_affine_rejects_bad_input():
     with pytest.raises(ValueError):
         s.apply(8)
     with pytest.raises(ValueError):
-        s.invert_apply(8)
+        s.inverse().apply(8)
+    singular = BitMatrix((0b11, 0b11), 2)
+    assert AffineMap(singular, 0).apply(0b01) == 0b11  # no elimination
     with pytest.raises(SingularMatrixError):
-        AffineMap(BitMatrix((0b11, 0b11), 2), 0)
+        AffineMap(singular, 0).inverse()
 
 
 # --- the deterministic generator -------------------------------------------
