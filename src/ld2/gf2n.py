@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import functools
 
+from .linalg import window_tables
+
 
 def poly_degree(f: int) -> int:
     """Degree of a GF(2)[x] polynomial packed into an int (-1 for zero)."""
@@ -150,10 +152,34 @@ def find_irreducible(n: int) -> int:
     raise AssertionError("irreducible polynomials exist for every degree")
 
 
+@functools.lru_cache(maxsize=None)
+def _trace_mask(f: int) -> int:
+    """tau for the irreducible f: bit i is Tr(g^i) for a root g of f.
+
+    The conjugates of g are the roots of f, so Tr(g^i) is their i-th power
+    sum p_i, and Newton's identities over GF(2) give p_0 = n mod 2 and
+    p_i = i f_(n-i) + sum_(0<j<i) f_(n-j) p_(i-j), with f_k the coefficient
+    of x^k.  The sum runs over f's few nonzero terms only.
+    """
+    n = poly_degree(f)
+    taps = [j for j in range(1, n) if f >> (n - j) & 1]
+    p = [n & 1]
+    for i in range(1, n):
+        bit = i & 1 & f >> (n - i)
+        for j in taps:
+            if j >= i:
+                break
+            bit ^= p[i - j]
+        p.append(bit)
+    return sum(bit << i for i, bit in enumerate(p))
+
+
 class Field:
     """F(2^n), n = 2m - 1: arithmetic on element ints and x -> x^(2^m)."""
 
-    __slots__ = ("n", "m", "modulus", "lane_bytes", "_mask", "_low_shifts", "_lanes_low")
+    __slots__ = (
+        "n", "m", "modulus", "lane_bytes", "_mask", "_low_shifts", "_lanes_low", "_trace_mask"
+    )
 
     def __init__(self, n: int):
         if n < 3 or n % 2 == 0:
@@ -170,6 +196,7 @@ class Field:
         self._lanes_low = int.from_bytes(
             self._mask.to_bytes(self.lane_bytes, "little") * n, "little"
         )
+        self._trace_mask = _trace_mask(self.modulus)
 
     @property
     def order(self) -> int:
@@ -262,13 +289,12 @@ class Field:
         return self.sqr(self.pow(a, (1 << (self.n - 1)) - 1))
 
     def trace(self, a: int) -> int:
-        """The F_2-valued trace a + a^2 + a^4 + ... + a^(2^(n-1))."""
-        acc = a
-        t = a
-        for _ in range(self.n - 1):
-            t = self.sqr(t)
-            acc ^= t
-        return acc
+        """The F_2-valued trace a + a^2 + a^4 + ... + a^(2^(n-1)).
+
+        The trace is F_2-linear, so it is the parity of a & tau, where bit i
+        of tau is Tr(g^i) (see _trace_mask).
+        """
+        return (a & self._trace_mask).bit_count() & 1
 
 
 # One field's chains and Frobenius use the tables for k = 0 and for the
@@ -292,13 +318,7 @@ def frobenius_tables(field: Field, k: int) -> tuple[tuple[int, ...], ...]:
         ]
         if k & 1:
             images = [field.sqr(image) for image in images]
-    tables = []
-    for w in range(0, field.n, 8):
-        table = [0]
-        for image in images[w:w + 8]:
-            table += [t ^ image for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    return window_tables(images, 8)
 
 
 def apply_columns(tables, a: int) -> int:

@@ -355,8 +355,8 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     field = sk.field
     n = field.n
     width = 8 * field.lane_bytes  # bits per lane
-    s_cols = sk.s.matrix.transpose().rows
-    t_cols = sk.t.matrix.transpose().rows
+    s_cols = sk.s.columns
+    t_cols = sk.t.columns
     s_frob = [field.frobenius(col) for col in s_cols]
     s_lanes, frob_lanes, t_lanes = map(field.pack_lanes, (s_cols, s_frob, t_cols))
     u0, v0 = sk.s.translation, sk.t.translation

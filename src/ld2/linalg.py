@@ -4,8 +4,12 @@ Vectors are ints (bit j holds coordinate j + 1) and matrices are tuples of
 row ints, which keeps Gaussian elimination down to word-wide xors; one
 forward elimination serves rank, solve_linear and invert_matrix, and one bit
 transpose, bit_columns, serves BitMatrix.transpose and public-key
-derivation.  AffineMap eliminates only in inverse(); keys.SecretKey checks
-both secret maps and keeps s^-1.  Keygen's xorshift64* generator is here too.
+derivation.  window_tables tabulates an F_2-linear map from the images of
+the basis vectors, one table per window of input bits; AffineMap applies its
+matrix through 4-bit window tables built once per map, and gf2n's Frobenius
+maps go through byte-window ones.  AffineMap eliminates only in inverse();
+keys.SecretKey checks both secret maps and keeps s^-1.  Keygen's xorshift64*
+generator is here too.
 """
 
 from __future__ import annotations
@@ -32,6 +36,19 @@ def bit_columns(data: bytes, stride: int, count: int) -> list[int]:
     return [int(slices[i >> 3].translate(_BIT_DIGITS[i & 7]), 2) for i in range(count)]
 
 
+def window_tables(images, width: int) -> tuple[tuple[int, ...], ...]:
+    """Window tables of the F_2-linear map that sends basis vector j to
+    images[j]: table w maps a width-bit value v to the image of
+    v << (w * width), the xor of the images its bits select."""
+    tables = []
+    for w in range(0, len(images), width):
+        table = [0]
+        for image in images[w:w + width]:
+            table += [t ^ image for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 class SingularMatrixError(ValueError):
     """Raised when elimination meets a matrix without full rank."""
 
@@ -47,7 +64,7 @@ class BitMatrix:
         object.__setattr__(self, "rows", tuple(self.rows))
         if not self.rows or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if any(not 0 <= row < 1 << self.cols for row in self.rows):
+        if min(self.rows) < 0 or max(self.rows) >> self.cols:
             raise ValueError("row does not fit the column count")
 
     @property
@@ -152,17 +169,26 @@ def invert_matrix(matrix: BitMatrix) -> BitMatrix:
         raise SingularMatrixError("matrix is singular")
     # with full rank, row col has its pivot in column col
     for col in range(n - 1, 0, -1):
+        bit = 1 << col  # a mask test, as in _echelon
+        lead = rows[col]
         for i in range(col):
-            if rows[i] >> col & 1:
-                rows[i] ^= rows[col]
+            if rows[i] & bit:
+                rows[i] ^= lead
     return BitMatrix(tuple(row >> n for row in rows), n)
 
 
 class AffineMap:
     """Affine transformation x -> Ax + c on GF(2)^n; construction does no
-    elimination."""
+    elimination.
 
-    __slots__ = ("matrix", "translation")
+    Construction tabulates A by 4-bit windows of its columns, and apply
+    looks x up byte by byte in a pair of 16-entry tables, one per nibble:
+    about 25 KB per map at n = 129.  Every secret-key construction builds
+    three maps, so the windows are nibbles: byte windows apply about twice
+    as fast but take about three times as long to build.
+    """
+
+    __slots__ = ("matrix", "translation", "_windows")
 
     def __init__(self, matrix: BitMatrix, translation: int):
         if matrix.nrows != matrix.cols:
@@ -171,18 +197,35 @@ class AffineMap:
             raise ValueError("translation length mismatch")
         self.matrix = matrix
         self.translation = translation
+        tables = window_tables(matrix.transpose().rows, 4)
+        # (low nibble, high nibble) tables for each byte of x
+        self._windows = tuple(zip(tables[::2], tables[1::2] + ((0,),)))
 
     @property
     def n(self) -> int:
         return self.matrix.cols
 
+    @property
+    def columns(self) -> list[int]:
+        """The columns of A, read back from the tables: column j is the
+        image of the basis vector 1 << j."""
+        return [self._windows[j >> 3][j >> 2 & 1][1 << (j & 3)] for j in range(self.n)]
+
     def apply(self, x: int) -> int:
-        return self.matrix.mul_vec(x) ^ self.translation
+        if not 0 <= x < 1 << self.matrix.cols:
+            raise ValueError("vector length mismatch")
+        acc = self.translation
+        windows = self._windows
+        for (low, high), byte in zip(windows, x.to_bytes(len(windows), "little")):
+            acc ^= low[byte & 15] ^ high[byte >> 4]
+        return acc
 
     def inverse(self) -> AffineMap:
         """u -> A^-1 (u + c); raises SingularMatrixError if A is singular."""
-        inverse = invert_matrix(self.matrix)
-        return AffineMap(inverse, inverse.mul_vec(self.translation))
+        inverse = AffineMap(invert_matrix(self.matrix), 0)
+        # its translation A^-1 c, through its own tables
+        inverse.translation = inverse.apply(self.translation)
+        return inverse
 
     def __eq__(self, other) -> bool:
         return (

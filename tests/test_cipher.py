@@ -113,6 +113,28 @@ def test_decrypt_performs_exactly_one_exponentiation(monkeypatch, toy_sk):
         assert len(residuals) == 1
 
 
+def test_decrypt_and_sign_make_no_mul_vec_call(monkeypatch, toy_sk):
+    # s, t and s^-1 apply through their window tables; mul_vec is an oracle
+    from ld2.linalg import BitMatrix
+
+    calls = []
+    original = BitMatrix.mul_vec
+
+    def counting_mul_vec(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(BitMatrix, "mul_vec", counting_mul_vec)
+    sk, _ = keygen(33, seed=0x3A)
+    for key in (toy_sk, sk):
+        for y in range(8):
+            decrypt_block(key, y)
+            sign(key, y)
+    assert calls == []
+    toy_sk.t.matrix.mul_vec(0)  # the counter does count
+    assert calls == [0]
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_candidate_structure(n):
     # exactly one candidate value works for every ciphertext, and it is

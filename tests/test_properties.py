@@ -1,8 +1,9 @@
 """Property-based tests of invariants the acceptance criteria check only at
 a few sizes: the Frobenius map, the Itoh-Tsujii chain in Field.pow against
-square and multiply, the lane-packed product Field.mul_lanes against
+square and multiply, Field.trace against the sum of squares it replaced, the lane-packed product Field.mul_lanes against
 Field.mul lane by lane (test_mul_lanes_matches_mul_lane_by_lane), GF(2)
-transpose, rank, solving and inversion on any shape, the packed equation
+transpose, rank, solving and inversion on any shape, AffineMap.apply's window
+tables against BitMatrix.mul_vec, the packed equation
 layout, public-key derivation (against the residual, and against one
 Field.mul per coefficient with a bitwise transpose in
 test_derive_public_key_matches_per_coefficient_reference), encryption
@@ -39,9 +40,12 @@ from ld2.keys import (
     relation_residual,
 )
 from ld2.linalg import (
+    AffineMap,
     BitMatrix,
+    Prng,
     SingularMatrixError,
     invert_matrix,
+    random_invertible,
     rank,
     solve_linear,
 )
@@ -161,6 +165,71 @@ def test_solve_and_invert_fail_exactly_on_singular(m, b):
     else:
         assert m.mul_vec(solve_linear(m, b)) == b
         assert invert_matrix(m).mul_mat(m) == BitMatrix.identity(n)
+
+
+@st.composite
+def invertible_matrices(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    return random_invertible(n, Prng(draw(st.integers(0, (1 << 64) - 1))))
+
+
+def _check_affine(m, c, x):
+    """apply against mul_vec, the columns read back from the window tables
+    against the transpose, and inverse() against apply when A is
+    invertible; at x = 0, x all ones and the given x."""
+    f = AffineMap(m, c)
+    n = m.cols
+    assert f.columns == list(m.transpose().rows)
+    xs = (0, (1 << n) - 1, x)
+    for v in xs:
+        assert f.apply(v) == m.mul_vec(v) ^ c
+    if rank(m) == n:
+        g = f.inverse()
+        for v in xs:
+            assert g.apply(f.apply(v)) == v
+
+
+@given(
+    bit_matrices(max_rows=40, square=True) | invertible_matrices(40),
+    st.integers(0, (1 << 40) - 1),
+    st.integers(0, (1 << 40) - 1),
+)
+@example(BitMatrix.identity(1), 1, 1)
+@example(BitMatrix.identity(4), 0b1010, 0b0110)
+@example(BitMatrix((0b11, 0b11), 2), 0, 0b01)
+def test_affine_apply_matches_mul_vec(m, c, x):
+    # n = 1..40, so n is mostly not a multiple of the 4-bit window or the byte
+    mask = (1 << m.cols) - 1
+    _check_affine(m, c & mask, x & mask)
+
+
+@pytest.mark.parametrize("n", [129, 257])
+def test_affine_apply_matches_mul_vec_large(n):
+    prng = Prng(n)
+    rng = random.Random(n)
+    singular = BitMatrix(tuple(rng.randrange(1 << n) for _ in range(n - 1)) + (0,), n)
+    for m in (random_invertible(n, prng), random_invertible(n, prng), singular):
+        _check_affine(m, rng.randrange(1 << n), rng.randrange(1 << n))
+
+
+def _trace_by_squaring(field, a):
+    """a + a^2 + a^4 + ... + a^(2^(n-1)), one squaring per term."""
+    acc = t = a
+    for _ in range(field.n - 1):
+        t = field.sqr(t)
+        acc ^= t
+    return acc
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 33, 65, 129, 257])
+@settings(deadline=None, max_examples=5)
+@given(data=st.data())
+def test_trace_matches_the_sum_of_squares(n, data):
+    field = Field(n)
+    basis = [1 << j for j in range(n)]
+    drawn = data.draw(st.lists(st.integers(0, field.order - 1), min_size=1, max_size=8))
+    for a in basis + drawn:
+        assert field.trace(a) == _trace_by_squaring(field, a)
 
 
 def _full(n):
