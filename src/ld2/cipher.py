@@ -1,8 +1,8 @@
 """Block encryption and decryption, signatures, and message-level framing.
 
 Encryption substitutes the plaintext block into the public equations,
-which leaves a linear system in the ciphertext bits to be solved by
-Gaussian elimination.  Decryption inverts the central map with a single
+which leaves a linear system in the ciphertext bits to be solved by the
+Method of Four Russians (linalg.solve_linear).  Decryption inverts the central map with a single
 field exponentiation; the central map is a bijection, so the preimage is
 unique and is always the second of the two candidates the inversion
 formula gives.  Signing is decryption of the digest; verification is

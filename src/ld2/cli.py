@@ -8,6 +8,7 @@ stderr), 2 failed signature verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -51,7 +52,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ld2 parser, built once per process: building it costs about 30
+    times what parsing one command line does.  It holds no state between
+    calls, and the handlers look up what they call at call time."""
     parser = _Parser(prog="ld2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

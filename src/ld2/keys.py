@@ -32,8 +32,14 @@ selected lane, and multiplying that by z, which is at most one lane wide,
 again adds copies that do not overlap.  With x fixed, the XOR v of lane
 n and the lanes that x selects is the whole equation in y: bits n..2n-1
 of v are the coefficients of y, and parity(v & x) ^ v_2n is the rest.
-linear_system folds the selected lanes together in log2(n + 1) halving
-steps, without a loop over the bits of x.
+
+linear_system takes those XORs for all n equations at once, from a
+lane-major copy of the key (the bitsliced evaluation of Berbain, Billet
+and Gilbert, SAC 2006, turned on its side): L_j holds lane j of every
+form, one byte-aligned chunk per form, so L_n XOR every L_j with x_j = 1
+holds v for equation i in chunk i.  The copy is about n^3 / 4 bytes
+(0.6 MB at n = 129) and is built from the forms' bytes on the first
+linear_system call; holds, verification and the key codec never build it.
 
 Key files are line oriented:
 
@@ -69,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -86,7 +93,6 @@ class _Layout(NamedTuple):
     comb: int
     diagonal: int
     valid: int  # the bits a form may set
-    folds: tuple[tuple[int, int], ...]  # (shift, low mask), each halving the lanes
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,16 +102,10 @@ def _layout(n: int) -> _Layout:
     low = (1 << n) - 1
     # lane j may use a_jk for k > j and every b_jk; lane n is all valid
     valid = sum(((low << n | low) & ~((2 << j) - 1)) << (j * w) for j in range(n))
-    folds = []
-    lanes = n + 1
-    while lanes > 1:
-        lanes = (lanes + 1) // 2
-        folds.append((lanes * w, (1 << lanes * w) - 1))
     return _Layout(
         sum(1 << (2 * n * k) for k in range(n)),
         sum(1 << (j * w) for j in range(n)),
         valid | ((1 << w) - 1) << (n * w),
-        tuple(folds),
     )
 
 
@@ -138,14 +138,37 @@ def _file_masks(n: int) -> tuple:
     return tuple(plans)
 
 
-def _lane_starts(n: int, x: int) -> int:
-    """A set bit at the start of lane n and of every lane j with x_j = 1."""
-    layout = _layout(n)
-    return (x * layout.comb) & layout.diagonal | 1 << (n * (2 * n + 1))
-
-
 def _outer(n: int, x: int, y: int) -> int:
-    return _lane_starts(n, x) * (x | y << n | 1 << 2 * n)
+    layout = _layout(n)
+    # a set bit at the start of lane n and of every lane j with x_j = 1
+    starts = (x * layout.comb) & layout.diagonal | 1 << (n * (2 * n + 1))
+    return starts * (x | y << n | 1 << 2 * n)
+
+
+def _chunk_bytes(n: int) -> int:
+    """Bytes per chunk of the lane-major copy: enough for a lane of 2n + 1
+    bits that starts at any bit of its first byte."""
+    return (2 * n + 15) // 8
+
+
+def _lane_major(n: int, equations) -> tuple[int, ...]:
+    """The lane-major copy of the forms: entry j holds lane j of form i in
+    chunk i, bits 0..2n of bytes i*c .. (i + 1)*c - 1, c = _chunk_bytes(n).
+
+    Lane j starts at bit j*w of a form, so its chunk is the c bytes of the
+    form from byte j*w // 8 on, shifted right by j*w % 8.  The bits above 2n
+    of a chunk spill over from the bytes around the lane, and every read
+    masks them off.
+    """
+    w = 2 * n + 1
+    size = _chunk_bytes(n)
+    records = [eq.form.to_bytes(n * w // 8 + size, "little") for eq in equations]
+    lanes = []
+    for j in range(n + 1):
+        start, shift = divmod(j * w, 8)
+        chunks = b"".join([record[start:start + size] for record in records])
+        lanes.append(int.from_bytes(chunks, "little") >> shift)
+    return tuple(lanes)
 
 
 @dataclass(frozen=True)
@@ -215,9 +238,13 @@ class QuadraticEquation:
 
 
 class PublicKey:
-    """The n public quadratic equations over F(2^n), n = 2m - 1."""
+    """The n public quadratic equations over F(2^n), n = 2m - 1.
 
-    __slots__ = ("n", "equations")
+    _lanes is the lane-major copy of the forms (module docstring), built by
+    the first linear_system call and by nothing else.
+    """
+
+    __slots__ = ("n", "equations", "_lanes")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -229,6 +256,7 @@ class PublicKey:
             raise ValueError("equation size mismatch")
         self.n = n
         self.equations = equations
+        self._lanes = None
 
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y)."""
@@ -239,22 +267,23 @@ class PublicKey:
         return not any((eq.form & outer).bit_count() & 1 for eq in self.equations)
 
     def linear_system(self, x: int):
-        """Matrix and right-hand side of the linear system in y at fixed x."""
+        """Matrix and right-hand side of the linear system in y at fixed x,
+        from the lane-major copy, which the first call builds."""
         n = self.n
         if not 0 <= x < 1 << n:
             raise ValueError("block length mismatch")
-        folds = _layout(n).folds
-        select = _lane_starts(n, x) * ((1 << (2 * n + 1)) - 1)
+        if self._lanes is None:
+            self._lanes = _lane_major(n, self.equations)
+        lanes = self._lanes
+        selected = itertools.compress(lanes, map(int, reversed(f"{x:0{n}b}")))
+        size = _chunk_bytes(n)
+        data = functools.reduce(operator.xor, selected, lanes[n]).to_bytes(n * size, "little")
+        # chunk i is v_i, the XOR of lane n and the lanes x selects in form i
+        chunks = [int.from_bytes(data[k:k + size], "little") for k in range(0, n * size, size)]
         low = (1 << n) - 1
-        rows = []
-        rhs = 0
-        for i, eq in enumerate(self.equations):
-            v = eq.form & select
-            for shift, mask in folds:
-                v = (v & mask) ^ (v >> shift)
-            rows.append(v >> n & low)
-            rhs |= (((v & x).bit_count() ^ v >> 2 * n) & 1) << i
-        return BitMatrix(rows, n), rhs
+        terms = x | 1 << 2 * n
+        rhs = sum(((v & terms).bit_count() & 1) << i for i, v in enumerate(chunks))
+        return BitMatrix([v >> n & low for v in chunks], n), rhs
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,15 +1,18 @@
 """Vectors, matrices and affine maps over GF(2).
 
 Vectors are ints (bit j holds coordinate j + 1) and matrices are tuples of
-row ints, which keeps Gaussian elimination down to word-wide xors; one
-forward elimination serves rank, solve_linear and invert_matrix, and one bit
-transpose, bit_columns, serves BitMatrix.transpose and public-key
-derivation.  window_tables tabulates an F_2-linear map from the images of
-the basis vectors, one table per window of input bits; AffineMap applies its
-matrix through 4-bit window tables built once per map, and gf2n's Frobenius
-maps go through byte-window ones.  AffineMap eliminates only in inverse();
-keys.SecretKey checks both secret maps and keeps s^-1.  Keygen's xorshift64*
-generator is here too.
+row ints, which keeps elimination down to word-wide xors.  One
+elimination, _echelon, serves rank, solve_linear and invert_matrix: the
+Method of Four Russians, which clears k columns from each row with one
+table lookup, so an n x n matrix takes O(n^3 / log n) bit operations
+against Gaussian elimination's O(n^3).  One bit transpose, bit_columns,
+serves BitMatrix.transpose and public-key derivation.  window_tables
+tabulates an F_2-linear map from the images of the basis vectors, one table
+per window of input bits: the elimination's tables of pivot sums, 4-bit
+window tables that AffineMap applies its matrix through, built once per
+map, and gf2n's byte-window Frobenius tables.  AffineMap eliminates only in
+inverse(); keys.SecretKey checks both secret maps and keeps s^-1.  Keygen's
+xorshift64* generator is here too.
 """
 
 from __future__ import annotations
@@ -114,22 +117,61 @@ class BitMatrix:
         return cls(tuple((value >> (i * cols)) & mask for i in range(nrows)), cols)
 
 
-def _echelon(rows: list[int], cols: int) -> tuple[list[int], int]:
-    """Row echelon form, in place, and rank of the low `cols` bits of rows:
-    first-nonzero pivoting, columns without a pivot skipped.  Higher bits
-    ride along with their row, so a caller augments the matrix there."""
+def _echelon(rows: list[int], cols: int, low: int = 0, reduced: bool = False):
+    """Row echelon form, in place, and rank of the matrix in bits
+    low .. low + cols - 1 of rows.  Lower bits ride along, so a caller
+    augments the matrix there.  Columns are eliminated from the top down:
+    row i holds the pivot of the i-th highest pivot column and is zero
+    above it.
+
+    The elimination is the Method of Four Russians (Bard, IACR ePrint
+    2006/251), k columns at a time.  The pivots of a block are found by
+    Gauss-Jordan elimination among themselves, and a column without a pivot
+    ends the block early and is skipped.  Each row below then clears the
+    whole block with one lookup and one xor in the table of the 2^k sums of
+    the pivots.  The rows below are zero above the block, so the lookup
+    index is one shift.  With reduced, the rows above clear the block too,
+    which leaves the reduced echelon form.
+
+    k grows with cols: the table costs 2^k xors per block and the rows cost
+    one lookup per k columns each.
+    """
+    k = max(1, cols.bit_length() - 3)
+    m = len(rows)
     r = 0
-    for col in range(cols):
-        bit = 1 << col  # a mask test builds no shifted copy of the row
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i] & bit:
-                rows[i] ^= lead
-        r += 1
+    hi = low + cols  # rows r and below are zero in columns hi and up
+    while hi > low and r < m:
+        stop = max(hi - k, low)
+        p, j = r, hi - 1
+        while j >= stop and p < m:
+            for i in range(p, m):
+                row = rows[i]
+                if row >> j:  # else the row is zero in columns j and up
+                    for l in range(r, p):  # row l holds column hi - 1 - (l - r)
+                        if row >> (hi - 1 + r - l) & 1:
+                            row ^= rows[l]
+                    rows[i] = row
+                    if row >> j:
+                        break
+            else:
+                break  # column j has no pivot
+            rows[i] = rows[p]
+            for l in range(r, p):
+                if rows[l] >> j & 1:
+                    rows[l] ^= row
+            rows[p] = row
+            p += 1
+            j -= 1
+        if p > r:
+            # entry v: the sum of the pivots whose columns are the set bits of
+            # v << (j + 1), since each pivot is zero in the others' columns
+            table = window_tables(rows[r:p][::-1], p - r)[0]
+            rows[p:] = [row ^ table[row >> (j + 1)] for row in rows[p:]]
+            if reduced:
+                mask = len(table) - 1
+                rows[:r] = [row ^ table[row >> (j + 1) & mask] for row in rows[:r]]
+        hi = j + (j < stop)  # past a column without a pivot
+        r = p
     return rows, r
 
 
@@ -146,35 +188,32 @@ def solve_linear(matrix: BitMatrix, b: int) -> int:
         raise ValueError("matrix must be square")
     if not 0 <= b < 1 << n:
         raise ValueError("right-hand side length mismatch")
-    # right-hand side rides along in bit n of each working row
-    rows = [row | (((b >> i) & 1) << n) for i, row in enumerate(matrix.rows)]
-    rows, r = _echelon(rows, n)
+    # right-hand side rides along in bit 0 of each working row
+    rows = [row << 1 | (b >> i & 1) for i, row in enumerate(matrix.rows)]
+    rows, r = _echelon(rows, n, 1)
     if r < n:
         raise SingularMatrixError("matrix is singular")
+    # row n - s holds the pivot of column s - 1, which sits at bit s; y is
+    # kept shifted up by one, clear of the right-hand side
     y = 0
-    for col in range(n - 1, -1, -1):
-        bit = ((rows[col] >> n) & 1) ^ ((rows[col] & y).bit_count() & 1)
-        y |= bit << col
-    return y
+    for s, row in enumerate(reversed(rows), 1):
+        y |= (((row & y).bit_count() ^ row) & 1) << s
+    return y >> 1
 
 
 def invert_matrix(matrix: BitMatrix) -> BitMatrix:
-    """Inverse over GF(2): forward elimination of [M | I], then clearing above
-    each pivot.  Raises SingularMatrixError unless M has full rank."""
+    """Inverse over GF(2): reduced echelon form of [M | I].  Raises
+    SingularMatrixError unless M has full rank."""
     n = matrix.cols
     if matrix.nrows != n:
         raise ValueError("matrix must be square")
-    rows, r = _echelon([row | (1 << (n + i)) for i, row in enumerate(matrix.rows)], n)
+    rows = [row << n | 1 << i for i, row in enumerate(matrix.rows)]
+    rows, r = _echelon(rows, n, n, reduced=True)
     if r < n:
         raise SingularMatrixError("matrix is singular")
-    # with full rank, row col has its pivot in column col
-    for col in range(n - 1, 0, -1):
-        bit = 1 << col  # a mask test, as in _echelon
-        lead = rows[col]
-        for i in range(col):
-            if rows[i] & bit:
-                rows[i] ^= lead
-    return BitMatrix(tuple(row >> n for row in rows), n)
+    # row n - 1 - a is e_a in the high half, so its low half is row a of M^-1
+    low = (1 << n) - 1
+    return BitMatrix(tuple(row & low for row in reversed(rows)), n)
 
 
 class AffineMap:

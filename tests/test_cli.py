@@ -173,6 +173,23 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert f"at most {MAX_N}" in err
 
 
+def test_one_process_keeps_each_call_apart(tmp_path, capsys):
+    # the parser is built once per process; no call leaks into the next
+    secret, _ = _keygen(tmp_path, 5, seed="5")
+    capsys.readouterr()
+    assert main(["sign", "--secret", str(secret)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "--digest" in err
+    assert main(["sign", "--secret", str(secret), "--digest", "15"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out) == 3 and out.endswith("\n") and err == ""
+    assert main(["sign", "--secret", str(secret), "--digest", "zz"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --digest: invalid hex string (n = 5 takes 2 hex digits)\n"
+
+
 def test_inspect_hides_secrets_by_default(tmp_path, capsys):
     secret, public = _keygen(tmp_path, 3, seed="1")
     capsys.readouterr()

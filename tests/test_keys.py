@@ -234,6 +234,33 @@ def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
     assert calls == expected
 
 
+def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
+    # keygen, the key codec and verification never pay for the copy
+    import ld2.keys as keys_mod
+    from ld2.cipher import encrypt_block, encrypt_message, sign, verify
+
+    builds = []
+    original = keys_mod._lane_major
+
+    def counted(n, equations):
+        builds.append(n)
+        return original(n, equations)
+
+    monkeypatch.setattr(keys_mod, "_lane_major", counted)
+    sk, pk = keygen(9, seed=0x1A2E)
+    decoded = decode_key(encode_key(pk))
+    for key in (pk, decoded):
+        assert key.holds(1, 2) in (True, False)
+        assert verify(key, 3, sign(sk, 3))
+    assert builds == [] and pk._lanes is None and decoded._lanes is None
+    first = encrypt_block(pk, 5)
+    assert encrypt_block(pk, 5) == first
+    encrypt_message(pk, b"lane-major")
+    assert builds == [9]
+    assert encrypt_block(decoded, 5) == first
+    assert builds == [9, 9]
+
+
 def test_toy_secret_encoding_is_stable(toy_sk):
     assert encode_key(toy_sk) == (
         "LD2-SECRET v1\n"

@@ -144,20 +144,45 @@ def test_transpose_matches_bitwise_reference(m):
     assert m.transpose() == _reference_transpose(m)
 
 
-@given(bit_matrices())
+def _reference_rank(m):
+    """Rank by plain Gaussian elimination, one column at a time."""
+    rows = list(m.rows)
+    r = 0
+    for col in range(m.cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
+        if pivot is not None:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            rows = rows[: r + 1] + [row ^ rows[r] if row >> col & 1 else row for row in rows[r + 1 :]]
+            r += 1
+    return r
+
+
+# the elimination takes k = 1 column per block below 16 columns, 2 from 16
+# and 3 from 32, so shapes up to 40 columns meet partial blocks; examples:
+# a column that loses its only candidates to the block's pivots (bit 38
+# once 39 is cleared), tall and wide full-rank shapes, a pivotless column
+# 17 between pivots at 18 and 16
+@given(bit_matrices(max_rows=10, max_cols=40))
 @example(BitMatrix((0, 0, 0), 4))
 @example(BitMatrix((0b10, 0b10, 0), 2))
+@example(BitMatrix((3 << 38 | 1, 3 << 38 | 2, 1 << 37 | 4, 3), 40))
+@example(BitMatrix(tuple(1 << i for i in range(16)) + ((1 << 16) - 1,), 16))
+@example(BitMatrix(tuple(0b101 << 7 * i | 1 << 30 - i for i in range(5)), 33))
+@example(BitMatrix((1 << 18 | 1, 1 << 16 | 2, 1 << 18 | 1 << 16, 1 << 15), 19))
 def test_rank_is_log_of_row_span(m):
     assert 1 << rank(m) == _span_size(m)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(m.transpose()) == _reference_rank(m)
 
 
-@given(bit_matrices(square=True), st.integers(0, 255))
+# singular matrices up to 40 x 40; the example's column 18 has no pivot
+# after column 19 is cleared, inside the top block of k = 2
+@given(bit_matrices(max_rows=40, square=True), st.integers(0, (1 << 40) - 1))
 @example(BitMatrix((0b011, 0b101, 0b110), 3), 0)
+@example(BitMatrix((3 << 18,) * 2 + tuple(1 << i for i in range(18)), 20), 5)
 def test_solve_and_invert_fail_exactly_on_singular(m, b):
     n = m.cols
     b &= (1 << n) - 1
-    if _span_size(m) < 1 << n:
+    if _reference_rank(m) < n:
         with pytest.raises(SingularMatrixError):
             solve_linear(m, b)
         with pytest.raises(SingularMatrixError):
@@ -165,6 +190,27 @@ def test_solve_and_invert_fail_exactly_on_singular(m, b):
     else:
         assert m.mul_vec(solve_linear(m, b)) == b
         assert invert_matrix(m).mul_mat(m) == BitMatrix.identity(n)
+
+
+@pytest.mark.parametrize("n", [129, 257])
+def test_solve_and_invert_large_against_products(n):
+    prng = Prng(n)
+    rng = random.Random(n)
+    identity = BitMatrix.identity(n)
+    for m in (random_invertible(n, prng), random_invertible(n, prng)):
+        for _ in range(3):
+            b = rng.getrandbits(n)
+            assert m.mul_vec(solve_linear(m, b)) == b
+        inverse = invert_matrix(m)
+        assert inverse.mul_mat(m) == identity and m.mul_mat(inverse) == identity
+    rows = list(random_invertible(n, prng).rows)
+    rows[n // 2] = rows[1] ^ rows[n - 1]
+    singular = BitMatrix(rows, n)
+    assert rank(singular) == n - 1
+    with pytest.raises(SingularMatrixError):
+        solve_linear(singular, 1)
+    with pytest.raises(SingularMatrixError):
+        invert_matrix(singular)
 
 
 @st.composite
@@ -282,9 +328,19 @@ def test_evaluate_matches_terms(eq, data):
     assert eq.evaluate(x, y) == _reference_value(eq, x, y)
 
 
-@given(st.sampled_from([3, 5, 7, 9]), st.data())
-def test_linear_system_and_holds_match_evaluate(n, data):
-    pk = PublicKey(n, [data.draw(equations(n)) for _ in range(n)])
+@settings(deadline=None)
+@given(st.sampled_from([3, 5, 7, 9, 11, 13, 31, 33]), st.integers(0, (1 << 64) - 1), st.data())
+def test_linear_system_and_holds_match_evaluate(n, seed, data):
+    # lanes of 2n + 1 = 3 or 7 mod 8 bits (n = 1 or 3 mod 4) start at every
+    # bit offset of a byte; forms too wide for a Hypothesis integer come from seed
+    if n <= 9:
+        forms = [data.draw(equations(n)).form for _ in range(n)]
+    else:
+        rng = random.Random(seed)
+        valid = _layout(n).valid
+        forms = [rng.choice((0, valid, rng.getrandbits(valid.bit_length()) & valid))
+                 for _ in range(n)]
+    pk = PublicKey(n, [QuadraticEquation(n, form) for form in forms])
     x = data.draw(st.integers(0, (1 << n) - 1))
     y = data.draw(st.integers(0, (1 << n) - 1))
     matrix, rhs = pk.linear_system(x)
@@ -292,6 +348,19 @@ def test_linear_system_and_holds_match_evaluate(n, data):
     for i, row in enumerate(matrix.rows):
         assert ((row & y).bit_count() ^ rhs >> i) & 1 == values[i]
     assert pk.holds(x, y) == (not any(values))
+
+
+@pytest.mark.parametrize("n", [129, 257])
+def test_linear_system_matches_evaluate_on_real_keys(n):
+    pk = keygen(n, seed=0x1A4E + n)[1]
+    rng = random.Random(n)
+    for _ in range(3):
+        x = rng.getrandbits(n)
+        matrix, rhs = pk.linear_system(x)
+        for y in (0, rng.getrandbits(n)):
+            assert matrix.mul_vec(y) ^ rhs == sum(
+                eq.evaluate(x, y) << i for i, eq in enumerate(pk.equations)
+            )
 
 
 @functools.lru_cache(maxsize=None)
