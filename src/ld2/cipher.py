@@ -2,11 +2,11 @@
 
 Encryption substitutes the plaintext block into the public equations,
 which leaves a linear system in the ciphertext bits to be solved by the
-Method of Four Russians (linalg.solve_linear).  Decryption inverts the central map with a single
-field exponentiation; the central map is a bijection, so the preimage is
-unique and is always the second of the two candidates the inversion
-formula gives.  Signing is decryption of the digest; verification is
-evaluation of the public equations.
+Method of Four Russians (linalg.solve_linear).  Decryption inverts the
+central map with a single field exponentiation; the central map is a
+bijection, so the preimage is unique and is always the second of the two
+candidates the inversion formula gives.  Signing is decryption of the
+digest; verification is evaluation of the public equations.
 
 Messages longer than one block use electronic-codebook composition with
 always-appended 10* padding.  That is faithful to the single-block scheme
@@ -87,7 +87,12 @@ def sign(sk: SecretKey, digest: int) -> int:
 
 
 def verify(pk: PublicKey, digest: int, signature: int) -> bool:
-    """Check a signature by evaluating the public equations; no solve needed."""
+    """Check a signature by evaluating the public equations; no solve needed.
+
+    A key that has encrypted checks the first few equations one by one and
+    then all of them at once from its lane-major copy (PublicKey.holds);
+    verify never builds that copy.
+    """
     return pk.holds(signature, digest)
 
 

@@ -39,7 +39,9 @@ and Gilbert, SAC 2006, turned on its side): L_j holds lane j of every
 form, one byte-aligned chunk per form, so L_n XOR every L_j with x_j = 1
 holds v for equation i in chunk i.  The copy is about n^3 / 4 bytes
 (0.6 MB at n = 129) and is built from the forms' bytes on the first
-linear_system call; holds, verification and the key codec never build it.
+linear_system call.  holds reads it when it exists, once the first few
+equations, evaluated one by one, have vanished; holds never builds it,
+and neither do verification and the key codec.
 
 Key files are line oriented:
 
@@ -75,7 +77,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -145,10 +146,22 @@ def _outer(n: int, x: int, y: int) -> int:
     return starts * (x | y << n | 1 << 2 * n)
 
 
+# equations holds evaluates one by one before it reads the lane-major copy
+_GATE = 6
+
+
 def _chunk_bytes(n: int) -> int:
     """Bytes per chunk of the lane-major copy: enough for a lane of 2n + 1
     bits that starts at any bit of its first byte."""
     return (2 * n + 15) // 8
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_masks(n: int) -> tuple[int, int]:
+    """(ones, low): bit 0, and bits 0..n, of every chunk of the lane-major
+    copy."""
+    ones = sum(1 << (8 * _chunk_bytes(n) * i) for i in range(n))
+    return ones, ((1 << n + 1) - 1) * ones
 
 
 def _lane_major(n: int, equations) -> tuple[int, ...]:
@@ -241,7 +254,8 @@ class PublicKey:
     """The n public quadratic equations over F(2^n), n = 2m - 1.
 
     _lanes is the lane-major copy of the forms (module docstring), built by
-    the first linear_system call and by nothing else.
+    the first linear_system call and by nothing else; holds reads it, past
+    its per-equation gate, only when it exists.
     """
 
     __slots__ = ("n", "equations", "_lanes")
@@ -259,12 +273,36 @@ class PublicKey:
         self._lanes = None
 
     def holds(self, x: int, y: int) -> bool:
-        """Whether every public equation vanishes at (x, y)."""
-        top = 1 << self.n
+        """Whether every public equation vanishes at (x, y).
+
+        Without the lane-major copy every equation is evaluated one by one.
+        With it, only the first _GATE are, which lets about one forgery in
+        2^_GATE through; then chunk i of _lane_sum(x) & terms, with
+        terms = x | y << n | 1 << 2n in every chunk, has the parity of
+        equation i, and shift-and-XOR folds take all n parities at once.
+        holds never builds the copy.
+        """
+        n = self.n
+        top = 1 << n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
-        outer = _outer(self.n, x, y)
-        return not any((eq.form & outer).bit_count() & 1 for eq in self.equations)
+        outer = _outer(n, x, y)
+        if self._lanes is None:
+            return not any((eq.form & outer).bit_count() & 1 for eq in self.equations)
+        if any((eq.form & outer).bit_count() & 1 for eq in self.equations[:_GATE]):
+            return False
+        ones, low = _chunk_masks(n)
+        terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
+        v = self._lane_sum(x) & int.from_bytes(terms * n, "little")
+        # bits n+1..2n of each chunk onto bits 0..n-1, then bits 0..n onto
+        # bit 0: a window of the least power of two above n, which stays
+        # inside the chunk (chunks are at least 2n + 8 bits wide)
+        v = (v ^ v >> n + 1) & low
+        shift = 1
+        while shift <= n:
+            v ^= v >> shift
+            shift *= 2
+        return not v & ones
 
     def linear_system(self, x: int):
         """Matrix and right-hand side of the linear system in y at fixed x,
@@ -274,16 +312,23 @@ class PublicKey:
             raise ValueError("block length mismatch")
         if self._lanes is None:
             self._lanes = _lane_major(n, self.equations)
-        lanes = self._lanes
-        selected = itertools.compress(lanes, map(int, reversed(f"{x:0{n}b}")))
         size = _chunk_bytes(n)
-        data = functools.reduce(operator.xor, selected, lanes[n]).to_bytes(n * size, "little")
-        # chunk i is v_i, the XOR of lane n and the lanes x selects in form i
+        data = self._lane_sum(x).to_bytes(n * size, "little")
         chunks = [int.from_bytes(data[k:k + size], "little") for k in range(0, n * size, size)]
         low = (1 << n) - 1
         terms = x | 1 << 2 * n
         rhs = sum(((v & terms).bit_count() & 1) << i for i, v in enumerate(chunks))
         return BitMatrix([v >> n & low for v in chunks], n), rhs
+
+    def _lane_sum(self, x: int) -> int:
+        """Lane n XOR the lanes x selects, from the lane-major copy: chunk i
+        is v_i of form i (module docstring), its bits above 2n unmasked."""
+        n = self.n
+        v = self._lanes[n]
+        for lane, bit in zip(self._lanes, reversed(f"{x:0{n}b}")):
+            if bit == "1":
+                v ^= lane
+        return v
 
     def __eq__(self, other) -> bool:
         return (

@@ -261,6 +261,28 @@ def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
     assert builds == [9, 9]
 
 
+@pytest.mark.parametrize("n", [129, 257])
+def test_holds_agrees_with_and_without_the_lane_major_copy(n):
+    # the decoded key evaluates every equation one by one; the other checks
+    # the gate's one by one, then all of them from the copy.  Both see the
+    # valid pair and every one-bit flip of the signature and of the digest
+    from ld2.cipher import encrypt_block, sign
+
+    sk, pk = keygen(n, seed=0x1A6E + n)
+    encrypt_block(pk, 1)
+    decoded = decode_key(encode_key(pk))
+    assert decoded == pk and pk._lanes is not None and decoded._lanes is None
+    digest = random.Random(n).getrandbits(n)
+    signature = sign(sk, digest)
+    pairs = [(signature, digest)]
+    pairs += [(signature ^ 1 << i, digest) for i in range(n)]
+    pairs += [(signature, digest ^ 1 << i) for i in range(n)]
+    expected = [True] + [False] * (2 * n)
+    assert [pk.holds(*pair) for pair in pairs] == expected
+    assert [decoded.holds(*pair) for pair in pairs] == expected
+    assert decoded._lanes is None
+
+
 def test_toy_secret_encoding_is_stable(toy_sk):
     assert encode_key(toy_sk) == (
         "LD2-SECRET v1\n"

@@ -1,10 +1,12 @@
 """Property-based tests of invariants the acceptance criteria check only at
 a few sizes: the Frobenius map, the Itoh-Tsujii chain in Field.pow against
-square and multiply, Field.trace against the sum of squares it replaced, the lane-packed product Field.mul_lanes against
-Field.mul lane by lane (test_mul_lanes_matches_mul_lane_by_lane), GF(2)
-transpose, rank, solving and inversion on any shape, AffineMap.apply's window
-tables against BitMatrix.mul_vec, the packed equation
-layout, public-key derivation (against the residual, and against one
+square and multiply, Field.trace against the sum of squares it replaced,
+the lane-packed product Field.mul_lanes against Field.mul lane by lane
+(test_mul_lanes_matches_mul_lane_by_lane), GF(2) transpose, rank, solving
+and inversion on any shape, AffineMap.apply's window tables against
+BitMatrix.mul_vec, the packed equation layout, PublicKey.holds with and
+without the lane-major copy (test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
+public-key derivation (against the residual, and against one
 Field.mul per coefficient with a bitwise transpose in
 test_derive_public_key_matches_per_coefficient_reference), encryption
 solvability, message framing, the key-file codec's compress and expand
@@ -343,11 +345,34 @@ def test_linear_system_and_holds_match_evaluate(n, seed, data):
     pk = PublicKey(n, [QuadraticEquation(n, form) for form in forms])
     x = data.draw(st.integers(0, (1 << n) - 1))
     y = data.draw(st.integers(0, (1 << n) - 1))
-    matrix, rhs = pk.linear_system(x)
     values = [eq.evaluate(x, y) for eq in pk.equations]
+    # holds evaluates every equation until linear_system builds the copy
+    assert pk.holds(x, y) == (not any(values))
+    matrix, rhs = pk.linear_system(x)
     for i, row in enumerate(matrix.rows):
         assert ((row & y).bit_count() ^ rhs >> i) & 1 == values[i]
     assert pk.holds(x, y) == (not any(values))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([3, 5, 7, 9, 11, 13, 31, 33, 65]), st.integers(0, (1 << 64) - 1), st.data())
+def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed, data):
+    # random forms whose constants make every equation vanish at (x, y),
+    # then at most one constant flipped: inside the per-equation gate, or
+    # past it, where only the lane-major copy can see it
+    rng = random.Random(seed)
+    valid = _layout(n).valid
+    constant = 1 << n * (2 * n + 3)
+    forms = [rng.getrandbits(valid.bit_length()) & valid & ~constant for _ in range(n)]
+    x, y = rng.getrandbits(n), rng.getrandbits(n)
+    forms = [form | QuadraticEquation(n, form).evaluate(x, y) * constant for form in forms]
+    failing = data.draw(st.none() | st.integers(0, n - 1), label="failing")
+    if failing is not None:
+        forms[failing] ^= constant
+    pk = PublicKey(n, [QuadraticEquation(n, form) for form in forms])
+    assert pk.holds(x, y) == (failing is None)
+    pk.linear_system(x)
+    assert pk.holds(x, y) == (failing is None)
 
 
 @pytest.mark.parametrize("n", [129, 257])
