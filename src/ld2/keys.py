@@ -39,9 +39,18 @@ and Gilbert, SAC 2006, turned on its side): L_j holds lane j of every
 form, one byte-aligned chunk per form, so L_n XOR every L_j with x_j = 1
 holds v for equation i in chunk i.  The copy is about n^3 / 4 bytes
 (0.6 MB at n = 129) and is built from the forms' bytes on the first
-linear_system call.  holds reads it when it exists, once the first few
-equations, evaluated one by one, have vanished; holds never builds it,
-and neither do verification and the key codec.
+linear_system call.  That call also builds holds' gate tables: the first
+min(_GATE, n) = 6 chunks cut off every lane with one AND, lanes 0..n-1
+tabulated by 4-bit windows of x (linalg.nibble_windows, the layout
+AffineMap uses) and lane n kept as the constant.  The gate is then one
+windowed lookup, two 16-entry lookups per byte of x, that gives those six
+chunks of the lane sum, so one AND and one parity fold check the first
+six equations at once.  Only a pair that passes the gate, about one
+forgery in 64, XORs lanes of the whole copy.  With the copy, holds builds
+no outer product.  The gate tables hold 16 ceil(n/4) ints of six chunks:
+about 38 KB at n = 65, 125 KB at n = 129 and 0.45 MB at n = 257.  holds
+never builds the copy or its tables, and neither do verification and the
+key codec.
 
 Key files are line oriented:
 
@@ -82,8 +91,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf2n import Field, bits_to_hex, find_irreducible, hex_to_bits
-from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, bit_columns
-from .linalg import random_invertible, rank
+from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
+from .linalg import bit_columns, nibble_windows, random_invertible, rank
 
 
 class KeyFormatError(ValueError):
@@ -146,7 +155,8 @@ def _outer(n: int, x: int, y: int) -> int:
     return starts * (x | y << n | 1 << 2 * n)
 
 
-# equations holds evaluates one by one before it reads the lane-major copy
+# equations holds checks through the gate tables before it reads the whole
+# lane-major copy
 _GATE = 6
 
 
@@ -162,6 +172,23 @@ def _chunk_masks(n: int) -> tuple[int, int]:
     copy."""
     ones = sum(1 << (8 * _chunk_bytes(n) * i) for i in range(n))
     return ones, ((1 << n + 1) - 1) * ones
+
+
+def _even_chunks(n: int, v: int, terms: bytes, count: int) -> bool:
+    """Whether chunks 0..count - 1 of v & terms, terms the bytes of one
+    chunk repeated count times, all have even parity: chunk i of a lane sum
+    (_lane_sum) then holds the value of equation i at (x, y)."""
+    ones, low = _chunk_masks(n)
+    v &= int.from_bytes(terms * count, "little")
+    # bits n+1..2n of each chunk onto bits 0..n-1, then bits 0..n onto
+    # bit 0: a window of the least power of two above n, which stays
+    # inside the chunk (chunks are at least 2n + 8 bits wide)
+    v = (v ^ v >> n + 1) & low
+    shift = 1
+    while shift <= n:
+        v ^= v >> shift
+        shift *= 2
+    return not v & ones
 
 
 def _lane_major(n: int, equations) -> tuple[int, ...]:
@@ -182,6 +209,15 @@ def _lane_major(n: int, equations) -> tuple[int, ...]:
         chunks = b"".join([record[start:start + size] for record in records])
         lanes.append(int.from_bytes(chunks, "little") >> shift)
     return tuple(lanes)
+
+
+def _gate_tables(n: int, lanes) -> tuple:
+    """(windows, constant): the first min(_GATE, n) chunks of lanes 0..n-1
+    of the lane-major copy as linalg.nibble_windows of x, and of lane n.
+    apply_windows(windows, x, constant) is then _lane_sum(x) cut to those
+    chunks."""
+    cut = (1 << 8 * _chunk_bytes(n) * min(_GATE, n)) - 1
+    return nibble_windows([lane & cut for lane in lanes[:n]]), lanes[n] & cut
 
 
 @dataclass(frozen=True)
@@ -253,12 +289,14 @@ class QuadraticEquation:
 class PublicKey:
     """The n public quadratic equations over F(2^n), n = 2m - 1.
 
-    _lanes is the lane-major copy of the forms (module docstring), built by
-    the first linear_system call and by nothing else; holds reads it, past
-    its per-equation gate, only when it exists.
+    _lanes is the lane-major copy of the forms and _gate its gate tables
+    (module docstring), both built by the first linear_system call and by
+    nothing else.  When they exist holds reads them and builds no outer
+    product: the gate checks the first _GATE equations with one windowed
+    lookup, and only a pair that passes it reads the whole copy.
     """
 
-    __slots__ = ("n", "equations", "_lanes")
+    __slots__ = ("n", "equations", "_lanes", "_gate")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -271,47 +309,44 @@ class PublicKey:
         self.n = n
         self.equations = equations
         self._lanes = None
+        self._gate = None
 
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y).
 
-        Without the lane-major copy every equation is evaluated one by one.
-        With it, only the first _GATE are, which lets about one forgery in
-        2^_GATE through; then chunk i of _lane_sum(x) & terms, with
-        terms = x | y << n | 1 << 2n in every chunk, has the parity of
-        equation i, and shift-and-XOR folds take all n parities at once.
-        holds never builds the copy.
+        Without the lane-major copy every equation is evaluated one by one
+        against the outer product.  With it, chunk i of a lane sum ANDed
+        with terms = x | y << n | 1 << 2n in every chunk has the parity of
+        equation i, and _even_chunks folds them all at once.  The gate
+        tables give the first min(_GATE, n) chunks of the lane sum in two
+        lookups per byte of x, which lets about one forgery in 2^_GATE
+        through to _lane_sum(x) over the whole copy.  holds never builds
+        the copy or the tables.
         """
         n = self.n
         top = 1 << n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
-        outer = _outer(n, x, y)
         if self._lanes is None:
+            outer = _outer(n, x, y)
             return not any((eq.form & outer).bit_count() & 1 for eq in self.equations)
-        if any((eq.form & outer).bit_count() & 1 for eq in self.equations[:_GATE]):
-            return False
-        ones, low = _chunk_masks(n)
         terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
-        v = self._lane_sum(x) & int.from_bytes(terms * n, "little")
-        # bits n+1..2n of each chunk onto bits 0..n-1, then bits 0..n onto
-        # bit 0: a window of the least power of two above n, which stays
-        # inside the chunk (chunks are at least 2n + 8 bits wide)
-        v = (v ^ v >> n + 1) & low
-        shift = 1
-        while shift <= n:
-            v ^= v >> shift
-            shift *= 2
-        return not v & ones
+        windows, constant = self._gate
+        return _even_chunks(
+            n, apply_windows(windows, x, constant), terms, min(_GATE, n)
+        ) and _even_chunks(n, self._lane_sum(x), terms, n)
 
     def linear_system(self, x: int):
         """Matrix and right-hand side of the linear system in y at fixed x,
-        from the lane-major copy, which the first call builds."""
+        from the lane-major copy, which the first call builds together with
+        holds' gate tables."""
         n = self.n
         if not 0 <= x < 1 << n:
             raise ValueError("block length mismatch")
         if self._lanes is None:
-            self._lanes = _lane_major(n, self.equations)
+            lanes = _lane_major(n, self.equations)
+            self._gate = _gate_tables(n, lanes)
+            self._lanes = lanes
         size = _chunk_bytes(n)
         data = self._lane_sum(x).to_bytes(n * size, "little")
         chunks = [int.from_bytes(data[k:k + size], "little") for k in range(0, n * size, size)]

@@ -8,9 +8,10 @@ table lookup, so an n x n matrix takes O(n^3 / log n) bit operations
 against Gaussian elimination's O(n^3).  One bit transpose, bit_columns,
 serves BitMatrix.transpose and public-key derivation.  window_tables
 tabulates an F_2-linear map from the images of the basis vectors, one table
-per window of input bits: the elimination's tables of pivot sums, 4-bit
-window tables that AffineMap applies its matrix through, built once per
-map, and gf2n's byte-window Frobenius tables.  AffineMap eliminates only in
+per window of input bits: the elimination's tables of pivot sums, the
+4-bit windows (nibble_windows, apply_windows) that AffineMap applies its
+matrix through and keys.PublicKey its verification gate, each built once,
+and gf2n's byte-window Frobenius tables.  AffineMap eliminates only in
 inverse(); keys.SecretKey checks both secret maps and keeps s^-1.  Keygen's
 xorshift64* generator is here too.
 """
@@ -50,6 +51,21 @@ def window_tables(images, width: int) -> tuple[tuple[int, ...], ...]:
             table += [t ^ image for t in table]
         tables.append(tuple(table))
     return tuple(tables)
+
+
+def nibble_windows(images) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """window_tables(images, 4) as one (low nibble, high nibble) pair of
+    16-entry tables per byte of input, the layout apply_windows reads."""
+    tables = window_tables(images, 4)
+    return tuple(zip(tables[::2], tables[1::2] + ((0,),)))
+
+
+def apply_windows(windows, x: int, acc: int) -> int:
+    """acc xor the image of x under the map of nibble_windows: two lookups
+    per byte of x, which must fit in len(windows) bytes."""
+    for (low, high), byte in zip(windows, x.to_bytes(len(windows), "little")):
+        acc ^= low[byte & 15] ^ high[byte >> 4]
+    return acc
 
 
 class SingularMatrixError(ValueError):
@@ -236,9 +252,7 @@ class AffineMap:
             raise ValueError("translation length mismatch")
         self.matrix = matrix
         self.translation = translation
-        tables = window_tables(matrix.transpose().rows, 4)
-        # (low nibble, high nibble) tables for each byte of x
-        self._windows = tuple(zip(tables[::2], tables[1::2] + ((0,),)))
+        self._windows = nibble_windows(matrix.transpose().rows)
 
     @property
     def n(self) -> int:
@@ -253,11 +267,7 @@ class AffineMap:
     def apply(self, x: int) -> int:
         if not 0 <= x < 1 << self.matrix.cols:
             raise ValueError("vector length mismatch")
-        acc = self.translation
-        windows = self._windows
-        for (low, high), byte in zip(windows, x.to_bytes(len(windows), "little")):
-            acc ^= low[byte & 15] ^ high[byte >> 4]
-        return acc
+        return apply_windows(self._windows, x, self.translation)
 
     def inverse(self) -> AffineMap:
         """u -> A^-1 (u + c); raises SingularMatrixError if A is singular."""

@@ -235,37 +235,82 @@ def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
 
 
 def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
-    # keygen, the key codec and verification never pay for the copy
+    # keygen, the key codec and verification never pay for the copy or its
+    # gate tables; the first linear_system call builds both
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, encrypt_message, sign, verify
 
     builds = []
-    original = keys_mod._lane_major
+    for name in ("_lane_major", "_gate_tables"):
+        original = getattr(keys_mod, name)
 
-    def counted(n, equations):
-        builds.append(n)
-        return original(n, equations)
+        def counted(n, parts, name=name, original=original):
+            builds.append((name, n))
+            return original(n, parts)
 
-    monkeypatch.setattr(keys_mod, "_lane_major", counted)
+        monkeypatch.setattr(keys_mod, name, counted)
     sk, pk = keygen(9, seed=0x1A2E)
     decoded = decode_key(encode_key(pk))
-    for key in (pk, decoded):
+
+    def check(key):
         assert key.holds(1, 2) in (True, False)
         assert verify(key, 3, sign(sk, 3))
+        assert not verify(key, 3, sign(sk, 3) ^ 1)
+
+    for key in (pk, decoded):
+        check(key)
     assert builds == [] and pk._lanes is None and decoded._lanes is None
+    assert pk._gate is None and decoded._gate is None
     first = encrypt_block(pk, 5)
+    both = [("_lane_major", 9), ("_gate_tables", 9)]
+    assert builds == both and pk._gate is not None
     assert encrypt_block(pk, 5) == first
     encrypt_message(pk, b"lane-major")
-    assert builds == [9]
+    check(pk)
+    assert builds == both
     assert encrypt_block(decoded, 5) == first
-    assert builds == [9, 9]
+    assert builds == both * 2
+
+
+@pytest.mark.parametrize("n", [9, 65])
+def test_holds_builds_no_outer_product_with_the_copy(n, monkeypatch):
+    # with the copy, valid pairs and forgeries go through the gate tables
+    # and the copy alone; a decoded key without it builds one outer product
+    # per holds
+    import ld2.keys as keys_mod
+    from ld2.cipher import sign, verify
+
+    sk, pk = keygen(n, seed=0x1A7E + n)
+    decoded = decode_key(encode_key(pk))
+    outers = []
+    original = keys_mod._outer
+
+    def counted(n, x, y):
+        outers.append(n)
+        return original(n, x, y)
+
+    monkeypatch.setattr(keys_mod, "_outer", counted)
+    pk.linear_system(1)
+    rng = random.Random(n)
+    pairs, expected = [], []
+    for _ in range(4):
+        digest = rng.getrandbits(n)
+        signature = sign(sk, digest)
+        pairs += [(signature, digest)] + [(signature ^ 1 << i, digest) for i in range(n)]
+        expected += [True] + [False] * n
+    assert [verify(pk, digest, signature) for signature, digest in pairs] == expected
+    assert outers == []
+    assert [decoded.holds(*pair) for pair in pairs] == expected
+    assert outers == [n] * len(pairs)
+    assert decoded._lanes is None
 
 
 @pytest.mark.parametrize("n", [129, 257])
 def test_holds_agrees_with_and_without_the_lane_major_copy(n):
-    # the decoded key evaluates every equation one by one; the other checks
-    # the gate's one by one, then all of them from the copy.  Both see the
-    # valid pair and every one-bit flip of the signature and of the digest
+    # the decoded key evaluates every equation against the outer product;
+    # the other checks the gate's through its tables, then all of them from
+    # the copy.  Both see the valid pair and every one-bit flip of the
+    # signature and of the digest
     from ld2.cipher import encrypt_block, sign
 
     sk, pk = keygen(n, seed=0x1A6E + n)

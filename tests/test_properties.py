@@ -30,6 +30,7 @@ from ld2.keys import (
     KeyFormatError,
     PublicKey,
     QuadraticEquation,
+    _GATE,
     _body_layout,
     _file_fields,
     _from_file_fields,
@@ -358,16 +359,21 @@ def test_linear_system_and_holds_match_evaluate(n, seed, data):
 @given(st.sampled_from([3, 5, 7, 9, 11, 13, 31, 33, 65]), st.integers(0, (1 << 64) - 1), st.data())
 def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed, data):
     # random forms whose constants make every equation vanish at (x, y),
-    # then at most one constant flipped: inside the per-equation gate, or
-    # past it, where only the lane-major copy can see it
+    # then at most one constant flipped: inside the gate, which its tables
+    # see, or past it, where only the whole lane-major copy can; both with
+    # equal weight (at n = 3 and 5 the gate covers every equation)
     rng = random.Random(seed)
     valid = _layout(n).valid
     constant = 1 << n * (2 * n + 3)
     forms = [rng.getrandbits(valid.bit_length()) & valid & ~constant for _ in range(n)]
     x, y = rng.getrandbits(n), rng.getrandbits(n)
     forms = [form | QuadraticEquation(n, form).evaluate(x, y) * constant for form in forms]
-    failing = data.draw(st.none() | st.integers(0, n - 1), label="failing")
-    if failing is not None:
+    gate = min(_GATE, n)
+    where = data.draw(st.sampled_from(["none", "gate", "past"][: 2 + (n > gate)]), label="where")
+    failing = None
+    if where != "none":
+        low, high = (0, gate - 1) if where == "gate" else (gate, n - 1)
+        failing = data.draw(st.integers(low, high), label="failing")
         forms[failing] ^= constant
     pk = PublicKey(n, [QuadraticEquation(n, form) for form in forms])
     assert pk.holds(x, y) == (failing is None)
