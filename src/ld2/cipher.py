@@ -89,11 +89,10 @@ def sign(sk: SecretKey, digest: int) -> int:
 def verify(pk: PublicKey, digest: int, signature: int) -> bool:
     """Check a signature by evaluating the public equations; no solve needed.
 
-    A key that has encrypted checks its first six equations with one
-    windowed lookup in the gate tables of its lane-major copy, and a pair
-    that passes them all equations at once from the copy (PublicKey.holds);
-    that path builds no outer product.  The gate tables take about 125 KB
-    at n = 129.  verify never builds the copy or its tables.
+    A key that has encrypted reads its equations from window tables of its
+    lane-major copy, behind a six-equation gate (PublicKey.holds); the keys
+    module docstring gives their layout and memory.  verify never builds
+    them.
     """
     return pk.holds(signature, digest)
 

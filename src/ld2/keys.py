@@ -36,21 +36,23 @@ of v are the coefficients of y, and parity(v & x) ^ v_2n is the rest.
 linear_system takes those XORs for all n equations at once, from a
 lane-major copy of the key (the bitsliced evaluation of Berbain, Billet
 and Gilbert, SAC 2006, turned on its side): L_j holds lane j of every
-form, one byte-aligned chunk per form, so L_n XOR every L_j with x_j = 1
-holds v for equation i in chunk i.  The copy is about n^3 / 4 bytes
-(0.6 MB at n = 129) and is built from the forms' bytes on the first
-linear_system call.  That call also builds holds' gate tables: the first
-min(_GATE, n) = 6 chunks cut off every lane with one AND, lanes 0..n-1
-tabulated by 4-bit windows of x (linalg.nibble_windows, the layout
-AffineMap uses) and lane n kept as the constant.  The gate is then one
-windowed lookup, two 16-entry lookups per byte of x, that gives those six
-chunks of the lane sum, so one AND and one parity fold check the first
-six equations at once.  Only a pair that passes the gate, about one
-forgery in 64, XORs lanes of the whole copy.  With the copy, holds builds
-no outer product.  The gate tables hold 16 ceil(n/4) ints of six chunks:
-about 38 KB at n = 65, 125 KB at n = 129 and 0.45 MB at n = 257.  holds
-never builds the copy or its tables, and neither do verification and the
-key codec.
+form, one byte-aligned chunk per form, so the lane sum, L_n XOR every L_j
+with x_j = 1, holds v for equation i in chunk i.  The lane sum is an
+affine map of x, and the key keeps the copy only as its 4-bit window
+tables, the Four Russians lookup (Bard, IACR ePrint 2006/251) that
+AffineMap uses: linalg.nibble_windows of L_0..L_{n-1}, with L_n as the
+constant.  Every lane sum is then one linalg.apply_windows call, two
+16-entry lookups per byte of x.  holds first reads the same tables cut
+to the first min(_GATE, n) = 6 chunks, a gate that checks six equations
+with one lookup, one AND and one parity fold, and only a pair that passes
+it, about one forgery in 64, reads the whole tables.  With the tables,
+holds builds no outer product.  The first linear_system call builds both
+sets from the forms' bytes (_lane_tables); holds, verification and the
+key codec never do.  The whole tables have 16 ceil(n/4) entries of n
+chunks, about four times the n + 1 lanes of the copy: by tracemalloc,
+both sets take 0.34, 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0
+and 22.6 MB at the peak of the build).  The build takes about 1, 4 and
+22-33 ms on a shared 2-CPU x86-64 machine.
 
 Key files are line oriented:
 
@@ -156,7 +158,7 @@ def _outer(n: int, x: int, y: int) -> int:
 
 
 # equations holds checks through the gate tables before it reads the whole
-# lane-major copy
+# tables
 _GATE = 6
 
 
@@ -177,7 +179,7 @@ def _chunk_masks(n: int) -> tuple[int, int]:
 def _even_chunks(n: int, v: int, terms: bytes, count: int) -> bool:
     """Whether chunks 0..count - 1 of v & terms, terms the bytes of one
     chunk repeated count times, all have even parity: chunk i of a lane sum
-    (_lane_sum) then holds the value of equation i at (x, y)."""
+    then holds the value of equation i at (x, y)."""
     ones, low = _chunk_masks(n)
     v &= int.from_bytes(terms * count, "little")
     # bits n+1..2n of each chunk onto bits 0..n-1, then bits 0..n onto
@@ -211,13 +213,15 @@ def _lane_major(n: int, equations) -> tuple[int, ...]:
     return tuple(lanes)
 
 
-def _gate_tables(n: int, lanes) -> tuple:
-    """(windows, constant): the first min(_GATE, n) chunks of lanes 0..n-1
-    of the lane-major copy as linalg.nibble_windows of x, and of lane n.
-    apply_windows(windows, x, constant) is then _lane_sum(x) cut to those
-    chunks."""
+def _lane_tables(n: int, equations) -> tuple:
+    """((windows, constant), (gate windows, gate constant)): lanes 0..n-1 of
+    the lane-major copy as linalg.nibble_windows of x, with lane n as the
+    constant, whole and cut to their first min(_GATE, n) chunks.
+    apply_windows(windows, x, constant) is then the lane sum at x."""
+    lanes = _lane_major(n, equations)
     cut = (1 << 8 * _chunk_bytes(n) * min(_GATE, n)) - 1
-    return nibble_windows([lane & cut for lane in lanes[:n]]), lanes[n] & cut
+    gate = [lane & cut for lane in lanes]
+    return (nibble_windows(lanes[:n]), lanes[n]), (nibble_windows(gate[:n]), gate[n])
 
 
 @dataclass(frozen=True)
@@ -240,23 +244,26 @@ class QuadraticEquation:
 
     @classmethod
     def from_terms(cls, n, xx=(), xy=(), x=(), y=(), constant=0) -> QuadraticEquation:
-        """Build an equation from 1-based term indices."""
+        """Build an equation from 1-based term indices, each term at most
+        once: a repeated term would cancel over GF(2)."""
         w = 2 * n + 1
-        form = constant << (n * w + 2 * n)
+        bits = []
         for j, k in xx:
             if not 1 <= j < k <= n:
                 raise ValueError("xx pair must satisfy 1 <= j < k <= n")
-            form |= 1 << ((j - 1) * w + k - 1)
+            bits.append((j - 1) * w + k - 1)
         for j, k in xy:
             if not (1 <= j <= n and 1 <= k <= n):
                 raise ValueError("xy pair out of range")
-            form |= 1 << ((j - 1) * w + n + k - 1)
+            bits.append((j - 1) * w + n + k - 1)
         for offset, indices in ((0, x), (n, y)):
             for j in indices:
                 if not 1 <= j <= n:
                     raise ValueError("linear term out of range")
-                form |= 1 << (n * w + offset + j - 1)
-        return cls(n, form)
+                bits.append(n * w + offset + j - 1)
+        if len(set(bits)) < len(bits):
+            raise ValueError("repeated term")
+        return cls(n, sum(1 << bit for bit in bits) | constant << (n * w + 2 * n))
 
     def terms(self):
         """The equation as sorted 1-based term indices.
@@ -289,14 +296,12 @@ class QuadraticEquation:
 class PublicKey:
     """The n public quadratic equations over F(2^n), n = 2m - 1.
 
-    _lanes is the lane-major copy of the forms and _gate its gate tables
-    (module docstring), both built by the first linear_system call and by
-    nothing else.  When they exist holds reads them and builds no outer
-    product: the gate checks the first _GATE equations with one windowed
-    lookup, and only a pair that passes it reads the whole copy.
+    _tables holds the lane-major copy as window tables, whole and cut to
+    holds' gate (module docstring); the first linear_system call builds it,
+    and nothing else does.
     """
 
-    __slots__ = ("n", "equations", "_lanes", "_gate")
+    __slots__ = ("n", "equations", "_tables")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -308,62 +313,45 @@ class PublicKey:
             raise ValueError("equation size mismatch")
         self.n = n
         self.equations = equations
-        self._lanes = None
-        self._gate = None
+        self._tables = None
 
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y).
 
-        Without the lane-major copy every equation is evaluated one by one
-        against the outer product.  With it, chunk i of a lane sum ANDed
-        with terms = x | y << n | 1 << 2n in every chunk has the parity of
-        equation i, and _even_chunks folds them all at once.  The gate
-        tables give the first min(_GATE, n) chunks of the lane sum in two
-        lookups per byte of x, which lets about one forgery in 2^_GATE
-        through to _lane_sum(x) over the whole copy.  holds never builds
-        the copy or the tables.
+        Without the tables every equation is evaluated one by one against
+        the outer product.  With them, the gate's lane sum, then the whole
+        one, is ANDed with terms = x | y << n | 1 << 2n in every chunk, and
+        _even_chunks folds the equations' parities at once.
         """
         n = self.n
         top = 1 << n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
-        if self._lanes is None:
+        if self._tables is None:
             outer = _outer(n, x, y)
             return not any((eq.form & outer).bit_count() & 1 for eq in self.equations)
         terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
-        windows, constant = self._gate
+        (windows, constant), (gate, gate_constant) = self._tables
         return _even_chunks(
-            n, apply_windows(windows, x, constant), terms, min(_GATE, n)
-        ) and _even_chunks(n, self._lane_sum(x), terms, n)
+            n, apply_windows(gate, x, gate_constant), terms, min(_GATE, n)
+        ) and _even_chunks(n, apply_windows(windows, x, constant), terms, n)
 
     def linear_system(self, x: int):
         """Matrix and right-hand side of the linear system in y at fixed x,
-        from the lane-major copy, which the first call builds together with
-        holds' gate tables."""
+        from the lane sum at x; the first call builds the tables."""
         n = self.n
         if not 0 <= x < 1 << n:
             raise ValueError("block length mismatch")
-        if self._lanes is None:
-            lanes = _lane_major(n, self.equations)
-            self._gate = _gate_tables(n, lanes)
-            self._lanes = lanes
+        if self._tables is None:
+            self._tables = _lane_tables(n, self.equations)
+        (windows, constant), _ = self._tables
         size = _chunk_bytes(n)
-        data = self._lane_sum(x).to_bytes(n * size, "little")
+        data = apply_windows(windows, x, constant).to_bytes(n * size, "little")
         chunks = [int.from_bytes(data[k:k + size], "little") for k in range(0, n * size, size)]
         low = (1 << n) - 1
         terms = x | 1 << 2 * n
         rhs = sum(((v & terms).bit_count() & 1) << i for i, v in enumerate(chunks))
         return BitMatrix([v >> n & low for v in chunks], n), rhs
-
-    def _lane_sum(self, x: int) -> int:
-        """Lane n XOR the lanes x selects, from the lane-major copy: chunk i
-        is v_i of form i (module docstring), its bits above 2n unmasked."""
-        n = self.n
-        v = self._lanes[n]
-        for lane, bit in zip(self._lanes, reversed(f"{x:0{n}b}")):
-            if bit == "1":
-                v ^= lane
-        return v
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,11 +9,11 @@ against Gaussian elimination's O(n^3).  One bit transpose, bit_columns,
 serves BitMatrix.transpose and public-key derivation.  window_tables
 tabulates an F_2-linear map from the images of the basis vectors, one table
 per window of input bits: the elimination's tables of pivot sums, the
-4-bit windows (nibble_windows, apply_windows) that AffineMap applies its
-matrix through and keys.PublicKey its verification gate, each built once,
-and gf2n's byte-window Frobenius tables.  AffineMap eliminates only in
-inverse(); keys.SecretKey checks both secret maps and keeps s^-1.  Keygen's
-xorshift64* generator is here too.
+4-bit windows (nibble_windows, apply_windows) through which AffineMap
+applies its matrix and keys.PublicKey takes every lane sum of its
+lane-major copy, each built once, and gf2n's byte-window Frobenius tables.
+AffineMap eliminates only in inverse(); keys.SecretKey checks both secret
+maps and keeps s^-1.  Keygen's xorshift64* generator is here too.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def nibble_windows(images) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
 
 
 def apply_windows(windows, x: int, acc: int) -> int:
-    """acc xor the image of x under the map of nibble_windows: two lookups
-    per byte of x, which must fit in len(windows) bytes."""
+    """acc xor the image of x under the map of nibble_windows(images): two
+    lookups per byte of x.  x must be in 0 .. 2^len(images) - 1, which the
+    callers check: a wider x indexes past a table or overflows the bytes."""
     for (low, high), byte in zip(windows, x.to_bytes(len(windows), "little")):
         acc ^= low[byte & 15] ^ high[byte >> 4]
     return acc

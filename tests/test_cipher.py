@@ -15,7 +15,7 @@ from ld2.cipher import (
     unpad_message,
     verify,
 )
-from ld2.keys import keygen, relation_residual
+from ld2.keys import decode_key, encode_key, keygen, relation_residual
 from ld2.permutation import CentralMap
 
 
@@ -45,6 +45,9 @@ def test_encrypt_is_injective(toy_pk):
 
 
 def test_encrypt_rejects_oversized_block(toy_pk):
+    # 8 fits the one byte the window tables read, but indexes past their
+    # 8-entry table, so linear_system must reject it before the lookup
+    toy_pk.linear_system(0)
     for x in (8, -1):
         with pytest.raises(ValueError, match="block length mismatch"):
             encrypt_block(toy_pk, x)
@@ -187,11 +190,14 @@ def test_verify_matches_encryption(toy_pk):
 
 
 def test_verify_rejects_oversized_inputs(toy_pk):
-    for bad in (8, -1):
-        with pytest.raises(ValueError, match="block length mismatch"):
-            verify(toy_pk, bad, 0)
-        with pytest.raises(ValueError, match="block length mismatch"):
-            verify(toy_pk, 0, bad)
+    # with the window tables, which 8 would index past, and without them
+    toy_pk.linear_system(0)
+    for key in (toy_pk, decode_key(encode_key(toy_pk))):
+        for bad in (8, -1):
+            with pytest.raises(ValueError, match="block length mismatch"):
+                verify(key, bad, 0)
+            with pytest.raises(ValueError, match="block length mismatch"):
+                verify(key, 0, bad)
 
 
 # --- padding ------------------------------------------------------------------------

@@ -105,6 +105,11 @@ def test_equation_rejects_bad_shapes():
         QuadraticEquation(3, -1)
     with pytest.raises(ValueError):
         QuadraticEquation.from_terms(3, xx=((2, 2),))
+    # x1 + x1 = 0 over GF(2), so a repeated term of any kind is rejected
+    for terms in (dict(xx=((1, 2), (1, 2))), dict(xy=((3, 1), (3, 1))),
+                  dict(x=(1, 1)), dict(y=(2, 3, 2))):
+        with pytest.raises(ValueError, match="repeated term"):
+            QuadraticEquation.from_terms(3, **terms)
 
 
 # --- key generation -------------------------------------------------------------
@@ -235,20 +240,19 @@ def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
 
 
 def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
-    # keygen, the key codec and verification never pay for the copy or its
-    # gate tables; the first linear_system call builds both
+    # keygen, the key codec and verification never pay for the window
+    # tables of the copy; the first linear_system call builds them
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, encrypt_message, sign, verify
 
     builds = []
-    for name in ("_lane_major", "_gate_tables"):
-        original = getattr(keys_mod, name)
+    original = keys_mod._lane_tables
 
-        def counted(n, parts, name=name, original=original):
-            builds.append((name, n))
-            return original(n, parts)
+    def counted(n, equations):
+        builds.append(n)
+        return original(n, equations)
 
-        monkeypatch.setattr(keys_mod, name, counted)
+    monkeypatch.setattr(keys_mod, "_lane_tables", counted)
     sk, pk = keygen(9, seed=0x1A2E)
     decoded = decode_key(encode_key(pk))
 
@@ -259,17 +263,15 @@ def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
 
     for key in (pk, decoded):
         check(key)
-    assert builds == [] and pk._lanes is None and decoded._lanes is None
-    assert pk._gate is None and decoded._gate is None
+    assert builds == [] and pk._tables is None and decoded._tables is None
     first = encrypt_block(pk, 5)
-    both = [("_lane_major", 9), ("_gate_tables", 9)]
-    assert builds == both and pk._gate is not None
+    assert builds == [9] and pk._tables is not None
     assert encrypt_block(pk, 5) == first
     encrypt_message(pk, b"lane-major")
     check(pk)
-    assert builds == both
+    assert builds == [9]
     assert encrypt_block(decoded, 5) == first
-    assert builds == both * 2
+    assert builds == [9, 9]
 
 
 @pytest.mark.parametrize("n", [9, 65])
@@ -302,7 +304,7 @@ def test_holds_builds_no_outer_product_with_the_copy(n, monkeypatch):
     assert outers == []
     assert [decoded.holds(*pair) for pair in pairs] == expected
     assert outers == [n] * len(pairs)
-    assert decoded._lanes is None
+    assert decoded._tables is None
 
 
 @pytest.mark.parametrize("n", [129, 257])
@@ -316,7 +318,7 @@ def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     sk, pk = keygen(n, seed=0x1A6E + n)
     encrypt_block(pk, 1)
     decoded = decode_key(encode_key(pk))
-    assert decoded == pk and pk._lanes is not None and decoded._lanes is None
+    assert decoded == pk and pk._tables is not None and decoded._tables is None
     digest = random.Random(n).getrandbits(n)
     signature = sign(sk, digest)
     pairs = [(signature, digest)]
@@ -325,7 +327,7 @@ def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     expected = [True] + [False] * (2 * n)
     assert [pk.holds(*pair) for pair in pairs] == expected
     assert [decoded.holds(*pair) for pair in pairs] == expected
-    assert decoded._lanes is None
+    assert decoded._tables is None
 
 
 def test_toy_secret_encoding_is_stable(toy_sk):

@@ -2,7 +2,10 @@
 a few sizes: the Frobenius map, the Itoh-Tsujii chain in Field.pow against
 square and multiply, Field.trace against the sum of squares it replaced,
 the lane-packed product Field.mul_lanes against Field.mul lane by lane
-(test_mul_lanes_matches_mul_lane_by_lane), GF(2) transpose, rank, solving
+(test_mul_lanes_matches_mul_lane_by_lane), the window tables and the bit
+transpose of linalg against per-bit loops
+(test_window_tables_match_the_images_bit_by_bit,
+test_bit_columns_match_a_bitwise_transpose), GF(2) transpose, rank, solving
 and inversion on any shape, AffineMap.apply's window tables against
 BitMatrix.mul_vec, the packed equation layout, PublicKey.holds with and
 without the lane-major copy (test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
@@ -47,10 +50,14 @@ from ld2.linalg import (
     BitMatrix,
     Prng,
     SingularMatrixError,
+    apply_windows,
+    bit_columns,
     invert_matrix,
+    nibble_windows,
     random_invertible,
     rank,
     solve_linear,
+    window_tables,
 )
 
 
@@ -259,6 +266,52 @@ def test_affine_apply_matches_mul_vec_large(n):
     singular = BitMatrix(tuple(rng.randrange(1 << n) for _ in range(n - 1)) + (0,), n)
     for m in (random_invertible(n, prng), random_invertible(n, prng), singular):
         _check_affine(m, rng.randrange(1 << n), rng.randrange(1 << n))
+
+
+def _image_of(images, x):
+    """The xor of the images that the set bits of x select, bit by bit."""
+    acc = 0
+    for j, image in enumerate(images):
+        if x >> j & 1:
+            acc ^= image
+    return acc
+
+
+# 1..40 images, mostly not a multiple of 4 or 8; 1..4, 9..12, ... of them
+# make an odd count of nibble tables, so apply_windows reads the (0,) pad
+@given(
+    st.lists(st.integers(0, (1 << 70) - 1), min_size=1, max_size=40),
+    st.integers(1, 8),
+    st.integers(0, (1 << 40) - 1),
+    st.integers(0, (1 << 70) - 1),
+)
+@example([1, 2, 4, 8, 16], 4, 0b10011, 0)
+@example([3] * 8, 8, 0xA5, 1)
+def test_window_tables_match_the_images_bit_by_bit(images, width, x, acc):
+    count = len(images)
+    tables = window_tables(images, width)
+    assert len(tables) == -(-count // width)
+    for w, table in enumerate(tables):
+        part = images[w * width:(w + 1) * width]
+        assert table == tuple(_image_of(part, v) for v in range(1 << len(part)))
+    windows = nibble_windows(images)
+    assert len(windows) == -(-count // 8)
+    if -(-count // 4) % 2:
+        assert windows[-1][1] == (0,)
+    # x = 0, all ones, only the top bit, and the drawn x
+    for v in (0, (1 << count) - 1, 1 << count - 1, x & (1 << count) - 1):
+        assert apply_windows(windows, v, acc) == acc ^ _image_of(images, v)
+
+
+# record counts mostly not a multiple of 8, and count mostly below 8 * stride
+@given(st.integers(1, 5), st.data())
+def test_bit_columns_match_a_bitwise_transpose(stride, data):
+    records = data.draw(st.lists(st.integers(0, (1 << 8 * stride) - 1), min_size=1, max_size=20))
+    count = data.draw(st.integers(1, 8 * stride))
+    blob = b"".join(record.to_bytes(stride, "little") for record in records)
+    assert bit_columns(blob, stride, count) == [
+        sum((record >> i & 1) << r for r, record in enumerate(records)) for i in range(count)
+    ]
 
 
 def _trace_by_squaring(field, a):
