@@ -35,6 +35,7 @@ from .keys import (
     decode_key,
     derive_public_key,
     encode_key,
+    fingerprint,
     keygen,
     relation_residual,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "encrypt_block",
     "encrypt_message",
     "find_irreducible",
+    "fingerprint",
     "frobenius_trinomial_is_permutation",
     "hex_to_bits",
     "inner_term_never_zero",

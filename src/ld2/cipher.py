@@ -90,9 +90,10 @@ def verify(pk: PublicKey, digest: int, signature: int) -> bool:
     """Check a signature by evaluating the public equations; no solve needed.
 
     A key that has encrypted reads its equations from window tables of its
-    lane-major copy, behind a six-equation gate (PublicKey.holds); the keys
-    module docstring gives their layout and memory.  verify never builds
-    them.
+    lane-major copy, behind a six-equation gate (PublicKey.holds); any
+    other key evaluates them on its key-file fields.  The keys module
+    docstring gives the layouts and the tables' memory.  verify builds
+    neither the tables nor the forms.
     """
     return pk.holds(signature, digest)
 

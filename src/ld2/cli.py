@@ -30,6 +30,7 @@ from .keys import (
     decode_key,
     derive_public_key,
     encode_key,
+    fingerprint,
     keygen,
     relation_residual,
 )
@@ -229,9 +230,12 @@ def _cmd_inspect(args) -> int:
     print(f"type: {'public' if public else 'secret'}")
     _print_fields(lines[1].split())
     print(f"modulus: {lines[2].partition('=')[2]}")
+    # a secret key is named by its public key, which reveals nothing secret
+    print(f"fingerprint: {fingerprint(key if public else derive_public_key(key))}")
     if public:
         print(f"equations: {key.n}")
-        print(f"terms: {sum(eq.form.bit_count() for eq in key.equations)}")
+        terms = sum(field.bit_count() for fields in key.fields for field in fields)
+        print(f"terms: {terms}")
     elif args.reveal:
         _print_fields(lines[3:])
     else:

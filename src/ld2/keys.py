@@ -13,8 +13,39 @@ derive_public_key reads a_jk and b_jk off its polar (bilinear) forms:
 three lane-packed field products per lane of the forms, then one bit
 transpose.
 
-Each equation is one int, its form, of n + 1 lanes of w = 2n + 1 bits;
-lane j starts at bit j*w and indices below are 0-based:
+A PublicKey is in one of three states, and only ever moves forward:
+
+    fields   always: per equation the five fields of the key file, xx (the
+             a_jk, pairs j < k in lexicographic order), xy (the b_jk,
+             row-major), xl (the d_k), yl (the c_k) and c (e)
+    forms    on first use of PublicKey.equations: one int per equation in
+             the lane layout below, expanded from the fields
+    tables   on the first linear_system call: window tables of the
+             lane-major copy of the forms
+
+derive_public_key and decode_key build the fields and nothing else, and
+encode_key writes them as they are, so keygen, the codec and verification
+never touch a form.  PublicKey(n, equations), for hand-built keys, is the
+one place that compresses forms into fields.
+
+holds without the tables evaluates on the fields.  Let sx be x spread to
+stride n (bit j moved to bit j*n).  Then Y = y * sx is x (x) y row-major,
+bit j*n + k = x_j y_k: its n copies of y are n bits wide and n bits
+apart, so the product has no carries.  Likewise x * sx is x (x) x, and T,
+its compress by the strict upper triangle (bits j*n + k, k > j), holds
+x_j x_k for j < k in lexicographic order: the order of xx.  Each equation
+is then
+
+    parity(xx & T) ^ parity(xy & Y) ^ parity(xl & x) ^ parity(yl & y) ^ c,
+
+two ANDs of about n^2 / 2 and n^2 bits.  sx itself is
+(x mod 2^(n-1)) * sum_{k<n-1} 2^(k(n-1)) masked to the bits j*n: the
+product's copies of x mod 2^(n-1) are n - 1 bits wide and n - 1 bits
+apart, so they do not overlap, and copy j holds x_j at j(n - 1) + j =
+j*n; bit n - 1 of x is shifted into place on its own.
+
+Each form is one int of n + 1 lanes of w = 2n + 1 bits; lane j starts at
+bit j*w and indices below are 0-based:
 
     lane j < n   bits 0..n-1: a_jk (zero for k <= j), bits n..2n-1: b_jk,
                  bit 2n: zero
@@ -22,19 +53,20 @@ lane j starts at bit j*w and indices below are 0-based:
 
 Let outer(x, y) hold z = x | y << n | 1 << 2n in lane n and in every lane
 j with x_j = 1.  Then form & outer(x, y) keeps exactly the monomials that
-are 1 at (x, y), so the equation's value is the parity of that AND.
-outer needs no loop over the bits of x.  The product x * comb, with
-comb = sum_{k<n} 2^(2nk), writes a copy of x at every multiple of 2n; the
-copies are n bits wide and 2n bits apart, so they never overlap and the
-product has no carries.  Copy j holds x_j at bit 2nj + j = j*w, the start
-of lane j, so masking with diagonal = sum_j 2^(j*w) leaves one bit per
-selected lane, and multiplying that by z, which is at most one lane wide,
-again adds copies that do not overlap.  With x fixed, the XOR v of lane
-n and the lanes that x selects is the whole equation in y: bits n..2n-1
-of v are the coefficients of y, and parity(v & x) ^ v_2n is the rest.
+are 1 at (x, y), so the equation's value is the parity of that AND
+(QuadraticEquation.evaluate).  outer needs no loop over the bits of x.
+The product x * comb, with comb = sum_{k<n} 2^(2nk), writes a copy of x
+at every multiple of 2n; the copies are n bits wide and 2n bits apart, so
+they never overlap and the product has no carries.  Copy j holds x_j at
+bit 2nj + j = j*w, the start of lane j, so masking with diagonal =
+sum_j 2^(j*w) leaves one bit per selected lane, and multiplying that by
+z, which is at most one lane wide, again adds copies that do not overlap.
+With x fixed, the XOR v of lane n and the lanes that x selects is the
+whole equation in y: bits n..2n-1 of v are the coefficients of y, and
+parity(v & x) ^ v_2n is the rest.
 
 linear_system takes those XORs for all n equations at once, from a
-lane-major copy of the key (the bitsliced evaluation of Berbain, Billet
+lane-major copy of the forms (the bitsliced evaluation of Berbain, Billet
 and Gilbert, SAC 2006, turned on its side): L_j holds lane j of every
 form, one byte-aligned chunk per form, so the lane sum, L_n XOR every L_j
 with x_j = 1, holds v for equation i in chunk i.  The lane sum is an
@@ -42,12 +74,12 @@ affine map of x, and the key keeps the copy only as its 4-bit window
 tables, the Four Russians lookup (Bard, IACR ePrint 2006/251) that
 AffineMap uses: linalg.nibble_windows of L_0..L_{n-1}, with L_n as the
 constant.  Every lane sum is then one linalg.apply_windows call, two
-16-entry lookups per byte of x.  holds first reads the same tables cut
-to the first min(_GATE, n) = 6 chunks, a gate that checks six equations
-with one lookup, one AND and one parity fold, and only a pair that passes
-it, about one forgery in 64, reads the whole tables.  With the tables,
-holds builds no outer product.  The first linear_system call builds both
-sets from the forms' bytes (_lane_tables); holds, verification and the
+16-entry lookups per byte of x.  holds with the tables first reads them
+cut to the first min(_GATE, n) = 6 chunks, a gate that checks six
+equations with one lookup, one AND and one parity fold, and only a pair
+that passes it, about one forgery in 64, reads the whole tables.  The
+first linear_system call expands the forms, if no one has, and builds
+both sets from their bytes (_lane_tables); holds, verification and the
 key codec never do.  The whole tables have 16 ceil(n/4) entries of n
 chunks, about four times the n + 1 lanes of the copy: by tracemalloc,
 both sets take 0.34, 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0
@@ -73,20 +105,22 @@ it and decode_key parses by it.  A file decodes only if it is exactly the
 text encode_key writes for the key it describes, so unknown, out-of-order
 or reformatted lines are format errors.  decode_key compares the file with
 _key_text of the values it parsed, which is that text: each value has
-exactly its line's width, and on such values expand then compress (below)
-and BitMatrix.from_bits then to_bits are the identity, so the values are
-the fields of the key they build.
+exactly its line's width, the public values are the key's fields as they
+are, and on the secret ones BitMatrix.from_bits then to_bits is the
+identity.
 
 xx holds a form's a-bits in position order and xy its b-bits row-major,
-so each is the compress of the form by a mask fixed for each n, and
-decoding is the matching expand (Hacker's Delight, 2nd ed., 7-4 and 7-5).
-Each takes about log2(n(2n + 1)) masked shifts, by move masks that
-_file_masks builds once per n; xl, yl and c are plain shifts of lane n.
+so each is the compress of the form by a mask fixed for each n, and the
+forms view is the matching expand (Hacker's Delight, 2nd ed., 7-4 and
+7-5).  Each takes about log2(n(2n + 1)) masked shifts, by move masks that
+_compress_steps builds once per n and mask (_file_masks, and
+_spread_masks for holds' T); xl, yl and c are plain shifts of lane n.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -121,33 +155,80 @@ def _layout(n: int) -> _Layout:
     )
 
 
+def _compress_steps(mask: int, width: int) -> tuple:
+    """The steps that compress the bits of mask, in a value of width bits,
+    down to the low bits.  Step (s, move) shifts the bits in move right by
+    s: the mask bits whose count of clear mask bits below them has the bit
+    s set, counted by a parallel suffix (Hacker's Delight, 2nd ed., 7-4)."""
+    full = (1 << width) - 1
+    zeros = ~mask << 1 & full  # bit i set: mask bit i - 1 is clear
+    rest, steps, shift = mask, [], 1
+    while shift < width:
+        suffix, span = zeros, 1
+        while span < width:
+            suffix = (suffix ^ suffix << span) & full
+            span *= 2
+        move = suffix & rest
+        rest = rest ^ move | move >> shift
+        zeros &= ~suffix
+        if move:
+            steps.append((shift, move))
+        shift *= 2
+    return tuple(steps)
+
+
+def _compress(x: int, mask: int, steps) -> int:
+    """The bits of x under mask, packed down in position order."""
+    x &= mask
+    for shift, move in steps:
+        t = x & move
+        x = x ^ t | t >> shift
+    return x
+
+
 @functools.lru_cache(maxsize=None)
 def _file_masks(n: int) -> tuple:
     """(mask, steps) for the file's xx and xy fields: the a-bits and the
-    b-bits of a form.  Step (s, move) shifts the bits in move right by s:
-    the mask bits whose count of clear mask bits below them has the bit s
-    set, counted by a parallel suffix (Hacker's Delight, 2nd ed., 7-4)."""
+    b-bits of a form."""
     width = n * (2 * n + 1)
-    full = (1 << width) - 1
     layout = _layout(n)
     b_bits = ((1 << n) - 1 << n) * layout.diagonal
-    plans = []
-    for mask in (layout.valid & full ^ b_bits, b_bits):
-        zeros = ~mask << 1 & full  # bit i set: mask bit i - 1 is clear
-        rest, steps, shift = mask, [], 1
-        while shift < width:
-            suffix, span = zeros, 1
-            while span < width:
-                suffix = (suffix ^ suffix << span) & full
-                span *= 2
-            move = suffix & rest
-            rest = rest ^ move | move >> shift
-            zeros &= ~suffix
-            if move:
-                steps.append((shift, move))
-            shift *= 2
-        plans.append((mask, tuple(steps)))
-    return tuple(plans)
+    masks = (layout.valid & (1 << width) - 1 ^ b_bits, b_bits)
+    return tuple((mask, _compress_steps(mask, width)) for mask in masks)
+
+
+class _Spread(NamedTuple):
+    comb: int  # 1 at every multiple of n - 1 below (n - 1)^2
+    diagonal: int  # 1 at every multiple of n below n^2
+    triangle: int  # bits j*n + k with j < k < n
+    steps: tuple  # _compress_steps of triangle
+
+
+@functools.lru_cache(maxsize=None)
+def _spread_masks(n: int) -> _Spread:
+    """The constant masks of _vanish_on_fields for n variables."""
+    triangle = sum(((1 << n) - (2 << j)) << (j * n) for j in range(n))
+    return _Spread(
+        sum(1 << (k * (n - 1)) for k in range(n - 1)),
+        sum(1 << (j * n) for j in range(n)),
+        triangle,
+        _compress_steps(triangle, n * n),
+    )
+
+
+def _vanish_on_fields(n: int, fields, x: int, y: int) -> bool:
+    """Whether every equation vanishes at (x, y), evaluated one by one on
+    its file fields against T, the monomials x_j x_k (j < k) in the order
+    of xx, and Y = x (x) y, row-major as xy is (module docstring)."""
+    spread = _spread_masks(n)
+    low = (1 << n - 1) - 1  # bits 0..n-2 of x
+    sx = (x & low) * spread.comb & spread.diagonal | x >> n - 1 << n * (n - 1)
+    pairs, products = _compress(x * sx, spread.triangle, spread.steps), y * sx
+    return not any(
+        ((xx & pairs).bit_count() ^ (xy & products).bit_count()
+         ^ (xl & x).bit_count() ^ (yl & y).bit_count() ^ c) & 1
+        for xx, xy, xl, yl, c in fields
+    )
 
 
 def _outer(n: int, x: int, y: int) -> int:
@@ -296,12 +377,16 @@ class QuadraticEquation:
 class PublicKey:
     """The n public quadratic equations over F(2^n), n = 2m - 1.
 
-    _tables holds the lane-major copy as window tables, whole and cut to
-    holds' gate (module docstring); the first linear_system call builds it,
-    and nothing else does.
+    fields holds, per equation, its five key-file fields (xx, xy, xl, yl,
+    c), always.  Two views are built on first use and kept (module
+    docstring): equations, the forms, by one expand of the fields; and
+    _tables, the window tables of the lane-major copy, whole and cut to
+    holds' gate, which the first linear_system call builds from the forms.
+    PublicKey(n, equations) compresses the given forms once and keeps them;
+    derivation and decoding build keys from their fields alone.
     """
 
-    __slots__ = ("n", "equations", "_tables")
+    __slots__ = ("n", "fields", "_equations", "_tables")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -311,25 +396,44 @@ class PublicKey:
             raise ValueError("expected exactly n equations")
         if any(eq.n != n for eq in equations):
             raise ValueError("equation size mismatch")
+        self._set(n, tuple(map(_file_fields, equations)), equations)
+
+    @classmethod
+    def _from_fields(cls, n: int, fields: tuple) -> PublicKey:
+        """The key whose equations have these file fields, each at exactly
+        its width (_body_layout); no form is built."""
+        key = cls.__new__(cls)
+        key._set(n, fields, None)
+        return key
+
+    def _set(self, n: int, fields: tuple, equations) -> None:
         self.n = n
-        self.equations = equations
+        self.fields = fields
+        self._equations = equations
         self._tables = None
+
+    @property
+    def equations(self) -> tuple[QuadraticEquation, ...]:
+        """The equations as forms; the first use expands the fields."""
+        if self._equations is None:
+            self._equations = tuple(_from_file_fields(self.n, *f) for f in self.fields)
+        return self._equations
 
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y).
 
-        Without the tables every equation is evaluated one by one against
-        the outer product.  With them, the gate's lane sum, then the whole
-        one, is ANDed with terms = x | y << n | 1 << 2n in every chunk, and
-        _even_chunks folds the equations' parities at once.
+        Without the tables the equations are evaluated one by one on the
+        fields, against T (the xx monomials at x) and Y = x (x) y, until one
+        is 1 (_vanish_on_fields).  With them, the gate's lane sum, then the
+        whole one, is ANDed with terms = x | y << n | 1 << 2n in every chunk,
+        and _even_chunks folds the equations' parities at once.
         """
         n = self.n
         top = 1 << n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
         if self._tables is None:
-            outer = _outer(n, x, y)
-            return not any((eq.form & outer).bit_count() & 1 for eq in self.equations)
+            return _vanish_on_fields(n, self.fields, x, y)
         terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
         (windows, constant), (gate, gate_constant) = self._tables
         return _even_chunks(
@@ -357,11 +461,11 @@ class PublicKey:
         return (
             isinstance(other, PublicKey)
             and self.n == other.n
-            and self.equations == other.equations
+            and self.fields == other.fields
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.equations))
+        return hash((self.n, self.fields))
 
     def __repr__(self) -> str:
         return f"PublicKey(n={self.n})"
@@ -433,7 +537,7 @@ def _residual_uv(sk: SecretKey, u: int, v: int) -> int:
 
 
 def derive_public_key(sk: SecretKey) -> PublicKey:
-    """Expand the hidden relation into the n public quadratic equations.
+    """Expand the hidden relation into the fields of the n public equations.
 
     With s_j, t_k the columns of A1, A2, u0, v0 their translations and F
     the Frobenius map by 2^m, every coefficient is an n-bit vector (bit i
@@ -443,15 +547,18 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
         b_jk = (F(s_j) + s_j) t_k         (R's (F(u) + u) v)
         e    = R(u0, v0),  d_j = R(u0 + s_j, v0) + e,  c_k = R(u0, v0 + t_k) + e
 
-    s_k, F(s_k) and t_k are packed once, a field element per lane.  Lane j
-    of all forms then takes three Field.mul_lanes products: F(s_j) and s_j
-    times lanes k > j of the first two (a_jk), F(s_j) + s_j times the third
-    (b_jk).  Their bytes are the coefficient vectors in form-bit order, and
-    one bit transpose turns them into the n forms.
+    s_k, F(s_k) and t_k are packed once, a field element per lane.  Row j
+    then takes three Field.mul_lanes products: F(s_j) and s_j times lanes
+    k > j of the first two (a_jk), F(s_j) + s_j times the third (b_jk).
+    Their bytes are the coefficient vectors, laid out in key-file order:
+    the a_jk of every row (xx), then the b_jk of every row (xy), then d, c
+    and e.  One bit transpose turns them into one int per equation, xx | xy
+    | xl | yl | c side by side, and shifts split it into the fields.
     """
     field = sk.field
     n = field.n
-    width = 8 * field.lane_bytes  # bits per lane
+    size = field.lane_bytes
+    width = 8 * size  # bits per lane
     s_cols = sk.s.columns
     t_cols = sk.t.columns
     s_frob = [field.frobenius(col) for col in s_cols]
@@ -459,20 +566,25 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     u0, v0 = sk.s.translation, sk.t.translation
     base = _residual_uv(sk, u0, v0)
 
-    rows = []
+    a_rows, b_rows = [], []
     for j, (sj, fj) in enumerate(zip(s_cols, s_frob)):
-        cut = width * (j + 1)  # lanes k <= j of a_jk stay zero
+        cut = width * (j + 1)  # a_jk for k > j only
         a_row = field.mul_lanes(fj, s_lanes >> cut) ^ field.mul_lanes(sj, frob_lanes >> cut)
-        b_row = field.mul_lanes(fj ^ sj, t_lanes)
-        # lanes 0..n-1 hold a_jk, n..2n-1 hold b_jk and 2n is zero
-        rows.append(a_row << cut | b_row << (width * n))
+        a_rows.append(a_row.to_bytes(size * (n - 1 - j), "little"))
+        b_rows.append(field.mul_lanes(fj ^ sj, t_lanes).to_bytes(size * n, "little"))
     linear = [_residual_uv(sk, u0 ^ sj, v0) for sj in s_cols]
     linear += [_residual_uv(sk, u0, v0 ^ tk) for tk in t_cols]
-    rows.append(field.pack_lanes([v ^ base for v in linear] + [base]))
-    # form i collects bit i of every coefficient vector, one per lane
-    data = b"".join(row.to_bytes(field.lane_bytes * (2 * n + 1), "little") for row in rows)
-    forms = bit_columns(data, field.lane_bytes, n)
-    return PublicKey(n, (QuadraticEquation(n, form) for form in forms))
+    linear = field.pack_lanes([v ^ base for v in linear] + [base])
+    data = b"".join(a_rows + b_rows) + linear.to_bytes(size * (2 * n + 1), "little")
+    pairs, square, low = n * (n - 1) // 2, n * n, (1 << n) - 1
+    fields = []
+    # column i collects bit i of every coefficient vector: equation i
+    for column in bit_columns(data, size, n):
+        xy = column >> pairs
+        affine = xy >> square
+        fields.append((column & (1 << pairs) - 1, xy & (1 << square) - 1,
+                       affine & low, affine >> n & low, affine >> 2 * n))
+    return PublicKey._from_fields(n, tuple(fields))
 
 
 def keygen(n: int, seed: int) -> tuple[SecretKey, PublicKey]:
@@ -516,21 +628,29 @@ def encode_key(key) -> str:
                   t.matrix.to_bits(), t.translation)
         return _key_text(True, key.field.n, values)
     if isinstance(key, PublicKey):
-        fields = map(_file_fields, key.equations)
-        return _key_text(False, key.n, itertools.chain.from_iterable(fields))
+        return _key_text(False, key.n, itertools.chain.from_iterable(key.fields))
     raise TypeError("expected a SecretKey or PublicKey")
+
+
+def fingerprint(pk: PublicKey) -> str:
+    """The key's public name: the SHA-256 hex digest of its key file."""
+    if not isinstance(pk, PublicKey):
+        raise TypeError("expected a PublicKey")
+    return hashlib.sha256(encode_key(pk).encode()).hexdigest()
 
 
 def _key_text(secret: bool, n: int, values) -> str:
     """The file text of a size-n key whose body lines hold values."""
-    lines = [
+    # one join of all the pieces: a public key's text is n^2 hex digits
+    # and more, and joining lines built first would copy it twice
+    parts = [
         _SECRET_MAGIC if secret else _PUBLIC_MAGIC,
-        f"n={n} m={(n + 1) // 2}",
-        f"poly={bits_to_hex(find_irreducible(n), n + 1)}",
+        f"\nn={n} m={(n + 1) // 2}\npoly={bits_to_hex(find_irreducible(n), n + 1)}",
     ]
     for (name, nbits), value in zip(_body_layout(secret, n), values):
-        lines.append(f"{name}={value if nbits == 1 else bits_to_hex(value, nbits)}")
-    return "\n".join(lines) + "\n"
+        parts += ("\n", name, "=", str(value) if nbits == 1 else bits_to_hex(value, nbits))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def decode_key(text: str):
@@ -571,17 +691,18 @@ def decode_key(text: str):
             values.append(int(value) if nbits == 1 else hex_to_bits(value, nbits))
         except ValueError as exc:
             raise KeyFormatError(f"line {number}: {exc}") from exc
-    try:
-        if secret:
-            alpha, a1, c1, a2, c2 = values
+    if secret:
+        alpha, a1, c1, a2, c2 = values
+        try:
             s = AffineMap(BitMatrix.from_bits(a1, n, n), c1)
             t = AffineMap(BitMatrix.from_bits(a2, n, n), c2)
             key = SecretKey(Field(n), s, t, alpha)
-        else:
-            fields = (values[i : i + 5] for i in range(0, 5 * n, 5))
-            key = PublicKey(n, (_from_file_fields(n, *f) for f in fields))
-    except ValueError as exc:
-        raise KeyFormatError(f"invalid {kind} key: {exc}") from exc
+        except ValueError as exc:
+            raise KeyFormatError(f"invalid secret key: {exc}") from exc
+    else:
+        # every value has its line's width, so any values are a key's fields
+        fields = tuple(tuple(values[i:i + 5]) for i in range(0, 5 * n, 5))
+        key = PublicKey._from_fields(n, fields)
 
     canonical = _key_text(secret, n, values)
     if canonical != text:
@@ -591,21 +712,17 @@ def decode_key(text: str):
 
 
 def _file_fields(eq: QuadraticEquation):
-    """The v1 file's xx, xy, xl, yl and c fields of one equation."""
+    """The v1 file's xx, xy, xl, yl and c fields of one equation: the
+    compress of its form."""
     n = eq.n
-    fields = []
-    for mask, steps in _file_masks(n):
-        x = eq.form & mask
-        for shift, move in steps:
-            t = x & move
-            x = x ^ t | t >> shift
-        fields.append(x)
+    xx, xy = (_compress(eq.form, mask, steps) for mask, steps in _file_masks(n))
     low = (1 << n) - 1
     affine = eq.form >> (n * (2 * n + 1))
-    return (*fields, affine & low, affine >> n & low, affine >> 2 * n)
+    return xx, xy, affine & low, affine >> n & low, affine >> 2 * n
 
 
 def _from_file_fields(n: int, xx: int, xy: int, xl: int, yl: int, c: int):
+    """The equation with these file fields: the expand into its form."""
     form = (xl | yl << n | c << 2 * n) << (n * (2 * n + 1))
     for x, (mask, steps) in zip((xx, xy), _file_masks(n)):
         for shift, move in reversed(steps):

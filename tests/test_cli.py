@@ -193,7 +193,11 @@ def test_one_process_keeps_each_call_apart(tmp_path, capsys):
 def test_inspect_hides_secrets_by_default(tmp_path, capsys):
     secret, public = _keygen(tmp_path, 3, seed="1")
     capsys.readouterr()
-    header = "n: 3\nm: 2\nmodulus: 0b\n"
+    # both files name the key by the fingerprint of the public one
+    header = (
+        "n: 3\nm: 2\nmodulus: 0b\n"
+        "fingerprint: 4a6d9aedd4c1be36e4200350a08b5afd0e1252c04889fa1f112b245cd7459f76\n"
+    )
     assert main(["inspect", "--key", str(secret)]) == 0
     assert capsys.readouterr().out == (
         "type: secret\n" + header
@@ -211,6 +215,25 @@ def test_inspect_hides_secrets_by_default(tmp_path, capsys):
         "type: public\n" + header
         + "equations: 3\nterms: 27\nsize: 180 bytes\n"
     )
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_inspect_names_both_files_by_the_public_fingerprint(tmp_path, capsys, n):
+    # a secret key's fingerprint is its public key's, and its output holds
+    # none of its secret values (each at least 10 hex digits at these n)
+    secret, public = _keygen(tmp_path, n, seed="5eed")
+    capsys.readouterr()
+    outputs = []
+    for path in (public, secret):
+        assert main(["inspect", "--key", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    lines = [out.splitlines() for out in outputs]
+    prints = [[line for line in out if line.startswith("fingerprint: ")] for out in lines]
+    assert prints[0] == prints[1] and len(prints[0]) == 1
+    assert len(prints[0][0]) == len("fingerprint: ") + 64
+    for line in secret.read_text().splitlines()[3:]:
+        value = line.partition("=")[2]
+        assert value not in outputs[1]
 
 
 def test_selftest_passes(capsys):

@@ -1,9 +1,10 @@
 """Golden vectors: SHA-256 digests of byte-exact outputs for fixed seeds.
 
-Key files, message ciphertexts and signatures are pinned here, and each
-pinned key file must decode back to its key, so a rewrite of the PRNG, of
-key derivation, of the key codec or of a hot path cannot change what a
-given seed, message, digest or key file produces without failing.
+Key files, message ciphertexts, signatures and public-key fingerprints
+are pinned here, and each pinned key file must decode back to its key, so
+a rewrite of the PRNG, of key derivation, of the key codec or of a hot
+path cannot change what a given seed, message, digest or key file
+produces without failing.
 """
 
 import functools
@@ -13,7 +14,7 @@ import pytest
 
 from ld2.cipher import encrypt_message, sign
 from ld2.gf2n import bits_to_hex
-from ld2.keys import decode_key, encode_key, keygen
+from ld2.keys import decode_key, derive_public_key, encode_key, fingerprint, keygen
 
 SEEDS = {5: 0x5EED05, 33: 0x5EED21, 129: 0x5EED81, 257: 0x5EED101}
 
@@ -46,6 +47,13 @@ GOLDEN = {
         "98abaaf71e6187f6c9350061a2f04cd6ead36526d2e9093cd93adef43a672bfe",
         "38fb24204fd0f886c42115cf7ccdaca28c55bb06b20bf4dfc3960c6ceeed57b8",
     ),
+}
+
+
+# fingerprint of the public key, for the key pairs of SEEDS
+FINGERPRINTS = {
+    5: "3d2f0c6e1f9842ddb6e717514d4b0f96c6f7455a308e8ae79a23ec1aaa9f66fa",
+    33: "d64df5fd8647e51b1cc9ee84c2716d097f9a4a485a5cc1e0f643ede1f0413a4a",
 }
 
 
@@ -88,3 +96,14 @@ def test_signatures(n):
     sk, _ = _keys(n)
     lines = "".join(bits_to_hex(sign(sk, d), n) + "\n" for d in _digests(n))
     assert _sha(lines) == GOLDEN[n][3]
+
+
+@pytest.mark.parametrize("n", sorted(FINGERPRINTS))
+def test_fingerprints(n):
+    # the same for the generated, the decoded and the re-derived key
+    sk, pk = _keys(n)
+    decoded = decode_key(encode_key(pk))
+    for key in (pk, decoded, derive_public_key(sk)):
+        assert fingerprint(key) == FINGERPRINTS[n]
+    with pytest.raises(TypeError):
+        fingerprint(sk)

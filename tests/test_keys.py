@@ -196,19 +196,70 @@ def test_round_trip_larger_keys():
 
 def test_decode_does_no_encoding(monkeypatch):
     # the canonical check compares the file with the text of the parsed
-    # values, so decoding never compresses an equation or encodes the key
+    # values, so decoding never compresses an equation or encodes the key;
+    # a public key keeps the parsed values as its fields, so decoding never
+    # expands them into forms either
     import ld2.keys as keys_mod
 
     sk, pk = keygen(5, seed=0xDEC0)
     texts = [(key, encode_key(key)) for key in (sk, pk)]
 
     def forbidden(*args):
-        raise AssertionError("decode_key must not encode")
+        raise AssertionError("decode_key must not encode or expand")
 
     monkeypatch.setattr(keys_mod, "_file_fields", forbidden)
+    monkeypatch.setattr(keys_mod, "_from_file_fields", forbidden)
     monkeypatch.setattr(keys_mod, "encode_key", forbidden)
     for key, text in texts:
         assert decode_key(text) == key
+    assert decode_key(texts[1][1])._equations is None
+
+
+def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
+    # a key holds its file fields; keygen, the codec, verification and the
+    # CLI's verify and inspect never build a form, and keygen compresses
+    # nothing.  The first linear_system call expands the n equations once
+    # and builds the tables once; PublicKey(n, equations) compresses once
+    import ld2.keys as keys_mod
+    from ld2.cipher import encrypt_block, sign, verify
+    from ld2.cli import main
+    from ld2.gf2n import bits_to_hex
+
+    calls = []
+    for name in ("_file_fields", "_from_file_fields", "_lane_tables"):
+        original = getattr(keys_mod, name)
+
+        def counted(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(keys_mod, name, counted)
+    n = 9
+    sk, pk = keygen(n, seed=0x1A2F)
+    secret, public = tmp_path / "k.sec", tmp_path / "k.pub"
+    secret.write_text(encode_key(sk))
+    public.write_text(encode_key(pk))
+    decoded = decode_key(public.read_text())
+    signature = sign(sk, 3)
+    for key in (pk, decoded):
+        assert verify(key, 3, signature) and not verify(key, 3, signature ^ 4)
+        assert key.holds(1, 2) in (True, False)
+    verify_argv = ["verify", "--public", str(public), "--digest", bits_to_hex(3, n), "--sig"]
+    assert main(verify_argv + [bits_to_hex(signature, n)]) == 0
+    assert main(["inspect", "--key", str(public)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert pk._equations is None and decoded._equations is None
+
+    first = encrypt_block(decoded, 5)
+    assert calls == ["_from_file_fields"] * n + ["_lane_tables"]
+    assert encrypt_block(decoded, 5) == first and decoded.linear_system(6)
+    assert decoded.equations == pk.equations  # pk expands here, on first use
+    assert calls == ["_from_file_fields"] * n + ["_lane_tables"] + ["_from_file_fields"] * n
+    calls.clear()
+    built = PublicKey(n, pk.equations)
+    assert built == pk and built.equations == pk.equations
+    assert calls == ["_file_fields"] * n
 
 
 def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
@@ -277,8 +328,8 @@ def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
 @pytest.mark.parametrize("n", [9, 65])
 def test_holds_builds_no_outer_product_with_the_copy(n, monkeypatch):
     # with the copy, valid pairs and forgeries go through the gate tables
-    # and the copy alone; a decoded key without it builds one outer product
-    # per holds
+    # and the copy alone; a decoded key without it evaluates on its file
+    # fields, and builds no outer product either
     import ld2.keys as keys_mod
     from ld2.cipher import sign, verify
 
@@ -303,15 +354,15 @@ def test_holds_builds_no_outer_product_with_the_copy(n, monkeypatch):
     assert [verify(pk, digest, signature) for signature, digest in pairs] == expected
     assert outers == []
     assert [decoded.holds(*pair) for pair in pairs] == expected
-    assert outers == [n] * len(pairs)
-    assert decoded._tables is None
+    assert outers == []
+    assert decoded._tables is None and decoded._equations is None
 
 
 @pytest.mark.parametrize("n", [129, 257])
 def test_holds_agrees_with_and_without_the_lane_major_copy(n):
-    # the decoded key evaluates every equation against the outer product;
-    # the other checks the gate's through its tables, then all of them from
-    # the copy.  Both see the valid pair and every one-bit flip of the
+    # the decoded key evaluates every equation on its file fields; the
+    # other checks the gate's through its tables, then all of them from the
+    # copy.  Both see the valid pair and every one-bit flip of the
     # signature and of the digest
     from ld2.cipher import encrypt_block, sign
 

@@ -8,16 +8,19 @@ transpose of linalg against per-bit loops
 test_bit_columns_match_a_bitwise_transpose), GF(2) transpose, rank, solving
 and inversion on any shape, AffineMap.apply's window tables against
 BitMatrix.mul_vec, the packed equation layout, PublicKey.holds with and
-without the lane-major copy (test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
-public-key derivation (against the residual, and against one
+without the lane-major copy, on the file fields with and without the
+forms (test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
+public-key derivation (against the residual, against one
 Field.mul per coefficient with a bitwise transpose in
-test_derive_public_key_matches_per_coefficient_reference), encryption
+test_derive_public_key_matches_per_coefficient_reference, and its file
+fields against the compress of its forms in
+test_derived_fields_are_the_compressed_forms), encryption
 solvability, message framing, the key-file codec's compress and expand
 against the per-lane loops they replaced
 (test_file_fields_match_per_lane_reference), key-file round trips
-(test_key_files_round_trip), the text written from any public field values
-of the right widths being the encoding of the key it decodes to, which is
-what decode_key's canonical check relies on
+(test_key_files_round_trip, forms included), the text written from any
+public field values of the right widths being the encoding of the key it
+decodes to, which is what decode_key's canonical check relies on
 (test_public_field_values_are_the_key_fields), and the strictness of the
 key-file codec."""
 
@@ -414,7 +417,8 @@ def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed,
     # random forms whose constants make every equation vanish at (x, y),
     # then at most one constant flipped: inside the gate, which its tables
     # see, or past it, where only the whole lane-major copy can; both with
-    # equal weight (at n = 3 and 5 the gate covers every equation)
+    # equal weight (at n = 3 and 5 the gate covers every equation).
+    # Without the tables holds reads the file fields, with or without forms
     rng = random.Random(seed)
     valid = _layout(n).valid
     constant = 1 << n * (2 * n + 3)
@@ -428,7 +432,12 @@ def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed,
         low, high = (0, gate - 1) if where == "gate" else (gate, n - 1)
         failing = data.draw(st.integers(low, high), label="failing")
         forms[failing] ^= constant
+    # the three states of a key: fields only, fields and forms, and tables
     pk = PublicKey(n, [QuadraticEquation(n, form) for form in forms])
+    fields_only = PublicKey._from_fields(n, pk.fields)
+    assert fields_only._equations is None
+    assert fields_only.holds(x, y) == (failing is None)
+    assert fields_only._equations is None and fields_only._tables is None
     assert pk.holds(x, y) == (failing is None)
     pk.linear_system(x)
     assert pk.holds(x, y) == (failing is None)
@@ -506,6 +515,20 @@ def test_derive_public_key_matches_per_coefficient_reference(half, seed):
     # odd n in 3..65
     sk, _ = keygen(2 * half + 1, seed)
     assert derive_public_key(sk) == _reference_public_key(sk)
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.integers(1, 128), st.integers(0, (1 << 64) - 1))
+@example(128, 7)
+def test_derived_fields_are_the_compressed_forms(half, seed):
+    # odd n in 3..257: derive_public_key transposes straight into the file
+    # fields; expanding them and compressing again, by the codec's masks
+    # and by the per-lane reference, gives them back
+    n = 2 * half + 1
+    pk = keygen(n, seed)[1]
+    assert pk._equations is None
+    for fields, eq in zip(pk.fields, pk.equations):
+        assert _file_fields(eq) == fields == _reference_file_fields(eq)
 
 
 _MESSAGE_N = 9
@@ -588,9 +611,12 @@ def test_file_fields_match_per_lane_reference(half, seed):
 @settings(deadline=None, max_examples=15)
 @given(st.integers(1, 64), st.integers(0, (1 << 64) - 1))
 def test_key_files_round_trip(half, seed):
-    # odd n in 3..129
-    for key in keygen(2 * half + 1, seed):
-        assert decode_key(encode_key(key)) == key
+    # odd n in 3..129; a decoded public key expands to the same forms
+    sk, pk = keygen(2 * half + 1, seed)
+    assert decode_key(encode_key(sk)) == sk
+    decoded = decode_key(encode_key(pk))
+    assert decoded == pk
+    assert decoded.equations == pk.equations
 
 
 @settings(deadline=None, max_examples=25)
