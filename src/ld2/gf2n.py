@@ -8,7 +8,8 @@ packing, and byte/hex serialisation is little-endian: bit i of a string
 lands in bit i % 8 of byte i // 8.  Field.mul_lanes multiplies one element
 by up to n others at once, packed one per byte-aligned lane of 2n bits or
 more (Field.pack_lanes), with the same carry-less product and reduction as
-Field.mul.
+Field.mul.  byte_multiples tabulates such lanes once for many products by
+them (clmul_bytes), and Field.fold_lanes reduces the results.
 
 The modulus of each field is the first irreducible polynomial in the
 deterministic scan order of find_irreducible, so key material and wire
@@ -75,6 +76,22 @@ def _clmul(a: int, b: int) -> int:
             acc ^= table[w] << shift
         b >>= 4
         shift += 4
+    return acc
+
+
+def byte_multiples(a: int) -> tuple[int, ...]:
+    """Entry b: the carry-less product of a by the byte value b."""
+    return window_tables([a << i for i in range(8)], 8)[0]
+
+
+def clmul_bytes(multiples, b: int) -> int:
+    """The carry-less product of a and b, from multiples = byte_multiples(a),
+    by Horner's rule over the bytes of b from the top: one shift and one
+    lookup per byte.  Products of many b by one a share the table, where
+    _clmul builds 16 multiples of a per product."""
+    acc = 0
+    for byte in b.to_bytes((b.bit_length() + 7) // 8, "big"):
+        acc = acc << 8 ^ multiples[byte]
     return acc
 
 
@@ -233,7 +250,12 @@ class Field:
         """
         if lanes.bit_length() > self._lanes_low.bit_length():
             raise ValueError("lanes do not fit n field elements")
-        return _fold(_clmul(lanes, a), self.n, self._low_shifts, self._lanes_low)
+        return self.fold_lanes(_clmul(lanes, a))
+
+    def fold_lanes(self, v: int) -> int:
+        """Reduce each lane of v, a carry-less product of one element by up
+        to n elements packed as mul_lanes takes them."""
+        return _fold(v, self.n, self._low_shifts, self._lanes_low)
 
     def pack_lanes(self, elements) -> int:
         """The elements packed one per lane of lane_bytes, the first in lane 0."""

@@ -9,8 +9,10 @@ quadratic in the plaintext bits x and linear in the ciphertext bits y once
 x is fixed.  They are the coordinates of the hidden relation's residual
 R(u, v) at u = s(x), v = t(y).  The degree-two part of R is
 F(u) u + (F(u) + u) v, with F the Frobenius map u -> u^(2^m), so
-derive_public_key reads a_jk and b_jk off its polar (bilinear) forms:
-three lane-packed field products per lane of the forms, then one bit
+derive_public_key reads a_jk and b_jk off its polar (bilinear) forms,
+and d_k and c_k off the same bilinearity: three lane-packed field
+products per lane of the forms, through byte multiples that every lane
+shares, three more for the linear terms, then one word-parallel bit
 transpose.
 
 A PublicKey is in one of three states, and only ever moves forward:
@@ -126,7 +128,7 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2n import Field, bits_to_hex, find_irreducible, hex_to_bits
+from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreducible, hex_to_bits
 from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
 from .linalg import bit_columns, nibble_windows, random_invertible, rank
 
@@ -547,13 +549,26 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
         b_jk = (F(s_j) + s_j) t_k         (R's (F(u) + u) v)
         e    = R(u0, v0),  d_j = R(u0 + s_j, v0) + e,  c_k = R(u0, v0 + t_k) + e
 
-    s_k, F(s_k) and t_k are packed once, a field element per lane.  Row j
-    then takes three Field.mul_lanes products: F(s_j) and s_j times lanes
-    k > j of the first two (a_jk), F(s_j) + s_j times the third (b_jk).
-    Their bytes are the coefficient vectors, laid out in key-file order:
-    the a_jk of every row (xx), then the b_jk of every row (xy), then d, c
-    and e.  One bit transpose turns them into one int per equation, xx | xy
-    | xl | yl | c side by side, and shifts split it into the fields.
+    R(u, v) = F(u)(u + v) + u(v + alpha) + F(u) + v alpha + F(alpha), and F
+    is linear, so the differences expand by bilinearity:
+
+        d_j = F(u0) s_j + F(s_j)(u0 + v0 + s_j) + s_j (v0 + alpha) + F(s_j)
+            = s_j (F(u0) + v0 + alpha) + F(s_j) (u0 + v0 + 1) + F(s_j) s_j
+        c_k = F(u0) t_k + u0 t_k + t_k alpha = t_k (F(u0) + u0 + alpha)
+
+    S, F(S) and T, the s_k, F(s_k) and t_k packed a field element per lane,
+    are each tabulated once by their 256 byte multiples
+    (gf2n.byte_multiples), which every row shares.  Row j then takes three
+    carry-less products through them (gf2n.clmul_bytes): F(s_j) S + s_j
+    F(S), cut to lanes k > j and folded once (a_jk; a fold acts lane by
+    lane, so the cut may come first), and (F(s_j) + s_j) T (b_jk).  d and
+    c are three Field.mul_lanes by the same lanes, plus n Field.mul for the
+    F(s_j) s_j, and e is one _residual_uv.  The bytes of the products are
+    the coefficient vectors, laid out in key-file order: the a_jk of every
+    row (xx), then the b_jk of every row (xy), then d, c and e.  One bit
+    transpose (linalg.bit_columns, by 8 x 8 bit blocks) turns them into one
+    int per equation, xx | xy | xl | yl | c side by side, and shifts split
+    it into the fields.
     """
     field = sk.field
     n = field.n
@@ -563,19 +578,26 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     t_cols = sk.t.columns
     s_frob = [field.frobenius(col) for col in s_cols]
     s_lanes, frob_lanes, t_lanes = map(field.pack_lanes, (s_cols, s_frob, t_cols))
-    u0, v0 = sk.s.translation, sk.t.translation
-    base = _residual_uv(sk, u0, v0)
-
+    s_bytes, frob_bytes, t_bytes = map(byte_multiples, (s_lanes, frob_lanes, t_lanes))
     a_rows, b_rows = [], []
     for j, (sj, fj) in enumerate(zip(s_cols, s_frob)):
         cut = width * (j + 1)  # a_jk for k > j only
-        a_row = field.mul_lanes(fj, s_lanes >> cut) ^ field.mul_lanes(sj, frob_lanes >> cut)
-        a_rows.append(a_row.to_bytes(size * (n - 1 - j), "little"))
-        b_rows.append(field.mul_lanes(fj ^ sj, t_lanes).to_bytes(size * n, "little"))
-    linear = [_residual_uv(sk, u0 ^ sj, v0) for sj in s_cols]
-    linear += [_residual_uv(sk, u0, v0 ^ tk) for tk in t_cols]
-    linear = field.pack_lanes([v ^ base for v in linear] + [base])
-    data = b"".join(a_rows + b_rows) + linear.to_bytes(size * (2 * n + 1), "little")
+        a_row = clmul_bytes(s_bytes, fj) ^ clmul_bytes(frob_bytes, sj)
+        a_rows.append(field.fold_lanes(a_row >> cut).to_bytes(size * (n - 1 - j), "little"))
+        b_row = field.fold_lanes(clmul_bytes(t_bytes, fj ^ sj))
+        b_rows.append(b_row.to_bytes(size * n, "little"))
+    u0, v0 = sk.s.translation, sk.t.translation
+    u0_frob = field.frobenius(u0)
+    d = (
+        field.mul_lanes(u0_frob ^ v0 ^ sk.alpha, s_lanes)
+        ^ field.mul_lanes(u0 ^ v0 ^ 1, frob_lanes)
+        ^ field.pack_lanes(map(field.mul, s_frob, s_cols))
+    )
+    c = field.mul_lanes(u0_frob ^ u0 ^ sk.alpha, t_lanes)
+    e = _residual_uv(sk, u0, v0)
+    linear = [d.to_bytes(size * n, "little"), c.to_bytes(size * n, "little"),
+              e.to_bytes(size, "little")]
+    data = b"".join(a_rows + b_rows + linear)
     pairs, square, low = n * (n - 1) // 2, n * n, (1 << n) - 1
     fields = []
     # column i collects bit i of every coefficient vector: equation i

@@ -6,9 +6,11 @@ elimination, _echelon, serves rank, solve_linear and invert_matrix: the
 Method of Four Russians, which clears k columns from each row with one
 table lookup, so an n x n matrix takes O(n^3 / log n) bit operations
 against Gaussian elimination's O(n^3).  One bit transpose, bit_columns,
-serves BitMatrix.transpose and public-key derivation.  window_tables
-tabulates an F_2-linear map from the images of the basis vectors, one table
-per window of input bits: the elimination's tables of pivot sums, the
+serves BitMatrix.transpose and public-key derivation: Hacker's Delight's
+8 x 8 transpose8, run on every 64-bit word of a strided byte slice at
+once.  window_tables tabulates an F_2-linear map from the images of the
+basis vectors, one table per window of input bits: the elimination's
+tables of pivot sums, gf2n's byte multiples of lane-packed elements, the
 4-bit windows (nibble_windows, apply_windows) through which AffineMap
 applies its matrix and keys.PublicKey takes every lane sum of its
 lane-major copy, each built once, and gf2n's byte-window Frobenius tables.
@@ -23,8 +25,10 @@ from dataclasses import dataclass
 _MASK64 = (1 << 64) - 1
 
 
-# t -> the table that maps a byte to the ASCII digit of its bit t
-_BIT_DIGITS = tuple(bytes(48 + (b >> t & 1) for b in range(256)) for t in range(8))
+# the three rounds of transpose8 (Hacker's Delight, 2nd ed., 7-3) on a
+# little-endian word, byte k = row k: (shift, mask of the bits that swap
+# with the bits shift places up)
+_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def bit_columns(data: bytes, stride: int, count: int) -> list[int]:
@@ -32,12 +36,28 @@ def bit_columns(data: bytes, stride: int, count: int) -> list[int]:
 
     Each record is a little-endian bit string; entry i < count of the
     result has bit r equal to bit i of record r.  Byte b of every record is
-    one strided slice, reversed so that record 0 comes last; bit i of the
-    records is then the slice for b = i // 8 translated to the digits of
-    bit i % 8 and parsed in base 2.
+    one strided slice, padded to whole 64-bit words and read as one int:
+    word w is then the 8 x 8 bit matrix whose row k is byte b of record
+    8w + k.  Round s of transpose8 swaps the two off-diagonal s x s blocks
+    of every aligned 2s x 2s block, for s = 1, 2, 4, in every word at
+    once: the masks repeat over the int, and no bit leaves its word.
+    Then byte t of word w holds bit 8b + t of records 8w .. 8w + 7, and the
+    bytes [t::8] are entry 8b + t.
     """
-    slices = [data[b::stride][::-1] for b in range((count + 7) // 8)]
-    return [int(slices[i >> 3].translate(_BIT_DIGITS[i & 7]), 2) for i in range(count)]
+    records = len(data) // stride
+    pad = bytes(-records % 8)
+    size = records + len(pad)
+    rounds = [(shift, int.from_bytes(mask.to_bytes(8, "little") * (size // 8), "little"))
+              for shift, mask in _TRANSPOSE8]
+    columns = []
+    for b in range((count + 7) // 8):
+        x = int.from_bytes(data[b::stride] + pad, "little")
+        for shift, mask in rounds:
+            swap = (x ^ x >> shift) & mask
+            x ^= swap ^ swap << shift
+        block = x.to_bytes(size, "little")
+        columns += [int.from_bytes(block[t::8], "little") for t in range(min(8, count - 8 * b))]
+    return columns
 
 
 def window_tables(images, width: int) -> tuple[tuple[int, ...], ...]:

@@ -2,7 +2,8 @@
 a few sizes: the Frobenius map, the Itoh-Tsujii chain in Field.pow against
 square and multiply, Field.trace against the sum of squares it replaced,
 the lane-packed product Field.mul_lanes against Field.mul lane by lane
-(test_mul_lanes_matches_mul_lane_by_lane), the window tables and the bit
+(test_mul_lanes_matches_mul_lane_by_lane, which also checks the shared
+byte multiples of gf2n.byte_multiples), the window tables and the bit
 transpose of linalg against per-bit loops
 (test_window_tables_match_the_images_bit_by_bit,
 test_bit_columns_match_a_bitwise_transpose), GF(2) transpose, rank, solving
@@ -10,8 +11,9 @@ and inversion on any shape, AffineMap.apply's window tables against
 BitMatrix.mul_vec, the packed equation layout, PublicKey.holds with and
 without the lane-major copy, on the file fields with and without the
 forms (test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
-public-key derivation (against the residual, against one
-Field.mul per coefficient with a bitwise transpose in
+public-key derivation (against the residual, its linear terms against
+residual differences in test_linear_terms_are_residual_differences,
+against one Field.mul per coefficient with a bitwise transpose in
 test_derive_public_key_matches_per_coefficient_reference, and its file
 fields against the compress of its forms in
 test_derived_fields_are_the_compressed_forms), encryption
@@ -31,7 +33,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ld2.cipher import decrypt_message, encrypt_message
-from ld2.gf2n import Field, apply_columns, frobenius_tables
+from ld2.gf2n import Field, apply_columns, byte_multiples, clmul_bytes, frobenius_tables
 from ld2.keys import (
     KeyFormatError,
     PublicKey,
@@ -42,6 +44,7 @@ from ld2.keys import (
     _from_file_fields,
     _key_text,
     _layout,
+    _residual_uv,
     decode_key,
     derive_public_key,
     encode_key,
@@ -115,9 +118,12 @@ def test_mul_lanes_matches_mul_lane_by_lane(half, data):
     middle = data.draw(st.lists(st.integers(0, top), max_size=n - 2), label="lanes")
     elements = [0, *middle, top]
     lanes = field.pack_lanes(elements)
+    multiples = byte_multiples(lanes)
     for a in (0, 1, data.draw(st.integers(2, top), label="a")):
         expected = field.pack_lanes(field.mul(a, e) for e in elements)
         assert field.mul_lanes(a, lanes) == expected
+        # derive_public_key's row products: shared byte multiples, one fold
+        assert field.fold_lanes(clmul_bytes(multiples, a)) == expected
 
 
 @st.composite
@@ -306,11 +312,29 @@ def test_window_tables_match_the_images_bit_by_bit(images, width, x, acc):
         assert apply_windows(windows, v, acc) == acc ^ _image_of(images, v)
 
 
-# record counts mostly not a multiple of 8, and count mostly below 8 * stride
-@given(st.integers(1, 5), st.data())
-def test_bit_columns_match_a_bitwise_transpose(stride, data):
-    records = data.draw(st.lists(st.integers(0, (1 << 8 * stride) - 1), min_size=1, max_size=20))
-    count = data.draw(st.integers(1, 8 * stride))
+@st.composite
+def record_sets(draw):
+    """(stride, records, count): strides up to 65, lane_bytes at n = 257,
+    record counts both multiples of 8 and not, and count mostly below
+    8 * stride."""
+    stride = draw(st.integers(1, 65))
+    records = draw(st.lists(st.integers(0, (1 << 8 * stride) - 1), min_size=1, max_size=40))
+    return stride, records, draw(st.integers(1, 8 * stride))
+
+
+def _random_records(stride, count, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(8 * stride) for _ in range(count)]
+
+
+@settings(deadline=None)
+@given(record_sets())
+# derivation's strides at n = 129 and 257, with 8k + 1 records and one
+# partial byte column
+@example((33, _random_records(33, 17, 1), 129))
+@example((65, _random_records(65, 33, 2), 257))
+def test_bit_columns_match_a_bitwise_transpose(case):
+    stride, records, count = case
     blob = b"".join(record.to_bytes(stride, "little") for record in records)
     assert bit_columns(blob, stride, count) == [
         sum((record >> i & 1) << r for r, record in enumerate(records)) for i in range(count)
@@ -481,6 +505,29 @@ def test_derived_equations_match_residual(half, seed, data):
         residual = relation_residual(sk, x, y)
         for i, eq in enumerate(pk.equations):
             assert eq.evaluate(x, y) == (residual >> i) & 1
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(1, 128), st.integers(0, (1 << 64) - 1),
+       st.lists(st.integers(0, 256), max_size=6))
+@example(128, 7, [128])
+@example(1, 0, [])
+def test_linear_terms_are_residual_differences(half, seed, picks):
+    # odd n in 3..257: derive_public_key takes d and c from lane products
+    # by bilinearity; bit j of xl over the n equations is the residual
+    # difference d_j = R(u0 + s_j, v0) + e, bit k of yl is c_k = R(u0, v0 +
+    # t_k) + e, and the c fields are e = R(u0, v0)
+    n = 2 * half + 1
+    sk, pk = keygen(n, seed)
+    u0, v0 = sk.s.translation, sk.t.translation
+    s_cols, t_cols = sk.s.columns, sk.t.columns
+    e = _residual_uv(sk, u0, v0)
+    assert sum(c << i for i, (*_, c) in enumerate(pk.fields)) == e
+    for j in {0, n - 1, *(p % n for p in picks)}:
+        xl = sum((f[2] >> j & 1) << i for i, f in enumerate(pk.fields))
+        yl = sum((f[3] >> j & 1) << i for i, f in enumerate(pk.fields))
+        assert xl == _residual_uv(sk, u0 ^ s_cols[j], v0) ^ e
+        assert yl == _residual_uv(sk, u0, v0 ^ t_cols[j]) ^ e
 
 
 def _reference_public_key(sk):
