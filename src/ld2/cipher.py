@@ -92,8 +92,8 @@ def verify(pk: PublicKey, digest: int, signature: int) -> bool:
     A key that has encrypted reads its equations from window tables of its
     lane-major copy, behind a six-equation gate (PublicKey.holds); any
     other key evaluates them on its key-file fields.  The keys module
-    docstring gives the layouts and the tables' memory.  verify builds
-    neither the tables nor the forms.
+    docstring gives the layout of the copy and the tables' memory.  verify
+    builds no tables.
     """
     return pk.holds(signature, digest)
 

@@ -380,6 +380,8 @@ def _cmd_bench(args) -> int:
         raise CliError("--n-list must name at least one size")
     for n in n_list:
         _check_n(n)
+    if len(set(n_list)) < len(n_list):
+        raise CliError("--n-list must not repeat a size")
     print_bench_report(run_bench(n_list, args.reps))
     return 0
 

@@ -11,24 +11,23 @@ R(u, v) at u = s(x), v = t(y).  The degree-two part of R is
 F(u) u + (F(u) + u) v, with F the Frobenius map u -> u^(2^m), so
 derive_public_key reads a_jk and b_jk off its polar (bilinear) forms,
 and d_k and c_k off the same bilinearity: three lane-packed field
-products per lane of the forms, through byte multiples that every lane
-shares, three more for the linear terms, then one word-parallel bit
-transpose.
+products per row j of the coefficients, through byte multiples that every
+row shares, three more for the linear terms, then one word-parallel bit
+transpose straight into the key file's fields.
 
-A PublicKey is in one of three states, and only ever moves forward:
+A PublicKey is in one of two states, and only ever moves forward:
 
     fields   always: per equation the five fields of the key file, xx (the
-             a_jk, pairs j < k in lexicographic order), xy (the b_jk,
-             row-major), xl (the d_k), yl (the c_k) and c (e)
-    forms    on first use of PublicKey.equations: one int per equation in
-             the lane layout below, expanded from the fields
+             a_jk, pairs j < k in lexicographic order, so row j starts at
+             bit j*n - j(j+1)/2), xy (the b_jk, row-major, row j at bit
+             j*n), xl (the d_k), yl (the c_k) and c (e)
     tables   on the first linear_system call: window tables of the
-             lane-major copy of the forms
+             lane-major copy of the fields
 
 derive_public_key and decode_key build the fields and nothing else, and
-encode_key writes them as they are, so keygen, the codec and verification
-never touch a form.  PublicKey(n, equations), for hand-built keys, is the
-one place that compresses forms into fields.
+encode_key writes them as they are.  A QuadraticEquation is a view of
+one equation's fields, so PublicKey.equations and PublicKey(n, equations)
+convert nothing.
 
 holds without the tables evaluates on the fields.  Let sx be x spread to
 stride n (bit j moved to bit j*n).  Then Y = y * sx is x (x) y row-major,
@@ -40,53 +39,45 @@ is then
 
     parity(xx & T) ^ parity(xy & Y) ^ parity(xl & x) ^ parity(yl & y) ^ c,
 
-two ANDs of about n^2 / 2 and n^2 bits.  sx itself is
-(x mod 2^(n-1)) * sum_{k<n-1} 2^(k(n-1)) masked to the bits j*n: the
+two ANDs of about n^2 / 2 and n^2 bits (_monomials builds T and Y, and
+QuadraticEquation.evaluate reads one equation the same way).  sx itself
+is (x mod 2^(n-1)) * sum_{k<n-1} 2^(k(n-1)) masked to the bits j*n: the
 product's copies of x mod 2^(n-1) are n - 1 bits wide and n - 1 bits
 apart, so they do not overlap, and copy j holds x_j at j(n - 1) + j =
-j*n; bit n - 1 of x is shifted into place on its own.
+j*n; bit n - 1 of x is shifted into place on its own.  The compress takes
+about log2(n^2) masked shifts (Hacker's Delight, 2nd ed., 7-4), by move
+masks that _compress_steps builds once per n (_spread_masks).
 
-Each form is one int of n + 1 lanes of w = 2n + 1 bits; lane j starts at
-bit j*w and indices below are 0-based:
+linear_system takes all n equations at once, from a lane-major copy of
+the fields (the bitsliced evaluation of Berbain, Billet and Gilbert, SAC
+2006, turned on its side): L_0..L_n hold one byte-aligned chunk per
+equation, and chunk i of L_j holds the terms of equation i in 2n + 1
+bits, indices 0-based:
 
-    lane j < n   bits 0..n-1: a_jk (zero for k <= j), bits n..2n-1: b_jk,
+    L_j, j < n   bits 0..n-1: a_jk (zero for k <= j), bits n..2n-1: b_jk,
                  bit 2n: zero
-    lane n       bits 0..n-1: d_k, bits n..2n-1: c_k, bit 2n: e
+    L_n          bits 0..n-1: d_k, bits n..2n-1: c_k, bit 2n: e
 
-Let outer(x, y) hold z = x | y << n | 1 << 2n in lane n and in every lane
-j with x_j = 1.  Then form & outer(x, y) keeps exactly the monomials that
-are 1 at (x, y), so the equation's value is the parity of that AND
-(QuadraticEquation.evaluate).  outer needs no loop over the bits of x.
-The product x * comb, with comb = sum_{k<n} 2^(2nk), writes a copy of x
-at every multiple of 2n; the copies are n bits wide and 2n bits apart, so
-they never overlap and the product has no carries.  Copy j holds x_j at
-bit 2nj + j = j*w, the start of lane j, so masking with diagonal =
-sum_j 2^(j*w) leaves one bit per selected lane, and multiplying that by
-z, which is at most one lane wide, again adds copies that do not overlap.
-With x fixed, the XOR v of lane n and the lanes that x selects is the
-whole equation in y: bits n..2n-1 of v are the coefficients of y, and
-parity(v & x) ^ v_2n is the rest.
-
-linear_system takes those XORs for all n equations at once, from a
-lane-major copy of the forms (the bitsliced evaluation of Berbain, Billet
-and Gilbert, SAC 2006, turned on its side): L_j holds lane j of every
-form, one byte-aligned chunk per form, so the lane sum, L_n XOR every L_j
-with x_j = 1, holds v for equation i in chunk i.  The lane sum is an
-affine map of x, and the key keeps the copy only as its 4-bit window
-tables, the Four Russians lookup (Bard, IACR ePrint 2006/251) that
-AffineMap uses: linalg.nibble_windows of L_0..L_{n-1}, with L_n as the
-constant.  Every lane sum is then one linalg.apply_windows call, two
-16-entry lookups per byte of x.  holds with the tables first reads them
-cut to the first min(_GATE, n) = 6 chunks, a gate that checks six
-equations with one lookup, one AND and one parity fold, and only a pair
-that passes it, about one forgery in 64, reads the whole tables.  The
-first linear_system call expands the forms, if no one has, and builds
-both sets from their bytes (_lane_tables); holds, verification and the
-key codec never do.  The whole tables have 16 ceil(n/4) entries of n
-chunks, about four times the n + 1 lanes of the copy: by tracemalloc,
-both sets take 0.34, 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0
-and 22.6 MB at the peak of the build).  The build takes about 1, 4 and
-22-33 ms on a shared 2-CPU x86-64 machine.
+_lane_major cuts L_j out of the fields: row j of every xx and of every xy
+by one byte slice per equation, one shift of the joined bytes, one mask
+per chunk and one shift into place.  The lane sum, L_n XOR every L_j with
+x_j = 1, then holds in chunk i equation i with x fixed: bits n..2n-1 are
+the coefficients of y, and parity(v & x) ^ v_2n, v the chunk, is the
+rest.  The lane sum is an affine map of x, and the key keeps the copy
+only as its 4-bit window tables, the Four Russians lookup (Bard, IACR
+ePrint 2006/251) that AffineMap uses: linalg.nibble_windows of
+L_0..L_{n-1}, with L_n as the constant.  Every lane sum is then one
+linalg.apply_windows call, two 16-entry lookups per byte of x.  holds
+with the tables first reads them cut to the first min(_GATE, n) = 6
+chunks, a gate that checks six equations with one lookup, one AND and one
+parity fold, and only a pair that passes it, about one forgery in 64,
+reads the whole tables.  The first linear_system call builds both sets
+(_lane_tables); holds, verification and the key codec never do.  The
+whole tables have 16 ceil(n/4) entries of n chunks, about four times the
+n + 1 lanes of the copy: by tracemalloc, both sets take 0.34, 2.4 and
+17.9 MB at n = 65, 129 and 257 (0.44, 3.0 and 22.6 MB at the peak of the
+build).  The build takes about 2, 8-10 and 45-65 ms on a shared 2-CPU
+x86-64 machine, over nine tenths of it in _lane_major's byte slices.
 
 Key files are line oriented:
 
@@ -101,7 +92,7 @@ Key files are line oriented:
 
 All hex fields are lowercase and pack bit i of the value into bit i % 8 of
 byte i // 8 (see gf2n).  Every line ends with a newline, and the modulus
-is the canonical one for the degree.  One table, _body_layout, names
+is the canonical one for the degree.  One generator, _body_lines, names
 every line after the header and gives its width; _key_text writes from
 it and decode_key parses by it.  A file decodes only if it is exactly the
 text encode_key writes for the key it describes, so unknown, out-of-order
@@ -110,13 +101,6 @@ _key_text of the values it parsed, which is that text: each value has
 exactly its line's width, the public values are the key's fields as they
 are, and on the secret ones BitMatrix.from_bits then to_bits is the
 identity.
-
-xx holds a form's a-bits in position order and xy its b-bits row-major,
-so each is the compress of the form by a mask fixed for each n, and the
-forms view is the matching expand (Hacker's Delight, 2nd ed., 7-4 and
-7-5).  Each takes about log2(n(2n + 1)) masked shifts, by move masks that
-_compress_steps builds once per n and mask (_file_masks, and
-_spread_masks for holds' T); xl, yl and c are plain shifts of lane n.
 """
 
 from __future__ import annotations
@@ -126,7 +110,7 @@ import hashlib
 import itertools
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreducible, hex_to_bits
 from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
@@ -135,26 +119,6 @@ from .linalg import bit_columns, nibble_windows, random_invertible, rank
 
 class KeyFormatError(ValueError):
     """Raised when a key file is malformed or violates a key invariant."""
-
-
-class _Layout(NamedTuple):
-    comb: int
-    diagonal: int
-    valid: int  # the bits a form may set
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(n: int) -> _Layout:
-    """The constant masks of the lane layout for n variables."""
-    w = 2 * n + 1
-    low = (1 << n) - 1
-    # lane j may use a_jk for k > j and every b_jk; lane n is all valid
-    valid = sum(((low << n | low) & ~((2 << j) - 1)) << (j * w) for j in range(n))
-    return _Layout(
-        sum(1 << (2 * n * k) for k in range(n)),
-        sum(1 << (j * w) for j in range(n)),
-        valid | ((1 << w) - 1) << (n * w),
-    )
 
 
 def _compress_steps(mask: int, width: int) -> tuple:
@@ -188,17 +152,6 @@ def _compress(x: int, mask: int, steps) -> int:
     return x
 
 
-@functools.lru_cache(maxsize=None)
-def _file_masks(n: int) -> tuple:
-    """(mask, steps) for the file's xx and xy fields: the a-bits and the
-    b-bits of a form."""
-    width = n * (2 * n + 1)
-    layout = _layout(n)
-    b_bits = ((1 << n) - 1 << n) * layout.diagonal
-    masks = (layout.valid & (1 << width) - 1 ^ b_bits, b_bits)
-    return tuple((mask, _compress_steps(mask, width)) for mask in masks)
-
-
 class _Spread(NamedTuple):
     comb: int  # 1 at every multiple of n - 1 below (n - 1)^2
     diagonal: int  # 1 at every multiple of n below n^2
@@ -208,7 +161,7 @@ class _Spread(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _spread_masks(n: int) -> _Spread:
-    """The constant masks of _vanish_on_fields for n variables."""
+    """The constant masks of _monomials for n variables."""
     triangle = sum(((1 << n) - (2 << j)) << (j * n) for j in range(n))
     return _Spread(
         sum(1 << (k * (n - 1)) for k in range(n - 1)),
@@ -218,26 +171,24 @@ def _spread_masks(n: int) -> _Spread:
     )
 
 
-def _vanish_on_fields(n: int, fields, x: int, y: int) -> bool:
-    """Whether every equation vanishes at (x, y), evaluated one by one on
-    its file fields against T, the monomials x_j x_k (j < k) in the order
-    of xx, and Y = x (x) y, row-major as xy is (module docstring)."""
+def _monomials(n: int, x: int, y: int) -> tuple[int, int]:
+    """(T, Y): the monomials x_j x_k (j < k) in the order of xx, and
+    x (x) y, row-major as xy is (module docstring)."""
     spread = _spread_masks(n)
     low = (1 << n - 1) - 1  # bits 0..n-2 of x
     sx = (x & low) * spread.comb & spread.diagonal | x >> n - 1 << n * (n - 1)
-    pairs, products = _compress(x * sx, spread.triangle, spread.steps), y * sx
+    return _compress(x * sx, spread.triangle, spread.steps), y * sx
+
+
+def _vanish_on_fields(n: int, fields, x: int, y: int) -> bool:
+    """Whether every equation vanishes at (x, y), evaluated one by one on
+    its file fields."""
+    pairs, products = _monomials(n, x, y)
     return not any(
         ((xx & pairs).bit_count() ^ (xy & products).bit_count()
          ^ (xl & x).bit_count() ^ (yl & y).bit_count() ^ c) & 1
         for xx, xy, xl, yl, c in fields
     )
-
-
-def _outer(n: int, x: int, y: int) -> int:
-    layout = _layout(n)
-    # a set bit at the start of lane n and of every lane j with x_j = 1
-    starts = (x * layout.comb) & layout.diagonal | 1 << (n * (2 * n + 1))
-    return starts * (x | y << n | 1 << 2 * n)
 
 
 # equations holds checks through the gate tables before it reads the whole
@@ -246,8 +197,9 @@ _GATE = 6
 
 
 def _chunk_bytes(n: int) -> int:
-    """Bytes per chunk of the lane-major copy: enough for a lane of 2n + 1
-    bits that starts at any bit of its first byte."""
+    """Bytes per chunk of the lane-major copy: enough for 2n + 1 bits that
+    start at any bit of their first byte, so a byte slice of this size holds
+    a row of a field wherever the row starts (_lane_major)."""
     return (2 * n + 15) // 8
 
 
@@ -276,77 +228,103 @@ def _even_chunks(n: int, v: int, terms: bytes, count: int) -> bool:
     return not v & ones
 
 
-def _lane_major(n: int, equations) -> tuple[int, ...]:
-    """The lane-major copy of the forms: entry j holds lane j of form i in
-    chunk i, bits 0..2n of bytes i*c .. (i + 1)*c - 1, c = _chunk_bytes(n).
+def _lane_major(n: int, fields) -> tuple[int, ...]:
+    """The lane-major copy of the fields: entry j holds lane j of equation
+    i in chunk i, bits 0..2n of bytes i*c .. (i + 1)*c - 1, c =
+    _chunk_bytes(n), and every other bit of a chunk is zero.
 
-    Lane j starts at bit j*w of a form, so its chunk is the c bytes of the
-    form from byte j*w // 8 on, shifted right by j*w % 8.  The bits above 2n
-    of a chunk spill over from the bytes around the lane, and every read
-    masks them off.
+    Row j of xx starts at bit j*n - j(j+1)/2 and row j of xy at bit j*n,
+    so each is the c bytes of its field from that bit's byte on, shifted
+    right by the bit's place in the byte.  The bits above the row spill
+    over from the next row or the next equation, and a mask per chunk
+    clears them.
     """
-    w = 2 * n + 1
     size = _chunk_bytes(n)
-    records = [eq.form.to_bytes(n * w // 8 + size, "little") for eq in equations]
-    lanes = []
-    for j in range(n + 1):
-        start, shift = divmod(j * w, 8)
+    ones = _chunk_masks(n)[0]
+    xx_records = [f[0].to_bytes(n * (n - 1) // 16 + size, "little") for f in fields]
+    xy_records = [f[1].to_bytes(n * n // 8 + size, "little") for f in fields]
+
+    def rows(records, offset: int, width: int) -> int:
+        start, shift = divmod(offset, 8)
         chunks = b"".join([record[start:start + size] for record in records])
-        lanes.append(int.from_bytes(chunks, "little") >> shift)
-    return tuple(lanes)
+        return int.from_bytes(chunks, "little") >> shift & (ones << width) - ones
+
+    lanes = [
+        rows(xx_records, j * n - j * (j + 1) // 2, n - 1 - j) << j + 1
+        | rows(xy_records, j * n, n) << n
+        for j in range(n)
+    ]
+    affine = b"".join([(xl | yl << n | c << 2 * n).to_bytes(size, "little")
+                       for _, _, xl, yl, c in fields])
+    return (*lanes, int.from_bytes(affine, "little"))
 
 
-def _lane_tables(n: int, equations) -> tuple:
+def _lane_tables(n: int, fields) -> tuple:
     """((windows, constant), (gate windows, gate constant)): lanes 0..n-1 of
     the lane-major copy as linalg.nibble_windows of x, with lane n as the
     constant, whole and cut to their first min(_GATE, n) chunks.
     apply_windows(windows, x, constant) is then the lane sum at x."""
-    lanes = _lane_major(n, equations)
+    lanes = _lane_major(n, fields)
     cut = (1 << 8 * _chunk_bytes(n) * min(_GATE, n)) - 1
     gate = [lane & cut for lane in lanes]
     return (nibble_windows(lanes[:n]), lanes[n]), (nibble_windows(gate[:n]), gate[n])
 
 
+def _equation_widths(n: int) -> tuple[tuple[str, int], ...]:
+    """Name and bit width of each key-file field of one equation."""
+    return ("xx", n * (n - 1) // 2), ("xy", n * n), ("xl", n), ("yl", n), ("c", 1)
+
+
+def _set_bits(value: int) -> list[int]:
+    """The positions of the set bits of value, lowest first."""
+    return [i for i, bit in enumerate(reversed(f"{value:b}")) if bit == "1"]
+
+
 @dataclass(frozen=True)
 class QuadraticEquation:
-    """One public equation packed into a single int of n + 1 lanes.
+    """One public equation as its five key-file fields (module docstring).
 
-    Lane j < n (bits j(2n+1) up) holds the x_{j+1} x_{k+1} terms (k > j)
-    in its bits 0..n-1 and the x_{j+1} y_{k+1} terms in bits n..2n-1; lane
-    n holds the x_{k+1} terms, then the y_{k+1} terms, then the constant in
-    its bit 2n.  See the module docstring for how the hot paths use it.
+    Indices below are 1-based.  Bit i of xx is the i-th pair j < k in
+    lexicographic order, the x_j x_k term; bit (j - 1) n + k - 1 of xy is
+    the x_j y_k term; bit k - 1 of xl and of yl are the x_k and y_k terms,
+    and c is the constant.  Each field must fit its width.
     """
 
     n: int
-    form: int
+    xx: int
+    xy: int
+    xl: int
+    yl: int
+    c: int
 
     def __post_init__(self):
-        # squares fold into the linear part, so lane j may only use k > j
-        if self.form < 0 or self.form & ~_layout(self.n).valid:
-            raise ValueError("coefficients outside the lane layout")
+        values = (self.xx, self.xy, self.xl, self.yl, self.c)
+        for (name, width), value in zip(_equation_widths(self.n), values):
+            if not 0 <= value < 1 << width:
+                raise ValueError(f"{name} must be a {width}-bit value")
 
     @classmethod
     def from_terms(cls, n, xx=(), xy=(), x=(), y=(), constant=0) -> QuadraticEquation:
         """Build an equation from 1-based term indices, each term at most
         once: a repeated term would cancel over GF(2)."""
-        w = 2 * n + 1
-        bits = []
+        bits = ([], [], [], [])
         for j, k in xx:
             if not 1 <= j < k <= n:
                 raise ValueError("xx pair must satisfy 1 <= j < k <= n")
-            bits.append((j - 1) * w + k - 1)
+            # row j - 1 of the pairs starts at (j - 1) n - (j - 1) j / 2
+            bits[0].append((j - 1) * n - (j - 1) * j // 2 + k - j - 1)
         for j, k in xy:
             if not (1 <= j <= n and 1 <= k <= n):
                 raise ValueError("xy pair out of range")
-            bits.append((j - 1) * w + n + k - 1)
-        for offset, indices in ((0, x), (n, y)):
+            bits[1].append((j - 1) * n + k - 1)
+        for field, indices in zip(bits[2:], (x, y)):
             for j in indices:
                 if not 1 <= j <= n:
                     raise ValueError("linear term out of range")
-                bits.append(n * w + offset + j - 1)
-        if len(set(bits)) < len(bits):
+                field.append(j - 1)
+        if any(len(set(field)) < len(field) for field in bits):
             raise ValueError("repeated term")
-        return cls(n, sum(1 << bit for bit in bits) | constant << (n * w + 2 * n))
+        return cls(n, *(sum(1 << bit for bit in field) for field in bits), constant)
 
     def terms(self):
         """The equation as sorted 1-based term indices.
@@ -354,41 +332,36 @@ class QuadraticEquation:
         Returns (xx_pairs, xy_pairs, x_indices, y_indices, constant).
         """
         n = self.n
-        bits = [
-            divmod(pos, 2 * n + 1)
-            for pos, bit in enumerate(reversed(f"{self.form:b}"))
-            if bit == "1"
-        ]
-        xx = tuple((j + 1, k + 1) for j, k in bits if j < n and k < n)
-        xy = tuple((j + 1, k - n + 1) for j, k in bits if j < n and k >= n)
-        x = tuple(k + 1 for j, k in bits if j == n and k < n)
-        y = tuple(k - n + 1 for j, k in bits if j == n and n <= k < 2 * n)
-        return xx, xy, x, y, self.constant
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        xx = tuple(pairs[i] for i in _set_bits(self.xx))
+        xy = tuple((i // n + 1, i % n + 1) for i in _set_bits(self.xy))
+        x = tuple(i + 1 for i in _set_bits(self.xl))
+        y = tuple(i + 1 for i in _set_bits(self.yl))
+        return xx, xy, x, y, self.c
 
     @property
     def constant(self) -> int:
-        """The constant term: the top bit of the form."""
-        return self.form >> (self.n * (2 * self.n + 3))
+        """The constant term."""
+        return self.c
 
     def evaluate(self, x: int, y: int) -> int:
         """Value of the equation's left side at n-bit blocks (x, y); 0 when
         it holds."""
-        return (self.form & _outer(self.n, x, y)).bit_count() & 1
+        pairs, products = _monomials(self.n, x, y)
+        return ((self.xx & pairs).bit_count() ^ (self.xy & products).bit_count()
+                ^ (self.xl & x).bit_count() ^ (self.yl & y).bit_count() ^ self.c) & 1
 
 
 class PublicKey:
     """The n public quadratic equations over F(2^n), n = 2m - 1.
 
     fields holds, per equation, its five key-file fields (xx, xy, xl, yl,
-    c), always.  Two views are built on first use and kept (module
-    docstring): equations, the forms, by one expand of the fields; and
-    _tables, the window tables of the lane-major copy, whole and cut to
-    holds' gate, which the first linear_system call builds from the forms.
-    PublicKey(n, equations) compresses the given forms once and keeps them;
-    derivation and decoding build keys from their fields alone.
+    c), always; equations views each of them as a QuadraticEquation.  The
+    first linear_system call builds _tables, the window tables of the
+    lane-major copy, whole and cut to holds' gate (module docstring).
     """
 
-    __slots__ = ("n", "fields", "_equations", "_tables")
+    __slots__ = ("n", "fields", "_tables")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -398,28 +371,25 @@ class PublicKey:
             raise ValueError("expected exactly n equations")
         if any(eq.n != n for eq in equations):
             raise ValueError("equation size mismatch")
-        self._set(n, tuple(map(_file_fields, equations)), equations)
+        self._set(n, tuple((eq.xx, eq.xy, eq.xl, eq.yl, eq.c) for eq in equations))
 
     @classmethod
     def _from_fields(cls, n: int, fields: tuple) -> PublicKey:
         """The key whose equations have these file fields, each at exactly
-        its width (_body_layout); no form is built."""
+        its width (_equation_widths)."""
         key = cls.__new__(cls)
-        key._set(n, fields, None)
+        key._set(n, fields)
         return key
 
-    def _set(self, n: int, fields: tuple, equations) -> None:
+    def _set(self, n: int, fields: tuple) -> None:
         self.n = n
         self.fields = fields
-        self._equations = equations
         self._tables = None
 
     @property
     def equations(self) -> tuple[QuadraticEquation, ...]:
-        """The equations as forms; the first use expands the fields."""
-        if self._equations is None:
-            self._equations = tuple(_from_file_fields(self.n, *f) for f in self.fields)
-        return self._equations
+        """The equations, one view of the fields each."""
+        return tuple(QuadraticEquation(self.n, *f) for f in self.fields)
 
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y).
@@ -449,7 +419,7 @@ class PublicKey:
         if not 0 <= x < 1 << n:
             raise ValueError("block length mismatch")
         if self._tables is None:
-            self._tables = _lane_tables(n, self.equations)
+            self._tables = _lane_tables(n, self.fields)
         (windows, constant), _ = self._tables
         size = _chunk_bytes(n)
         data = apply_windows(windows, x, constant).to_bytes(n * size, "little")
@@ -568,7 +538,8 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     row (xx), then the b_jk of every row (xy), then d, c and e.  One bit
     transpose (linalg.bit_columns, by 8 x 8 bit blocks) turns them into one
     int per equation, xx | xy | xl | yl | c side by side, and shifts split
-    it into the fields.
+    it into the fields.  The key is those fields and nothing else until its
+    first linear_system call.
     """
     field = sk.field
     n = field.n
@@ -630,16 +601,20 @@ _SECRET_MAGIC = "LD2-SECRET v1"
 _PUBLIC_MAGIC = "LD2-PUBLIC v1"
 
 
-def _body_layout(secret: bool, n: int) -> list[tuple[str, int]]:
-    """Name and bit width of every line after the 3-line header.
+def _body_lines(secret: bool, n: int) -> Iterator[tuple[str, int]]:
+    """Name and bit width of every line after the 3-line header, yielded
+    one at a time, so the codec never holds the 5n lines of a public key.
 
     The 1-bit eq<i>.c is the digit 0 or 1; every other value is hex (all
     other widths are at least n >= 3).
     """
     if secret:
-        return [("alpha", n), ("A1", n * n), ("c1", n), ("A2", n * n), ("c2", n)]
-    fields = (("xx", n * (n - 1) // 2), ("xy", n * n), ("xl", n), ("yl", n), ("c", 1))
-    return [(f"eq{i}.{name}", nbits) for i in range(1, n + 1) for name, nbits in fields]
+        yield from (("alpha", n), ("A1", n * n), ("c1", n), ("A2", n * n), ("c2", n))
+        return
+    fields = _equation_widths(n)
+    for i in range(1, n + 1):
+        for name, nbits in fields:
+            yield f"eq{i}.{name}", nbits
 
 
 def encode_key(key) -> str:
@@ -669,7 +644,7 @@ def _key_text(secret: bool, n: int, values) -> str:
         _SECRET_MAGIC if secret else _PUBLIC_MAGIC,
         f"\nn={n} m={(n + 1) // 2}\npoly={bits_to_hex(find_irreducible(n), n + 1)}",
     ]
-    for (name, nbits), value in zip(_body_layout(secret, n), values):
+    for (name, nbits), value in zip(_body_lines(secret, n), values):
         parts += ("\n", name, "=", str(value) if nbits == 1 else bits_to_hex(value, nbits))
     parts.append("\n")
     return "".join(parts)
@@ -705,7 +680,7 @@ def decode_key(text: str):
         raise KeyFormatError(f"{kind} key file has {len(lines)} lines, expected {expected}")
 
     values = []
-    for number, ((_, nbits), line) in enumerate(zip(_body_layout(secret, n), lines[3:]), 4):
+    for number, ((_, nbits), line) in enumerate(zip(_body_lines(secret, n), lines[3:]), 4):
         value = line.partition("=")[2]
         try:
             if nbits == 1 and value not in ("0", "1"):
@@ -732,22 +707,3 @@ def decode_key(text: str):
         raise KeyFormatError(f"line {line} is not in canonical form")
     return key
 
-
-def _file_fields(eq: QuadraticEquation):
-    """The v1 file's xx, xy, xl, yl and c fields of one equation: the
-    compress of its form."""
-    n = eq.n
-    xx, xy = (_compress(eq.form, mask, steps) for mask, steps in _file_masks(n))
-    low = (1 << n) - 1
-    affine = eq.form >> (n * (2 * n + 1))
-    return xx, xy, affine & low, affine >> n & low, affine >> 2 * n
-
-
-def _from_file_fields(n: int, xx: int, xy: int, xl: int, yl: int, c: int):
-    """The equation with these file fields: the expand into its form."""
-    form = (xl | yl << n | c << 2 * n) << (n * (2 * n + 1))
-    for x, (mask, steps) in zip((xx, xy), _file_masks(n)):
-        for shift, move in reversed(steps):
-            x ^= (x ^ x << shift) & move
-        form |= x & mask
-    return QuadraticEquation(n, form)

@@ -271,3 +271,10 @@ def test_bench_rejects_bad_args(capsys, monkeypatch):
     assert main(["bench", "--n-list", "65,4"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "got 4" in err
+    # sizes must be distinct: with every size equal, the growth fit would
+    # divide by zero
+    for sizes in ("5,5", "5,9,5"):
+        assert main(["bench", "--n-list", sizes]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1 and err.count("\n") == 1
+        assert "repeat" in err

@@ -92,17 +92,14 @@ def test_equation_term_round_trip(toy_expected):
 
 
 def test_equation_rejects_bad_shapes():
-    # n = 3: lanes are 7 bits wide, lane 3 (bits 21..27) is the affine part
+    # n = 3: xx has 3 bits, xy 9, xl and yl 3 each, c 1
+    fields = [0, 0, 0, 0, 0]
+    for i, width in enumerate((3, 9, 3, 3, 1)):
+        for bad in (1 << width, -1):
+            with pytest.raises(ValueError):
+                QuadraticEquation(3, *fields[:i], bad, *fields[i + 1:])
     with pytest.raises(ValueError):
-        QuadraticEquation(3, 1 << 0)  # diagonal xx: x1*x1 in lane 0
-    with pytest.raises(ValueError):
-        QuadraticEquation(3, 1 << 7)  # lower triangle: x2*x1 in lane 1
-    with pytest.raises(ValueError):
-        QuadraticEquation(3, 1 << 6)  # bit 2n of a quadratic lane
-    with pytest.raises(ValueError):
-        QuadraticEquation(3, 2 << 27)  # constant 2, past the affine lane
-    with pytest.raises(ValueError):
-        QuadraticEquation(3, -1)
+        QuadraticEquation(3, 0, 0, 0, 0, 2)  # constant 2
     with pytest.raises(ValueError):
         QuadraticEquation.from_terms(3, xx=((2, 2),))
     # x1 + x1 = 0 over GF(2), so a repeated term of any kind is rejected
@@ -196,44 +193,41 @@ def test_round_trip_larger_keys():
 
 def test_decode_does_no_encoding(monkeypatch):
     # the canonical check compares the file with the text of the parsed
-    # values, so decoding never compresses an equation or encodes the key;
-    # a public key keeps the parsed values as its fields, so decoding never
-    # expands them into forms either
+    # values, so decoding never encodes the key; a public key keeps the
+    # parsed values as its fields and builds no tables
     import ld2.keys as keys_mod
 
     sk, pk = keygen(5, seed=0xDEC0)
     texts = [(key, encode_key(key)) for key in (sk, pk)]
 
     def forbidden(*args):
-        raise AssertionError("decode_key must not encode or expand")
+        raise AssertionError("decode_key must not encode or build tables")
 
-    monkeypatch.setattr(keys_mod, "_file_fields", forbidden)
-    monkeypatch.setattr(keys_mod, "_from_file_fields", forbidden)
+    monkeypatch.setattr(keys_mod, "_lane_tables", forbidden)
     monkeypatch.setattr(keys_mod, "encode_key", forbidden)
     for key, text in texts:
         assert decode_key(text) == key
-    assert decode_key(texts[1][1])._equations is None
+    assert decode_key(texts[1][1])._tables is None
 
 
 def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
-    # a key holds its file fields; keygen, the codec, verification and the
-    # CLI's verify and inspect never build a form, and keygen compresses
-    # nothing.  The first linear_system call expands the n equations once
-    # and builds the tables once; PublicKey(n, equations) compresses once
+    # a key holds its file fields; keygen, the codec, verification, the
+    # equation views and the CLI's verify and inspect never build the
+    # tables, and the first linear_system call builds them once, from the
+    # fields
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, sign, verify
     from ld2.cli import main
     from ld2.gf2n import bits_to_hex
 
     calls = []
-    for name in ("_file_fields", "_from_file_fields", "_lane_tables"):
-        original = getattr(keys_mod, name)
+    original = keys_mod._lane_tables
 
-        def counted(*args, original=original, name=name):
-            calls.append(name)
-            return original(*args)
+    def counted(n, fields):
+        calls.append(fields)
+        return original(n, fields)
 
-        monkeypatch.setattr(keys_mod, name, counted)
+    monkeypatch.setattr(keys_mod, "_lane_tables", counted)
     n = 9
     sk, pk = keygen(n, seed=0x1A2F)
     secret, public = tmp_path / "k.sec", tmp_path / "k.pub"
@@ -248,18 +242,16 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     assert main(verify_argv + [bits_to_hex(signature, n)]) == 0
     assert main(["inspect", "--key", str(public)]) == 0
     capsys.readouterr()
-    assert calls == []
-    assert pk._equations is None and decoded._equations is None
+    assert calls == [] and pk._tables is None and decoded._tables is None
 
     first = encrypt_block(decoded, 5)
-    assert calls == ["_from_file_fields"] * n + ["_lane_tables"]
+    assert calls == [decoded.fields] and decoded._tables is not None
     assert encrypt_block(decoded, 5) == first and decoded.linear_system(6)
-    assert decoded.equations == pk.equations  # pk expands here, on first use
-    assert calls == ["_from_file_fields"] * n + ["_lane_tables"] + ["_from_file_fields"] * n
-    calls.clear()
+    assert decoded.equations == pk.equations and pk._tables is None
+    assert len(calls) == 1
     built = PublicKey(n, pk.equations)
-    assert built == pk and built.equations == pk.equations
-    assert calls == ["_file_fields"] * n
+    assert built == pk and built.fields == pk.fields and built._tables is None
+    assert len(calls) == 1
 
 
 def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
@@ -299,9 +291,9 @@ def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
     builds = []
     original = keys_mod._lane_tables
 
-    def counted(n, equations):
+    def counted(n, fields):
         builds.append(n)
-        return original(n, equations)
+        return original(n, fields)
 
     monkeypatch.setattr(keys_mod, "_lane_tables", counted)
     sk, pk = keygen(9, seed=0x1A2E)
@@ -326,23 +318,23 @@ def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [9, 65])
-def test_holds_builds_no_outer_product_with_the_copy(n, monkeypatch):
+def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
     # with the copy, valid pairs and forgeries go through the gate tables
     # and the copy alone; a decoded key without it evaluates on its file
-    # fields, and builds no outer product either
+    # fields, once per call, and builds no tables
     import ld2.keys as keys_mod
     from ld2.cipher import sign, verify
 
     sk, pk = keygen(n, seed=0x1A7E + n)
     decoded = decode_key(encode_key(pk))
-    outers = []
-    original = keys_mod._outer
+    evaluations = []
+    original = keys_mod._vanish_on_fields
 
-    def counted(n, x, y):
-        outers.append(n)
-        return original(n, x, y)
+    def counted(n, fields, x, y):
+        evaluations.append(n)
+        return original(n, fields, x, y)
 
-    monkeypatch.setattr(keys_mod, "_outer", counted)
+    monkeypatch.setattr(keys_mod, "_vanish_on_fields", counted)
     pk.linear_system(1)
     rng = random.Random(n)
     pairs, expected = [], []
@@ -352,10 +344,10 @@ def test_holds_builds_no_outer_product_with_the_copy(n, monkeypatch):
         pairs += [(signature, digest)] + [(signature ^ 1 << i, digest) for i in range(n)]
         expected += [True] + [False] * n
     assert [verify(pk, digest, signature) for signature, digest in pairs] == expected
-    assert outers == []
+    assert evaluations == []
     assert [decoded.holds(*pair) for pair in pairs] == expected
-    assert outers == []
-    assert decoded._tables is None and decoded._equations is None
+    assert evaluations == [n] * len(pairs)
+    assert decoded._tables is None
 
 
 @pytest.mark.parametrize("n", [129, 257])

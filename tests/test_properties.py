@@ -8,24 +8,22 @@ transpose of linalg against per-bit loops
 (test_window_tables_match_the_images_bit_by_bit,
 test_bit_columns_match_a_bitwise_transpose), GF(2) transpose, rank, solving
 and inversion on any shape, AffineMap.apply's window tables against
-BitMatrix.mul_vec, the packed equation layout, PublicKey.holds with and
-without the lane-major copy, on the file fields with and without the
-forms (test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
+BitMatrix.mul_vec, an equation's fields against its terms, the lane-major
+copy cut from the fields (test_linear_system_and_holds_match_evaluate),
+PublicKey.holds on the file fields and through the tables of the copy
+(test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
 public-key derivation (against the residual, its linear terms against
-residual differences in test_linear_terms_are_residual_differences,
+residual differences in test_linear_terms_are_residual_differences, and
 against one Field.mul per coefficient with a bitwise transpose in
-test_derive_public_key_matches_per_coefficient_reference, and its file
-fields against the compress of its forms in
-test_derived_fields_are_the_compressed_forms), encryption
-solvability, message framing, the key-file codec's compress and expand
-against the per-lane loops they replaced
-(test_file_fields_match_per_lane_reference), key-file round trips
-(test_key_files_round_trip, forms included), the text written from any
-public field values of the right widths being the encoding of the key it
-decodes to, which is what decode_key's canonical check relies on
+test_derive_public_key_matches_per_coefficient_reference), encryption
+solvability, message framing, key-file round trips
+(test_key_files_round_trip, equations included), the text written from
+any public field values of the right widths being the encoding of the key
+it decodes to, which is what decode_key's canonical check relies on
 (test_public_field_values_are_the_key_fields), and the strictness of the
 key-file codec."""
 
+import dataclasses
 import functools
 import random
 
@@ -39,11 +37,9 @@ from ld2.keys import (
     PublicKey,
     QuadraticEquation,
     _GATE,
-    _body_layout,
-    _file_fields,
-    _from_file_fields,
+    _body_lines,
+    _equation_widths,
     _key_text,
-    _layout,
     _residual_uv,
     decode_key,
     derive_public_key,
@@ -361,25 +357,31 @@ def test_trace_matches_the_sum_of_squares(n, data):
         assert field.trace(a) == _trace_by_squaring(field, a)
 
 
-def _full(n):
-    """The equation with every term of the layout set."""
-    every = range(1, n + 1)
-    return QuadraticEquation.from_terms(
-        n,
-        xx=[(j, k) for j in every for k in every if j < k],
-        xy=[(j, k) for j in every for k in every],
-        x=every,
-        y=every,
-        constant=1,
-    )
+def _widths(n):
+    """The bit widths of an equation's xx, xy, xl, yl and c fields."""
+    return [width for _, width in _equation_widths(n)]
+
+
+def _ones(n):
+    """The equation with every term set: each field all ones."""
+    return QuadraticEquation(n, *((1 << width) - 1 for width in _widths(n)))
 
 
 @st.composite
 def equations(draw, n=None):
     if n is None:
         n = draw(st.integers(1, 9))
-    full = _full(n).form
-    return QuadraticEquation(n, draw(st.integers(0, full)) & full)
+    return QuadraticEquation(n, *(draw(st.integers(0, (1 << w) - 1)) for w in _widths(n)))
+
+
+def _random_fields(rng, n, fill="mixed"):
+    """The fields of n equations, each field zero, all ones or random, or
+    every field all ones."""
+    return [
+        tuple((1 << w) - 1 if fill == "ones" else rng.choice((0, (1 << w) - 1, rng.getrandbits(w)))
+              for w in _widths(n))
+        for _ in range(n)
+    ]
 
 
 def _reference_value(eq, x, y):
@@ -400,32 +402,35 @@ def _reference_value(eq, x, y):
 
 
 @given(equations())
+@example(QuadraticEquation(9, 0, 0, 0, 0, 0))
+@example(_ones(9))
+@example(_ones(1))
 def test_terms_round_trip(eq):
     assert QuadraticEquation.from_terms(eq.n, *eq.terms()) == eq
 
 
-@given(equations(), st.data())
-def test_evaluate_matches_terms(eq, data):
-    x = data.draw(st.integers(0, (1 << eq.n) - 1))
-    y = data.draw(st.integers(0, (1 << eq.n) - 1))
-    assert eq.evaluate(x, y) == _reference_value(eq, x, y)
+@given(equations(), st.integers(0, (1 << 9) - 1), st.integers(0, (1 << 9) - 1))
+@example(QuadraticEquation(9, 0, 0, 0, 0, 0), 0x1FF, 0x1FF)
+@example(_ones(9), 0x1FF, 0x1FF)
+@example(_ones(9), 0x155, 0x0AA)
+def test_evaluate_matches_terms(eq, x, y):
+    low = (1 << eq.n) - 1
+    assert eq.evaluate(x & low, y & low) == _reference_value(eq, x & low, y & low)
 
 
 @settings(deadline=None)
-@given(st.sampled_from([3, 5, 7, 9, 11, 13, 31, 33]), st.integers(0, (1 << 64) - 1), st.data())
-def test_linear_system_and_holds_match_evaluate(n, seed, data):
-    # lanes of 2n + 1 = 3 or 7 mod 8 bits (n = 1 or 3 mod 4) start at every
-    # bit offset of a byte; forms too wide for a Hypothesis integer come from seed
-    if n <= 9:
-        forms = [data.draw(equations(n)).form for _ in range(n)]
-    else:
-        rng = random.Random(seed)
-        valid = _layout(n).valid
-        forms = [rng.choice((0, valid, rng.getrandbits(valid.bit_length()) & valid))
-                 for _ in range(n)]
-    pk = PublicKey(n, [QuadraticEquation(n, form) for form in forms])
-    x = data.draw(st.integers(0, (1 << n) - 1))
-    y = data.draw(st.integers(0, (1 << n) - 1))
+@given(st.sampled_from([3, 5, 7, 9, 11, 13, 31, 33, 65, 127]), st.integers(0, (1 << 64) - 1),
+       st.sampled_from(["mixed", "ones"]))
+@example(65, 7, "ones")
+@example(127, 7, "ones")
+def test_linear_system_and_holds_match_evaluate(n, seed, fill):
+    # _lane_major slices row j of xx from bit j*n - j(j+1)/2 and of xy from
+    # bit j*n; with n odd, from n = 9 on, these start at every bit of a
+    # byte, and at n = 65 and 127 a chunk is many bytes long.  All-ones
+    # fields fail if a row's chunk is not masked
+    rng = random.Random(seed)
+    pk = PublicKey(n, [QuadraticEquation(n, *f) for f in _random_fields(rng, n, fill)])
+    x, y = rng.getrandbits(n), rng.getrandbits(n)
     values = [eq.evaluate(x, y) for eq in pk.equations]
     # holds evaluates every equation until linear_system builds the copy
     assert pk.holds(x, y) == (not any(values))
@@ -438,32 +443,29 @@ def test_linear_system_and_holds_match_evaluate(n, seed, data):
 @settings(deadline=None)
 @given(st.sampled_from([3, 5, 7, 9, 11, 13, 31, 33, 65]), st.integers(0, (1 << 64) - 1), st.data())
 def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed, data):
-    # random forms whose constants make every equation vanish at (x, y),
+    # random fields whose constants make every equation vanish at (x, y),
     # then at most one constant flipped: inside the gate, which its tables
     # see, or past it, where only the whole lane-major copy can; both with
-    # equal weight (at n = 3 and 5 the gate covers every equation).
-    # Without the tables holds reads the file fields, with or without forms
+    # equal weight (at n = 3 and 5 the gate covers every equation)
     rng = random.Random(seed)
-    valid = _layout(n).valid
-    constant = 1 << n * (2 * n + 3)
-    forms = [rng.getrandbits(valid.bit_length()) & valid & ~constant for _ in range(n)]
     x, y = rng.getrandbits(n), rng.getrandbits(n)
-    forms = [form | QuadraticEquation(n, form).evaluate(x, y) * constant for form in forms]
+    equations = []
+    for *terms, _ in _random_fields(rng, n):
+        eq = QuadraticEquation(n, *terms, 0)
+        equations.append(dataclasses.replace(eq, c=eq.evaluate(x, y)))
     gate = min(_GATE, n)
     where = data.draw(st.sampled_from(["none", "gate", "past"][: 2 + (n > gate)]), label="where")
     failing = None
     if where != "none":
         low, high = (0, gate - 1) if where == "gate" else (gate, n - 1)
         failing = data.draw(st.integers(low, high), label="failing")
-        forms[failing] ^= constant
-    # the three states of a key: fields only, fields and forms, and tables
-    pk = PublicKey(n, [QuadraticEquation(n, form) for form in forms])
-    fields_only = PublicKey._from_fields(n, pk.fields)
-    assert fields_only._equations is None
-    assert fields_only.holds(x, y) == (failing is None)
-    assert fields_only._equations is None and fields_only._tables is None
+        equations[failing] = dataclasses.replace(equations[failing], c=1 - equations[failing].c)
+    # the two states of a key: fields only, then fields and tables
+    pk = PublicKey(n, equations)
     assert pk.holds(x, y) == (failing is None)
+    assert pk._tables is None
     pk.linear_system(x)
+    assert pk._tables is not None
     assert pk.holds(x, y) == (failing is None)
 
 
@@ -533,27 +535,27 @@ def test_linear_terms_are_residual_differences(half, seed, picks):
 def _reference_public_key(sk):
     """The public key from one Field.mul per quadratic coefficient, the
     linear terms from relation_residual at unit vectors, and a bitwise
-    transpose of the coefficient vectors into the forms."""
+    transpose of the coefficient vectors, laid out in key-file order, into
+    the fields."""
     field = sk.field
     n = field.n
-    w = 2 * n + 1
     s_cols = _reference_transpose(sk.s.matrix).rows
     t_cols = _reference_transpose(sk.t.matrix).rows
     s_frob = [field.frobenius(col) for col in s_cols]
     base = relation_residual(sk, 0, 0)
-    coeffs = [0] * ((n + 1) * w)
-    for j in range(n):
-        for k in range(j + 1, n):
-            coeffs[j * w + k] = field.mul(s_frob[j], s_cols[k]) ^ field.mul(s_frob[k], s_cols[j])
-        for k in range(n):
-            coeffs[j * w + n + k] = field.mul(s_frob[j] ^ s_cols[j], t_cols[k])
-        coeffs[n * w + j] = relation_residual(sk, 1 << j, 0) ^ base
-        coeffs[n * w + n + j] = relation_residual(sk, 0, 1 << j) ^ base
-    coeffs[n * w + 2 * n] = base
-    forms = (
-        sum((c >> i & 1) << pos for pos, c in enumerate(coeffs)) for i in range(n)
+    vectors = (
+        [field.mul(s_frob[j], s_cols[k]) ^ field.mul(s_frob[k], s_cols[j])
+         for j in range(n) for k in range(j + 1, n)],
+        [field.mul(s_frob[j] ^ s_cols[j], t_cols[k]) for j in range(n) for k in range(n)],
+        [relation_residual(sk, 1 << j, 0) ^ base for j in range(n)],
+        [relation_residual(sk, 0, 1 << j) ^ base for j in range(n)],
+        [base],
     )
-    return PublicKey(n, (QuadraticEquation(n, form) for form in forms))
+    fields = [
+        [sum((c >> i & 1) << pos for pos, c in enumerate(vector)) for vector in vectors]
+        for i in range(n)
+    ]
+    return PublicKey(n, (QuadraticEquation(n, *f) for f in fields))
 
 
 @settings(deadline=None, max_examples=25)
@@ -562,20 +564,6 @@ def test_derive_public_key_matches_per_coefficient_reference(half, seed):
     # odd n in 3..65
     sk, _ = keygen(2 * half + 1, seed)
     assert derive_public_key(sk) == _reference_public_key(sk)
-
-
-@settings(deadline=None, max_examples=8)
-@given(st.integers(1, 128), st.integers(0, (1 << 64) - 1))
-@example(128, 7)
-def test_derived_fields_are_the_compressed_forms(half, seed):
-    # odd n in 3..257: derive_public_key transposes straight into the file
-    # fields; expanding them and compressing again, by the codec's masks
-    # and by the per-lane reference, gives them back
-    n = 2 * half + 1
-    pk = keygen(n, seed)[1]
-    assert pk._equations is None
-    for fields, eq in zip(pk.fields, pk.equations):
-        assert _file_fields(eq) == fields == _reference_file_fields(eq)
 
 
 _MESSAGE_N = 9
@@ -611,54 +599,10 @@ def test_decrypt_message_rejects_only_with_value_errors(data):
         pass
 
 
-def _reference_file_fields(eq):
-    """The v1 file fields by one shift of the whole form per lane."""
-    n = eq.n
-    w = 2 * n + 1
-    low = (1 << n) - 1
-    xx = xy = pos = 0
-    for j in range(n):
-        lane = eq.form >> (j * w) & ((1 << 2 * n) - 1)
-        xx |= (lane & low) >> (j + 1) << pos
-        xy |= lane >> n << (j * n)
-        pos += n - 1 - j
-    affine = eq.form >> (n * w)
-    return xx, xy, affine & low, affine >> n & low, affine >> 2 * n
-
-
-def _reference_from_file_fields(n, xx, xy, xl, yl, c):
-    w = 2 * n + 1
-    low = (1 << n) - 1
-    form = (xl | yl << n | c << 2 * n) << (n * w)
-    pos = 0
-    for j in range(n):
-        pairs = xx >> pos & low >> (j + 1)
-        form |= (pairs << (j + 1) | (xy >> (j * n) & low) << n) << (j * w)
-        pos += n - 1 - j
-    return QuadraticEquation(n, form)
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(1, 128), st.integers(0, (1 << 64) - 1))
-def test_file_fields_match_per_lane_reference(half, seed):
-    # odd n in 3..257; forms too wide for a Hypothesis integer come from seed
-    n = 2 * half + 1
-    valid = _layout(n).valid
-    rng = random.Random(seed)
-    widths = (n * (n - 1) // 2, n * n, n, n, 1)
-    for form in (0, valid, rng.getrandbits(valid.bit_length()) & valid):
-        eq = QuadraticEquation(n, form)
-        fields = _file_fields(eq)
-        assert fields == _reference_file_fields(eq)
-        assert _from_file_fields(n, *fields) == eq
-    fields = [rng.getrandbits(width) for width in widths]
-    assert _from_file_fields(n, *fields) == _reference_from_file_fields(n, *fields)
-
-
 @settings(deadline=None, max_examples=15)
 @given(st.integers(1, 64), st.integers(0, (1 << 64) - 1))
 def test_key_files_round_trip(half, seed):
-    # odd n in 3..129; a decoded public key expands to the same forms
+    # odd n in 3..129; a decoded public key has the same equations
     sk, pk = keygen(2 * half + 1, seed)
     assert decode_key(encode_key(sk)) == sk
     decoded = decode_key(encode_key(pk))
@@ -675,7 +619,7 @@ def test_public_field_values_are_the_key_fields(half, seed):
     rng = random.Random(seed)
     values = [
         rng.choice((0, (1 << nbits) - 1, rng.getrandbits(nbits)))
-        for _, nbits in _body_layout(False, n)
+        for _, nbits in _body_lines(False, n)
     ]
     text = _key_text(False, n, values)
     assert encode_key(decode_key(text)) == text
