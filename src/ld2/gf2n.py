@@ -5,11 +5,17 @@ for a root g of the field modulus, packed into Python ints: bit i of the
 int is the coefficient of g^i, so 0 is the additive and 1 the
 multiplicative identity.  Every bit string in this package uses the same
 packing, and byte/hex serialisation is little-endian: bit i of a string
-lands in bit i % 8 of byte i // 8.  Field.mul_lanes multiplies one element
-by up to n others at once, packed one per byte-aligned lane of 2n bits or
-more (Field.pack_lanes), with the same carry-less product and reduction as
-Field.mul.  byte_multiples tabulates such lanes once for many products by
-them (clmul_bytes), and Field.fold_lanes reduces the results.
+lands in bit i % 8 of byte i // 8.
+
+Every carry-less product in GF(2)[x] takes one form: Horner's rule over
+the bytes of the multiplier from the top byte, one table lookup per digit.
+_clmul, behind Field.mul, looks up 4-bit digits in the 16 multiples of its
+first factor; _spread, behind Field.sqr and the modulus scan, looks up
+whole bytes in their spread squares; clmul_bytes looks up whole bytes in
+the 256 multiples that byte_multiples tabulates once for many products.
+Up to n elements packed one per byte-aligned lane of 2n bits or more
+(Field.pack_lanes) times one element is such a product, and
+Field.fold_lanes reduces every lane of it at once.
 
 The modulus of each field is the first irreducible polynomial in the
 deterministic scan order of find_irreducible, so key material and wire
@@ -50,32 +56,25 @@ _SQUARE_SPREAD = tuple(
 
 
 def _spread(a: int) -> int:
-    """The square of a in GF(2)[x]: bit i moves to bit 2i."""
+    """The square of a in GF(2)[x], bit i moved to bit 2i: Horner's rule over
+    the bytes of a from the top, one 16-bit spread per byte."""
     acc = 0
-    shift = 0
-    while a:
-        acc |= _SQUARE_SPREAD[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
+    for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
+        acc = acc << 16 | _SQUARE_SPREAD[byte]
     return acc
 
 
 def _clmul(a: int, b: int) -> int:
-    """Carry-less product of a and b: 4-bit windows of b against a table of
-    the 16 multiples of a, so the loop runs over b's bits only."""
+    """Carry-less product of a and b: Horner's rule over the bytes of b from
+    the top, one lookup per 4-bit digit in a table of the 16 multiples of a."""
     table = [0] * 16
     table[1] = a
     for w in range(2, 16, 2):
         table[w] = table[w >> 1] << 1
         table[w | 1] = table[w] ^ a
     acc = 0
-    shift = 0
-    while b:
-        w = b & 15
-        if w:
-            acc ^= table[w] << shift
-        b >>= 4
-        shift += 4
+    for byte in b.to_bytes((b.bit_length() + 7) // 8, "big"):
+        acc = (acc << 4 ^ table[byte >> 4]) << 4 ^ table[byte & 15]
     return acc
 
 
@@ -208,7 +207,7 @@ class Field:
         # x^n = low part of the modulus, the shifts that _fold applies
         low = self.modulus & self._mask
         self._low_shifts = tuple(i for i in range(n) if low >> i & 1)
-        # bits 0..n-1 of each of the n lanes that mul_lanes reduces
+        # bits 0..n-1 of each of the n lanes that fold_lanes reduces
         self.lane_bytes = (2 * n + 7) // 8
         self._lanes_low = int.from_bytes(
             self._mask.to_bytes(self.lane_bytes, "little") * n, "little"
@@ -240,21 +239,10 @@ class Field:
         """Product of the representing polynomials, reduced by the modulus."""
         return _fold(_clmul(a, b), self.n, self._low_shifts, self._mask)
 
-    def mul_lanes(self, a: int, lanes: int) -> int:
-        """a times each of up to n elements packed into lanes, lane by lane.
-
-        Element k sits in bytes k * lane_bytes up, and lane_bytes =
-        ceil(2n / 8) leaves room for the unreduced product, so one
-        carry-less product by a and one lane-masked fold serve every lane at
-        once.  The result is packed the same way.
-        """
-        if lanes.bit_length() > self._lanes_low.bit_length():
-            raise ValueError("lanes do not fit n field elements")
-        return self.fold_lanes(_clmul(lanes, a))
-
     def fold_lanes(self, v: int) -> int:
         """Reduce each lane of v, a carry-less product of one element by up
-        to n elements packed as mul_lanes takes them."""
+        to n elements packed by pack_lanes.  Lanes are lane_bytes =
+        ceil(2n / 8) bytes wide, room for each unreduced product."""
         return _fold(v, self.n, self._low_shifts, self._lanes_low)
 
     def pack_lanes(self, elements) -> int:

@@ -11,9 +11,9 @@ R(u, v) at u = s(x), v = t(y).  The degree-two part of R is
 F(u) u + (F(u) + u) v, with F the Frobenius map u -> u^(2^m), so
 derive_public_key reads a_jk and b_jk off its polar (bilinear) forms,
 and d_k and c_k off the same bilinearity: three lane-packed field
-products per row j of the coefficients, through byte multiples that every
-row shares, three more for the linear terms, then one word-parallel bit
-transpose straight into the key file's fields.
+products per row j of the coefficients and three for the linear terms, all
+through byte multiples of the packed lanes that every product shares, then
+one word-parallel bit transpose straight into the key file's fields.
 
 A PublicKey is in one of two states, and only ever moves forward:
 
@@ -532,14 +532,15 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     carry-less products through them (gf2n.clmul_bytes): F(s_j) S + s_j
     F(S), cut to lanes k > j and folded once (a_jk; a fold acts lane by
     lane, so the cut may come first), and (F(s_j) + s_j) T (b_jk).  d and
-    c are three Field.mul_lanes by the same lanes, plus n Field.mul for the
-    F(s_j) s_j, and e is one _residual_uv.  The bytes of the products are
-    the coefficient vectors, laid out in key-file order: the a_jk of every
-    row (xx), then the b_jk of every row (xy), then d, c and e.  One bit
-    transpose (linalg.bit_columns, by 8 x 8 bit blocks) turns them into one
-    int per equation, xx | xy | xl | yl | c side by side, and shifts split
-    it into the fields.  The key is those fields and nothing else until its
-    first linear_system call.
+    c take three more products through the same byte multiples, d's two
+    folded once, plus n Field.mul for the F(s_j) s_j, and e is one
+    _residual_uv.  The bytes of the products are the coefficient vectors,
+    laid out in key-file order: the a_jk of every row (xx), then the b_jk
+    of every row (xy), then d, c and e.  One bit transpose
+    (linalg.bit_columns, by 8 x 8 bit blocks) turns them into one int per
+    equation, xx | xy | xl | yl | c side by side, and shifts split it into
+    the fields.  The key is those fields and nothing else until its first
+    linear_system call.
     """
     field = sk.field
     n = field.n
@@ -548,8 +549,9 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     s_cols = sk.s.columns
     t_cols = sk.t.columns
     s_frob = [field.frobenius(col) for col in s_cols]
-    s_lanes, frob_lanes, t_lanes = map(field.pack_lanes, (s_cols, s_frob, t_cols))
-    s_bytes, frob_bytes, t_bytes = map(byte_multiples, (s_lanes, frob_lanes, t_lanes))
+    s_bytes, frob_bytes, t_bytes = (
+        byte_multiples(field.pack_lanes(cols)) for cols in (s_cols, s_frob, t_cols)
+    )
     a_rows, b_rows = [], []
     for j, (sj, fj) in enumerate(zip(s_cols, s_frob)):
         cut = width * (j + 1)  # a_jk for k > j only
@@ -559,12 +561,10 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
         b_rows.append(b_row.to_bytes(size * n, "little"))
     u0, v0 = sk.s.translation, sk.t.translation
     u0_frob = field.frobenius(u0)
-    d = (
-        field.mul_lanes(u0_frob ^ v0 ^ sk.alpha, s_lanes)
-        ^ field.mul_lanes(u0 ^ v0 ^ 1, frob_lanes)
-        ^ field.pack_lanes(map(field.mul, s_frob, s_cols))
-    )
-    c = field.mul_lanes(u0_frob ^ u0 ^ sk.alpha, t_lanes)
+    d = field.fold_lanes(
+        clmul_bytes(s_bytes, u0_frob ^ v0 ^ sk.alpha) ^ clmul_bytes(frob_bytes, u0 ^ v0 ^ 1)
+    ) ^ field.pack_lanes(map(field.mul, s_frob, s_cols))
+    c = field.fold_lanes(clmul_bytes(t_bytes, u0_frob ^ u0 ^ sk.alpha))
     e = _residual_uv(sk, u0, v0)
     linear = [d.to_bytes(size * n, "little"), c.to_bytes(size * n, "little"),
               e.to_bytes(size, "little")]

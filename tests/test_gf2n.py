@@ -7,8 +7,10 @@ from ld2.gf2n import (
     Field,
     apply_columns,
     bits_to_hex,
+    byte_multiples,
     bytes_to_bits,
     bits_to_bytes,
+    clmul_bytes,
     find_irreducible,
     frobenius_tables,
     hex_to_bits,
@@ -207,21 +209,19 @@ def test_frobenius_columns_agree_with_direct():
 
 
 def test_sqr_matches_mul():
-    field = Field(17)
     rng = random.Random(5)
-    for _ in range(200):
-        a = rng.randrange(field.order)
-        assert field.sqr(a) == field.mul(a, a)
+    for n in (3, 17, 129, 257):
+        field = Field(n)
+        for _ in range(200):
+            a = rng.randrange(field.order)
+            assert field.sqr(a) == field.mul(a, a)
 
 
-def test_mul_lanes_known_answers_and_lane_bound(f8):
+def test_lane_product_known_answer(f8):
     # n = 3: lanes of one byte; g * (g^2, 1, g^2 + g) = (g + 1, g, g^2 + g + 1)
     assert f8.lane_bytes == 1
-    assert f8.mul_lanes(GAMMA, f8.pack_lanes([GAMMA2, 1, 0b110])) == 0x07_02_03
-    with pytest.raises(ValueError):
-        f8.mul_lanes(1, f8.pack_lanes([0, 0, 0, 1]))  # a fourth lane
-    with pytest.raises(ValueError):
-        f8.mul_lanes(1, f8.pack_lanes([0, 0, 8]))  # a lane above the field
+    lanes = f8.pack_lanes([GAMMA2, 1, 0b110])
+    assert f8.fold_lanes(clmul_bytes(byte_multiples(lanes), GAMMA)) == 0x07_02_03
 
 
 # --- packing and hex ------------------------------------------------------

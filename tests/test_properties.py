@@ -1,9 +1,10 @@
 """Property-based tests of invariants the acceptance criteria check only at
 a few sizes: the Frobenius map, the Itoh-Tsujii chain in Field.pow against
 square and multiply, Field.trace against the sum of squares it replaced,
-the lane-packed product Field.mul_lanes against Field.mul lane by lane
-(test_mul_lanes_matches_mul_lane_by_lane, which also checks the shared
-byte multiples of gf2n.byte_multiples), the window tables and the bit
+every carry-less product of gf2n against shift and xor bit by bit
+(test_carry_less_products_match_shift_and_xor), the lane-packed product
+through shared byte multiples against Field.mul lane by lane
+(test_lane_products_match_mul_lane_by_lane), the window tables and the bit
 transpose of linalg against per-bit loops
 (test_window_tables_match_the_images_bit_by_bit,
 test_bit_columns_match_a_bitwise_transpose), GF(2) transpose, rank, solving
@@ -31,7 +32,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ld2.cipher import decrypt_message, encrypt_message
-from ld2.gf2n import Field, apply_columns, byte_multiples, clmul_bytes, frobenius_tables
+from ld2.gf2n import Field, _clmul, _spread, apply_columns, byte_multiples, clmul_bytes
+from ld2.gf2n import frobenius_tables
 from ld2.keys import (
     KeyFormatError,
     PublicKey,
@@ -104,21 +106,60 @@ def test_pow_chain_matches_square_and_multiply(half, data):
         assert apply_columns(tables, a) == field.pow(a, 1 << k)
 
 
+def _shift_and_xor(a, b):
+    """The carry-less product of a and b, one bit of b at a time."""
+    acc = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            acc ^= a << i
+    return acc
+
+
+@st.composite
+def clmul_factors(draw):
+    """A field element, or n of them packed one per lane of ceil(2n / 8)
+    bytes as derive_public_key packs S, F(S) and T, for odd n in 3..257;
+    the bits come from a drawn seed."""
+    n = 2 * draw(st.integers(1, 128)) + 1
+    width = draw(st.sampled_from((n, 8 * ((2 * n + 7) // 8) * n)))
+    return random.Random(draw(st.integers(0, 2**32 - 1))).getrandbits(width)
+
+
+# 520 bits, every byte 0x9d: both nibbles nonzero and unequal, so a digit
+# dropped or swapped changes the product
+_FACTOR = int("9d" * 65, 16)
+
+
+# b up to one lane at n = 257; a = 0, b = 0, b = 1, b < 16 (one digit), and
+# b = 2^(8k) - 1 and 2^(8k) (a full top byte, and a top byte of one bit)
+@settings(deadline=None, max_examples=30)
+@given(clmul_factors(), st.integers(0, (1 << 520) - 1))
+@example(0, (1 << 257) - 1)
+@example(_FACTOR, 0)
+@example(_FACTOR, 1)
+@example(_FACTOR, 0b1011)
+@example(_FACTOR, (1 << 64) - 1)
+@example(_FACTOR, 1 << 64)
+def test_carry_less_products_match_shift_and_xor(a, b):
+    expected = _shift_and_xor(a, b)
+    assert _clmul(a, b) == expected
+    assert clmul_bytes(byte_multiples(a), b) == expected
+    assert _spread(a) == _shift_and_xor(a, a)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(1, 128), st.data())
-def test_mul_lanes_matches_mul_lane_by_lane(half, data):
+def test_lane_products_match_mul_lane_by_lane(half, data):
     # odd n in 3..257; lanes of 0 and 2^n - 1 (the top lane) around random ones
     field = Field(2 * half + 1)
     n = field.n
     top = field.order - 1
     middle = data.draw(st.lists(st.integers(0, top), max_size=n - 2), label="lanes")
     elements = [0, *middle, top]
-    lanes = field.pack_lanes(elements)
-    multiples = byte_multiples(lanes)
+    multiples = byte_multiples(field.pack_lanes(elements))
     for a in (0, 1, data.draw(st.integers(2, top), label="a")):
+        # derive_public_key's lane products: shared byte multiples, one fold
         expected = field.pack_lanes(field.mul(a, e) for e in elements)
-        assert field.mul_lanes(a, lanes) == expected
-        # derive_public_key's row products: shared byte multiples, one fold
         assert field.fold_lanes(clmul_bytes(multiples, a)) == expected
 
 
