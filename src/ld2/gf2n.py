@@ -17,9 +17,10 @@ Up to n elements packed one per byte-aligned lane of 2n bits or more
 (Field.pack_lanes) times one element is such a product, and
 Field.fold_lanes reduces every lane of it at once.
 
-The modulus of each field is the first irreducible polynomial in the
-deterministic scan order of find_irreducible, so key material and wire
-formats are reproducible across runs and machines.
+The modulus of each field is the first polynomial in the deterministic
+scan order of find_irreducible that passes Ben-Or's irreducibility test
+(is_irreducible), so key material and wire formats are reproducible
+across runs and machines.
 """
 
 from __future__ import annotations
@@ -29,23 +30,16 @@ import functools
 from .linalg import window_tables
 
 
-def poly_degree(f: int) -> int:
-    """Degree of a GF(2)[x] polynomial packed into an int (-1 for zero)."""
-    return f.bit_length() - 1
-
-
-def poly_mod(a: int, f: int) -> int:
-    """Remainder of a modulo f in GF(2)[x]."""
-    d = f.bit_length()
-    while a.bit_length() >= d:
-        a ^= f << (a.bit_length() - d)
-    return a
-
-
 def poly_gcd(a: int, b: int) -> int:
-    """Greatest common divisor in GF(2)[x]."""
+    """Greatest common divisor in GF(2)[x] of polynomials packed into
+    non-negative ints."""
+    if a < 0 or b < 0:
+        raise ValueError("polynomials are packed into non-negative ints")
     while b:
-        a, b = b, poly_mod(a, b)
+        d = b.bit_length()
+        while a.bit_length() >= d:
+            a ^= b << (a.bit_length() - d)
+        a, b = b, a  # a is now a mod b
     return a
 
 
@@ -112,41 +106,28 @@ def _fold(v: int, n: int, shifts: tuple[int, ...], low: int) -> int:
     return v
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: int) -> bool:
-    """Rabin irreducibility test for f in GF(2)[x].
+    """Ben-Or's irreducibility test for f in GF(2)[x] (Ben-Or 1981).
 
-    A degree-n polynomial is irreducible iff x^(2^n) = x (mod f) and
-    gcd(x^(2^(n/p)) - x, f) = 1 for every prime p dividing n.
+    x^(2^i) - x is the product of the irreducibles whose degree divides i,
+    and a reducible f of degree n has a factor of degree at most n/2.  So f
+    is irreducible iff gcd(x^(2^i) - x, f) = 1 for i = 1 .. floor(n/2); most
+    reducible f fail at a small i.
     """
-    n = poly_degree(f)
+    if f < 0:
+        raise ValueError("polynomials are packed into non-negative ints")
+    n = f.bit_length() - 1
     if n < 1:
         return False
-    if n == 1:
-        return True
-    checkpoints = {n // p for p in _prime_factors(n)}
     # squares by spreading the bits, reduced through f's low terms
     low = (1 << n) - 1
     shifts = tuple(i for i in range(n) if f >> i & 1)
     t = 2  # the polynomial x
-    for i in range(1, n + 1):
+    for _ in range(n // 2):
         t = _fold(_spread(t), n, shifts, low)
-        if i in checkpoints and poly_gcd(t ^ 2, f) != 1:
+        if poly_gcd(t ^ 2, f) != 1:
             return False
-    return t == 2
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,7 +158,7 @@ def _trace_mask(f: int) -> int:
     p_i = i f_(n-i) + sum_(0<j<i) f_(n-j) p_(i-j), with f_k the coefficient
     of x^k.  The sum runs over f's few nonzero terms only.
     """
-    n = poly_degree(f)
+    n = f.bit_length() - 1
     taps = [j for j in range(1, n) if f >> (n - j) & 1]
     p = [n & 1]
     for i in range(1, n):

@@ -109,8 +109,8 @@ import functools
 import hashlib
 import itertools
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreducible, hex_to_bits
 from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
@@ -152,18 +152,14 @@ def _compress(x: int, mask: int, steps) -> int:
     return x
 
 
-class _Spread(NamedTuple):
-    comb: int  # 1 at every multiple of n - 1 below (n - 1)^2
-    diagonal: int  # 1 at every multiple of n below n^2
-    triangle: int  # bits j*n + k with j < k < n
-    steps: tuple  # _compress_steps of triangle
-
-
 @functools.lru_cache(maxsize=None)
-def _spread_masks(n: int) -> _Spread:
-    """The constant masks of _monomials for n variables."""
+def _spread_masks(n: int) -> tuple[int, int, int, tuple]:
+    """The constant masks of _monomials for n variables: comb, 1 at every
+    multiple of n - 1 below (n - 1)^2; diagonal, 1 at every multiple of n
+    below n^2; triangle, the bits j*n + k with j < k < n; and the
+    _compress_steps of triangle."""
     triangle = sum(((1 << n) - (2 << j)) << (j * n) for j in range(n))
-    return _Spread(
+    return (
         sum(1 << (k * (n - 1)) for k in range(n - 1)),
         sum(1 << (j * n) for j in range(n)),
         triangle,
@@ -174,10 +170,10 @@ def _spread_masks(n: int) -> _Spread:
 def _monomials(n: int, x: int, y: int) -> tuple[int, int]:
     """(T, Y): the monomials x_j x_k (j < k) in the order of xx, and
     x (x) y, row-major as xy is (module docstring)."""
-    spread = _spread_masks(n)
+    comb, diagonal, triangle, steps = _spread_masks(n)
     low = (1 << n - 1) - 1  # bits 0..n-2 of x
-    sx = (x & low) * spread.comb & spread.diagonal | x >> n - 1 << n * (n - 1)
-    return _compress(x * sx, spread.triangle, spread.steps), y * sx
+    sx = (x & low) * comb & diagonal | x >> n - 1 << n * (n - 1)
+    return _compress(x * sx, triangle, steps), y * sx
 
 
 def _vanish_on_fields(n: int, fields, x: int, y: int) -> bool:

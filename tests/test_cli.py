@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ld2
 from ld2.cli import DEFAULT_SEED, MAX_N, fitted_exponent, main, run_bench
 
 
@@ -278,3 +282,12 @@ def test_bench_rejects_bad_args(capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert out == "" and err.count("error:") == 1 and err.count("\n") == 1
         assert "repeat" in err
+
+
+def test_import_leaves_typing_unloaded():
+    # typing takes a few ms of a fresh process's import; -S keeps out site
+    # hooks, which may import it on their own
+    root = str(Path(ld2.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {root!r}); import ld2.cli; print('typing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -15,6 +15,7 @@ from ld2.gf2n import (
     frobenius_tables,
     hex_to_bits,
     is_irreducible,
+    poly_gcd,
 )
 from ld2.cli import MAX_N
 
@@ -41,6 +42,16 @@ def _irreducible_by_trial_division(f):
 def test_is_irreducible_matches_trial_division_up_to_degree_10():
     for f in range(4, 1 << 11):
         assert is_irreducible(f) == _irreducible_by_trial_division(f), bin(f)
+
+
+def test_negative_polynomials_are_rejected():
+    for f in (-1, -2, -5, -(1 << 257) - 3):
+        with pytest.raises(ValueError):
+            is_irreducible(f)
+    with pytest.raises(ValueError):
+        poly_gcd(6, -5)
+    with pytest.raises(ValueError):
+        poly_gcd(-6, 5)
 
 
 def test_find_irreducible_known_small():

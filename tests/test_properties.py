@@ -4,7 +4,10 @@ square and multiply, Field.trace against the sum of squares it replaced,
 every carry-less product of gf2n against shift and xor bit by bit
 (test_carry_less_products_match_shift_and_xor), the lane-packed product
 through shared byte multiples against Field.mul lane by lane
-(test_lane_products_match_mul_lane_by_lane), the window tables and the bit
+(test_lane_products_match_mul_lane_by_lane), Ben-Or's irreducibility test
+against Rabin's on random polynomials, on Ben-Or's longest reducible case
+and on every canonical modulus (test_is_irreducible_agrees_with_rabin,
+test_every_canonical_modulus_passes_rabin), the window tables and the bit
 transpose of linalg against per-bit loops
 (test_window_tables_match_the_images_bit_by_bit,
 test_bit_columns_match_a_bitwise_transpose), GF(2) transpose, rank, solving
@@ -32,8 +35,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ld2.cipher import decrypt_message, encrypt_message
+from ld2.cli import MAX_N
 from ld2.gf2n import Field, _clmul, _spread, apply_columns, byte_multiples, clmul_bytes
-from ld2.gf2n import frobenius_tables
+from ld2.gf2n import find_irreducible, frobenius_tables, is_irreducible
 from ld2.keys import (
     KeyFormatError,
     PublicKey,
@@ -161,6 +165,70 @@ def test_lane_products_match_mul_lane_by_lane(half, data):
         # derive_public_key's lane products: shared byte multiples, one fold
         expected = field.pack_lanes(field.mul(a, e) for e in elements)
         assert field.fold_lanes(clmul_bytes(multiples, a)) == expected
+
+
+def _poly_mod(a, f):
+    d = f.bit_length()
+    while a.bit_length() >= d:
+        a ^= f << (a.bit_length() - d)
+    return a
+
+
+def _rabin_irreducible(f):
+    """Rabin's test (Rabin 1980), the oracle for Ben-Or's in is_irreducible:
+    f of degree n >= 1 is irreducible iff x^(2^n) = x mod f and
+    gcd(x^(2^(n/p)) - x, f) = 1 for every prime p dividing n.  It squares
+    through the binary digits and shares no code with gf2n."""
+    n = f.bit_length() - 1
+    if n < 1:
+        return False
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    checkpoints = {n // p for p in primes}
+    x = _poly_mod(2, f)
+    t = x
+    for i in range(1, n + 1):
+        t = _poly_mod(int("0".join(f"{t:b}"), 2), f)
+        if i in checkpoints:
+            a, b = f, t ^ x
+            while b:
+                a, b = b, _poly_mod(a, b)
+            if a != 1:
+                return False
+    return t == x
+
+
+def _irreducible_from(degree, start):
+    """The first polynomial of the degree from start on (cyclically) that
+    is_irreducible accepts, which Rabin's test must accept too."""
+    for k in range(64 * degree):
+        f = 1 << degree | (start + k) % (1 << degree)
+        if is_irreducible(f):
+            assert _rabin_irreducible(f), hex(f)
+            return f
+    raise AssertionError(f"no irreducible polynomial of degree {degree} found")
+
+
+# g * h with deg g = floor(n/2) and deg h = ceil(n/2) is Ben-Or's longest
+# reducible case: no factor shows before i = floor(n/2); g^2 shows at deg g
+@settings(deadline=None)
+@given(st.integers(2, 257), st.data())
+def test_is_irreducible_agrees_with_rabin(n, data):
+    def draw_low(degree, label):
+        return data.draw(st.integers(0, (1 << degree) - 1), label=label)
+
+    f = 1 << n | draw_low(n, "f")
+    assert is_irreducible(f) == _rabin_irreducible(f), hex(f)
+    g = _irreducible_from(n // 2, draw_low(n // 2, "g"))
+    h = _irreducible_from(n - n // 2, draw_low(n - n // 2, "h"))
+    for reducible in (_shift_and_xor(g, h), _shift_and_xor(g, g)):
+        assert not is_irreducible(reducible), hex(reducible)
+        assert not _rabin_irreducible(reducible), hex(reducible)
+
+
+def test_every_canonical_modulus_passes_rabin():
+    for n in range(3, MAX_N + 1, 2):
+        f = find_irreducible(n)
+        assert is_irreducible(f) and _rabin_irreducible(f), n
 
 
 @st.composite
