@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -474,6 +475,44 @@ def test_decode_rejects_noncanonical_text(kind):
     ):
         with pytest.raises(KeyFormatError, match=f"line {line} is not in canonical form"):
             decode_key(bad)
+
+
+# every substitution, deletion and truncation of these key files, and what
+# decode_key made of each: the SHA-256 of all outcomes, in order
+SWEEP_ALPHABET = "0123456789abcdefABCDEFg=.+_\n\r\x0b\x1c\x85\u2028 \t\x00"
+SWEEP_SHA256 = "5665f75079364fa5f2dc57f11759b9f8831c9bdf4788a6919028602a8a9fa3c9"
+
+
+def _mutations(text: str):
+    for i, char in enumerate(text):
+        for other in SWEEP_ALPHABET:
+            if other != char:
+                yield text[:i] + other + text[i + 1:]
+        yield text[:i] + text[i + 1:]
+    for end in range(len(text)):
+        yield text[:end]
+
+
+def test_mutated_key_files_decode_as_pinned():
+    # a tampered file either fails with KeyFormatError or is the exact
+    # encoding of another key, never the original; every outcome is pinned
+    digest = hashlib.sha256()
+    count = others = 0
+    for n in (3, 5):
+        for key in keygen(n, 1):
+            for text in _mutations(encode_key(key)):
+                try:
+                    decoded = decode_key(text)
+                except KeyFormatError as exc:
+                    outcome = f"KeyFormatError: {exc}"
+                else:
+                    assert decoded != key
+                    outcome = encode_key(decoded)
+                    others += 1
+                digest.update(outcome.encode() + b"\x00")
+                count += 1
+    assert (count, others) == (23544, 1098)
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 def test_encode_rejects_other_types():
