@@ -129,8 +129,15 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _read_key_file(path: str) -> str:
+    """A key file's text as it is on disk: with no newline translation, a
+    \r\n or \r line end reaches decode_key, which rejects it."""
+    with open(path, newline="") as file:
+        return file.read()
+
+
 def _load_key(path: str, cls):
-    key = decode_key(Path(path).read_text())
+    key = decode_key(_read_key_file(path))
     if not isinstance(key, cls):
         kind = "public" if cls is PublicKey else "secret"
         raise CliError(f"{path} is not a {kind} key")
@@ -163,8 +170,9 @@ def _cmd_keygen(args) -> int:
     else:
         seed = _parse_seed(args.seed)
     sk, pk = keygen(args.n, seed)
-    Path(args.secret_out).write_text(encode_key(sk))
-    Path(args.public_out).write_text(encode_key(pk))
+    # newline="": the files hold encode_key's text byte for byte everywhere
+    Path(args.secret_out).write_text(encode_key(sk), newline="")
+    Path(args.public_out).write_text(encode_key(pk), newline="")
     return 0
 
 
@@ -221,12 +229,14 @@ def _print_fields(fields) -> None:
 
 
 def _cmd_inspect(args) -> int:
-    text = Path(args.key).read_text()
+    text = _read_key_file(args.key)
     key = decode_key(text)
-    # decode_key accepts only canonical text, so its lines are the key's:
-    # "n=<n> m=<m>", "poly=<hex>", then one "name=value" per secret value
-    lines = text.splitlines()
     public = isinstance(key, PublicKey)
+    # decode_key accepts only canonical text, so its lines are the key's:
+    # "n=<n> m=<m>", "poly=<hex>", then one "name=value" per secret value.
+    # A public key's 5n equation lines are never printed, so only its
+    # header is split off.
+    lines = (text[:text.index("\neq1.")] if public else text).split("\n")
     print(f"type: {'public' if public else 'secret'}")
     _print_fields(lines[1].split())
     print(f"modulus: {lines[2].partition('=')[2]}")
@@ -237,10 +247,11 @@ def _cmd_inspect(args) -> int:
         terms = sum(field.bit_count() for fields in key.fields for field in fields)
         print(f"terms: {terms}")
     elif args.reveal:
-        _print_fields(lines[3:])
+        _print_fields(lines[3:8])
     else:
         print("secret values hidden (pass --reveal to print them)")
-    print(f"size: {len(text.encode())} bytes")
+    # canonical text is ASCII, one byte per character
+    print(f"size: {len(text)} bytes")
     return 0
 
 

@@ -96,11 +96,19 @@ is the canonical one for the degree.  One generator, _body_lines, names
 every line after the header and gives its width; _key_text writes from
 it and decode_key parses by it.  A file decodes only if it is exactly the
 text encode_key writes for the key it describes, so unknown, out-of-order
-or reformatted lines are format errors.  decode_key compares the file with
-_key_text of the values it parsed, which is that text: each value has
+or reformatted lines are format errors.  n fixes where everything in
+that text is, so decode_key reads a file at those offsets
+(_canonical_values): its length against the length n gives
+(_key_length, before any work per n), the three header lines whole, then
+for each line its name, exactly its value's digits, bytes.fromhex of
+them with their byte count and slack bits, and its newline, and a
+scan of the values for A-F, which fromhex accepts.  Text that passes is
+encode_key's text of the key built from its values: each value has
 exactly its line's width, the public values are the key's fields as they
 are, and on the secret ones BitMatrix.from_bits then to_bits is the
-identity.
+identity.  Any other text goes to the line parser, _decode_lines, whose
+error names a bad value's line first, then a broken key invariant, then
+the first line that differs from _key_text of the values it parsed.
 """
 
 from __future__ import annotations
@@ -113,6 +121,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreducible, hex_to_bits
+from .gf2n import packed_size
 from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
 from .linalg import bit_columns, nibble_windows, random_invertible, rank
 
@@ -632,18 +641,115 @@ def fingerprint(pk: PublicKey) -> str:
     return hashlib.sha256(encode_key(pk).encode()).hexdigest()
 
 
+def _header(secret: bool, n: int) -> str:
+    """The three header lines of a size-n key file, newlines included."""
+    magic = _SECRET_MAGIC if secret else _PUBLIC_MAGIC
+    return f"{magic}\nn={n} m={(n + 1) // 2}\npoly={bits_to_hex(find_irreducible(n), n + 1)}\n"
+
+
 def _key_text(secret: bool, n: int, values) -> str:
     """The file text of a size-n key whose body lines hold values."""
     # one join of all the pieces: a public key's text is n^2 hex digits
     # and more, and joining lines built first would copy it twice
-    parts = [
-        _SECRET_MAGIC if secret else _PUBLIC_MAGIC,
-        f"\nn={n} m={(n + 1) // 2}\npoly={bits_to_hex(find_irreducible(n), n + 1)}",
-    ]
+    parts = [_header(secret, n)]
     for (name, nbits), value in zip(_body_lines(secret, n), values):
-        parts += ("\n", name, "=", str(value) if nbits == 1 else bits_to_hex(value, nbits))
-    parts.append("\n")
+        parts += (name, "=", str(value) if nbits == 1 else bits_to_hex(value, nbits), "\n")
     return "".join(parts)
+
+
+def _digit_count(nbits: int) -> int:
+    """Digits of a value of nbits bits in a key file."""
+    return 1 if nbits == 1 else 2 * packed_size(nbits)
+
+
+def _key_length(secret: bool, n: int) -> int:
+    """The length of every size-n key file's text, from n alone: the work
+    grows with the digits of n, not with n."""
+    header = len(f"{_PUBLIC_MAGIC}\nn={n} m={(n + 1) // 2}\npoly=\n") + _digit_count(n + 1)
+    if secret:
+        return header + sum(len(name) + 2 + _digit_count(w) for name, w in _body_lines(True, n))
+    # "eq", ".", "=" and "\n" around each name, and the equation numbers
+    # 1..n: each power of ten up to n adds a digit to every number from it on
+    line = sum(len(name) + 5 + _digit_count(w) for name, w in _equation_widths(n))
+    numbers = sum(n + 1 - 10 ** k for k in range(len(str(n))))
+    return header + n * line + 5 * numbers
+
+
+def _has_capitals(text: str, start: int = 0) -> bool:
+    """Whether text holds a digit A-F from start on: bytes.fromhex accepts
+    them, and the canonical form does not."""
+    return any(text.find(digit, start) >= 0 for digit in "ABCDEF")
+
+
+def _canonical_values(text: str):
+    """(secret, n, values) when text is the file encode_key writes for the
+    values, else None.  Each check reads the text at the offset the layout
+    fixes: the header is the only text built, and each value's digits the
+    only part of the text copied."""
+    secret = text.startswith(_SECRET_MAGIC + "\n")
+    if not (secret or text.startswith(_PUBLIC_MAGIC + "\n")):
+        return None
+    start = len(_PUBLIC_MAGIC) + 1
+    try:
+        n = int(text[start:text.find("\n", start)].partition(" ")[0].partition("=")[2])
+    except ValueError:
+        return None
+    # the length first, so a huge claimed n costs nothing: every file is
+    # longer than its n
+    if n < 3 or n % 2 == 0 or n > len(text) or len(text) != _key_length(secret, n):
+        return None
+    header = _header(secret, n)
+    if not text.startswith(header):
+        return None
+    pos, values = len(header), []
+    for name, nbits in _body_lines(secret, n):
+        name += "="
+        if not text.startswith(name, pos):
+            return None
+        start = pos + len(name)
+        if nbits == 1:
+            pos = start + 1
+            digits = text[start:pos]
+            if digits not in ("0", "1"):
+                return None
+            value = int(digits)
+        else:
+            size = packed_size(nbits)
+            pos = start + 2 * size
+            digits = text[start:pos]
+            try:
+                data = bytes.fromhex(digits)
+            except ValueError:
+                return None
+            value = int.from_bytes(data, "little")
+            # a short count means fromhex skipped whitespace
+            if len(data) != size or value >> nbits:
+                return None
+            # a secret line name holds an "A"; no public one holds a capital
+            if secret and _has_capitals(digits):
+                return None
+        if not text.startswith("\n", pos):
+            return None
+        pos += 1
+        values.append(value)
+    if pos != len(text) or not secret and _has_capitals(text, len(header)):
+        return None
+    return secret, n, values
+
+
+def _key_of(secret: bool, n: int, values):
+    """The key whose body lines hold values, each at its line's width."""
+    if not secret:
+        # any values of those widths are a key's fields
+        fields = tuple(tuple(values[i:i + 5]) for i in range(0, 5 * n, 5))
+        return PublicKey._from_fields(n, fields)
+    alpha, a1, c1, a2, c2 = values
+    try:
+        s = AffineMap(BitMatrix.from_bits(a1, n, n), c1)
+        t = AffineMap(BitMatrix.from_bits(a2, n, n), c2)
+        return SecretKey(Field(n), s, t, alpha)
+    except ValueError as exc:
+        raise KeyFormatError(f"invalid secret key: {exc}") from exc
 
 
 def decode_key(text: str):
@@ -653,6 +759,15 @@ def decode_key(text: str):
     docstring); anything else, a trace-0 alpha or a singular matrix
     included, raises KeyFormatError.
     """
+    parsed = _canonical_values(text)
+    return _decode_lines(text) if parsed is None else _key_of(*parsed)
+
+
+def _decode_lines(text: str):
+    """decode_key line by line: the path of every text that is not
+    canonical, which finds the error to report.  A value error comes before
+    a key invariant, and both before the first line that differs from the
+    canonical text."""
     lines = text.splitlines()
     if not lines:
         raise KeyFormatError("empty key file")
@@ -684,22 +799,10 @@ def decode_key(text: str):
             values.append(int(value) if nbits == 1 else hex_to_bits(value, nbits))
         except ValueError as exc:
             raise KeyFormatError(f"line {number}: {exc}") from exc
-    if secret:
-        alpha, a1, c1, a2, c2 = values
-        try:
-            s = AffineMap(BitMatrix.from_bits(a1, n, n), c1)
-            t = AffineMap(BitMatrix.from_bits(a2, n, n), c2)
-            key = SecretKey(Field(n), s, t, alpha)
-        except ValueError as exc:
-            raise KeyFormatError(f"invalid secret key: {exc}") from exc
-    else:
-        # every value has its line's width, so any values are a key's fields
-        fields = tuple(tuple(values[i:i + 5]) for i in range(0, 5 * n, 5))
-        key = PublicKey._from_fields(n, fields)
+    key = _key_of(secret, n, values)
 
     canonical = _key_text(secret, n, values)
     if canonical != text:
         line = os.path.commonprefix((canonical, text)).count("\n") + 1
         raise KeyFormatError(f"line {line} is not in canonical form")
     return key
-

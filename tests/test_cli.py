@@ -221,6 +221,26 @@ def test_inspect_hides_secrets_by_default(tmp_path, capsys):
     )
 
 
+def test_key_files_are_read_byte_for_byte(tmp_path, capsys):
+    # no newline translation on either side: keygen writes encode_key's
+    # text as it is, inspect's size is the file's byte count, and a copy
+    # with \r\n or \r line ends is not the key
+    secret, public = _keygen(tmp_path, 5, seed="5")
+    assert public.read_bytes() == ld2.encode_key(ld2.keygen(5, 5)[1]).encode()
+    assert main(["sign", "--secret", str(secret), "--digest", "15"]) == 0
+    signature = capsys.readouterr().out.strip()
+    for path in (secret, public):
+        assert main(["inspect", "--key", str(path)]) == 0
+        size = capsys.readouterr().out.splitlines()[-1]
+        assert size == f"size: {path.stat().st_size} bytes"
+    for end in (b"\r\n", b"\r"):
+        copy = tmp_path / "copy.pub"
+        copy.write_bytes(public.read_bytes().replace(b"\n", end))
+        argv = ["verify", "--public", str(copy), "--digest", "15", "--sig", signature]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: line 1 is not in canonical form\n")
+
+
 @pytest.mark.parametrize("n", [33, 65])
 def test_inspect_names_both_files_by_the_public_fingerprint(tmp_path, capsys, n):
     # a secret key's fingerprint is its public key's, and its output holds

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -193,22 +194,49 @@ def test_round_trip_larger_keys():
 
 
 def test_decode_does_no_encoding(monkeypatch):
-    # the canonical check compares the file with the text of the parsed
-    # values, so decoding never encodes the key; a public key keeps the
-    # parsed values as its fields and builds no tables
+    # a canonical file is read at the offsets its layout fixes: decoding
+    # never encodes the key or builds the file's text, and a public key
+    # keeps the parsed values as its fields and builds no tables
     import ld2.keys as keys_mod
 
-    sk, pk = keygen(5, seed=0xDEC0)
-    texts = [(key, encode_key(key)) for key in (sk, pk)]
+    texts = [
+        (key, encode_key(key))
+        for n, seed in ((5, 0xDEC0), (33, 0xDEC1))
+        for key in keygen(n, seed)
+    ]
+    # the n = 5 public file with its first value that has a letter in
+    # capitals
+    lines = texts[1][1].split("\n")
+    values = [line.partition("=")[2] for line in lines]
+    number = next(i for i in range(3, len(lines)) if values[i] != values[i].upper())
+    lines[number] = lines[number].replace(values[number], values[number].upper())
 
     def forbidden(*args):
-        raise AssertionError("decode_key must not encode or build tables")
+        raise AssertionError("decode_key must not encode, build text or build tables")
 
     monkeypatch.setattr(keys_mod, "_lane_tables", forbidden)
     monkeypatch.setattr(keys_mod, "encode_key", forbidden)
+    monkeypatch.setattr(keys_mod, "_key_text", forbidden)
     for key, text in texts:
-        assert decode_key(text) == key
-    assert decode_key(texts[1][1])._tables is None
+        decoded = decode_key(text)
+        assert decoded == key
+        assert isinstance(decoded, SecretKey) or decoded._tables is None
+    # a file that is not canonical goes to the line parser, which may
+    # build the canonical text to name the first line that differs
+    monkeypatch.undo()
+    with pytest.raises(KeyFormatError, match=f"^line {number + 1} is not in canonical form$"):
+        decode_key("\n".join(lines))
+
+
+@pytest.mark.parametrize("n", [3, 9, 11, 99, 101, 129])
+def test_key_length_is_the_length_of_every_key_file(n):
+    # decode_key compares it with the text's length before any per-n work;
+    # equation numbers of one, two and three digits
+    import ld2.keys as keys_mod
+
+    for secret in (True, False):
+        text = keys_mod._key_text(secret, n, itertools.repeat(0))
+        assert keys_mod._key_length(secret, n) == len(text)
 
 
 def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
