@@ -131,7 +131,7 @@ def _parse_seed(text: str) -> int:
 
 def _read_key_file(path: str) -> str:
     """A key file's text as it is on disk: with no newline translation, a
-    \r\n or \r line end reaches decode_key, which rejects it."""
+    CR LF or CR line end reaches decode_key, which rejects it."""
     with open(path, newline="") as file:
         return file.read()
 

@@ -100,15 +100,15 @@ or reformatted lines are format errors.  n fixes where everything in
 that text is, so decode_key reads a file at those offsets
 (_canonical_values): its length against the length n gives
 (_key_length, before any work per n), the three header lines whole, then
-for each line its name, exactly its value's digits, bytes.fromhex of
-them with their byte count and slack bits, and its newline, and a
-scan of the values for A-F, which fromhex accepts.  Text that passes is
-encode_key's text of the key built from its values: each value has
-exactly its line's width, the public values are the key's fields as they
-are, and on the secret ones BitMatrix.from_bits then to_bits is the
-identity.  Any other text goes to the line parser, _decode_lines, whose
-error names a bad value's line first, then a broken key invariant, then
-the first line that differs from _key_text of the values it parsed.
+for each line its name, exactly its value's digits, binascii.a2b_hex of
+them with their slack bits, and its newline, and last a scan of the
+values for A-F, which a2b_hex accepts.  Text that passes is encode_key's
+text of the key built from its values: each value has exactly its line's
+width, the public values are the key's fields as they are, and on the
+secret ones BitMatrix.from_bits then to_bits is the identity.  Any other
+text goes to the line parser, _decode_lines, whose error names a bad
+value's line first, then a broken key invariant, then the first line
+that differs from _key_text of the values it parsed.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ import functools
 import hashlib
 import itertools
 import os
+from binascii import a2b_hex
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -665,7 +666,8 @@ def _digit_count(nbits: int) -> int:
 def _key_length(secret: bool, n: int) -> int:
     """The length of every size-n key file's text, from n alone: the work
     grows with the digits of n, not with n."""
-    header = len(f"{_PUBLIC_MAGIC}\nn={n} m={(n + 1) // 2}\npoly=\n") + _digit_count(n + 1)
+    magic = _SECRET_MAGIC if secret else _PUBLIC_MAGIC
+    header = len(f"{magic}\nn={n} m={(n + 1) // 2}\npoly=\n") + _digit_count(n + 1)
     if secret:
         return header + sum(len(name) + 2 + _digit_count(w) for name, w in _body_lines(True, n))
     # "eq", ".", "=" and "\n" around each name, and the equation numbers
@@ -676,8 +678,8 @@ def _key_length(secret: bool, n: int) -> int:
 
 
 def _has_capitals(text: str, start: int = 0) -> bool:
-    """Whether text holds a digit A-F from start on: bytes.fromhex accepts
-    them, and the canonical form does not."""
+    """Whether text holds a digit A-F from start on: a2b_hex accepts them,
+    and the canonical form does not."""
     return any(text.find(digit, start) >= 0 for digit in "ABCDEF")
 
 
@@ -689,7 +691,7 @@ def _canonical_values(text: str):
     secret = text.startswith(_SECRET_MAGIC + "\n")
     if not (secret or text.startswith(_PUBLIC_MAGIC + "\n")):
         return None
-    start = len(_PUBLIC_MAGIC) + 1
+    start = len(_SECRET_MAGIC if secret else _PUBLIC_MAGIC) + 1
     try:
         n = int(text[start:text.find("\n", start)].partition(" ")[0].partition("=")[2])
     except ValueError:
@@ -718,12 +720,13 @@ def _canonical_values(text: str):
             pos = start + 2 * size
             digits = text[start:pos]
             try:
-                data = bytes.fromhex(digits)
+                # unlike bytes.fromhex, a2b_hex skips no whitespace, so
+                # data has exactly size bytes
+                data = a2b_hex(digits)
             except ValueError:
                 return None
             value = int.from_bytes(data, "little")
-            # a short count means fromhex skipped whitespace
-            if len(data) != size or value >> nbits:
+            if value >> nbits:
                 return None
             # a secret line name holds an "A"; no public one holds a capital
             if secret and _has_capitals(digits):
