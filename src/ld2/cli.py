@@ -33,6 +33,7 @@ from .keys import (
     fingerprint,
     keygen,
     relation_residual,
+    text_fingerprint,
 )
 from .linalg import AffineMap, BitMatrix, Prng
 
@@ -240,8 +241,10 @@ def _cmd_inspect(args) -> int:
     print(f"type: {'public' if public else 'secret'}")
     _print_fields(lines[1].split())
     print(f"modulus: {lines[2].partition('=')[2]}")
-    # a secret key is named by its public key, which reveals nothing secret
-    print(f"fingerprint: {fingerprint(key if public else derive_public_key(key))}")
+    # a secret key is named by its public key, which reveals nothing secret;
+    # a public key's text is encode_key's, so it is hashed as read
+    name = text_fingerprint(text) if public else fingerprint(derive_public_key(key))
+    print(f"fingerprint: {name}")
     if public:
         print(f"equations: {key.n}")
         terms = sum(field.bit_count() for fields in key.fields for field in fields)

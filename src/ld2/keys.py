@@ -92,22 +92,24 @@ Key files are line oriented:
 
 All hex fields are lowercase and pack bit i of the value into bit i % 8 of
 byte i // 8 (see gf2n).  Every line ends with a newline, and the modulus
-is the canonical one for the degree.  One generator, _body_lines, names
-every line after the header and gives its width; _key_text writes from
-it and decode_key parses by it.  A file decodes only if it is exactly the
-text encode_key writes for the key it describes, so unknown, out-of-order
-or reformatted lines are format errors.  n fixes where everything in
-that text is, so decode_key reads a file at those offsets
-(_canonical_values): its length against the length n gives
-(_key_length, before any work per n), the three header lines whole, then
-for each line its name, exactly its value's digits, binascii.a2b_hex of
-them with their slack bits, and its newline, and last a scan of the
-values for A-F, which a2b_hex accepts.  Text that passes is encode_key's
-text of the key built from its values: each value has exactly its line's
-width, the public values are the key's fields as they are, and on the
-secret ones BitMatrix.from_bits then to_bits is the identity.  Any other
-text goes to the line parser, _decode_lines, whose error names a bad
-value's line first, then a broken key invariant, then the first line
+is the canonical one for the degree.  A file decodes only if it is exactly
+the text encode_key writes for the key it describes, so unknown,
+out-of-order or reformatted lines are format errors.  n alone fixes where
+everything in that text is, and _layout(secret, n) describes it once, in
+a small cache: per body line its name + "=", its width and its digit
+count, and the length of the text.  _key_text writes by it, and
+decode_key reads a file at its offsets (_canonical_values): the claimed n
+against the text's length first, since every size-n file holds at least
+n^2 / 2 digits, so a claimed n with n^2 > 2 len(text) fails before any
+work per n; then the length, the three header lines whole, then for each
+line its name, exactly its value's digits, binascii.a2b_hex of them with
+their slack bits, and its newline, and last a scan of the values for
+A-F, which a2b_hex accepts.  Text that passes is encode_key's text of the
+key built from its values: each value has exactly its line's width, the
+public values are the key's fields as they are, and on the secret ones
+BitMatrix.from_bits then to_bits is the identity.  Any other text goes to
+_raise_format_error, a line parser that only reports errors: it names a
+bad value's line first, then a broken key invariant, then the first line
 that differs from _key_text of the values it parsed.
 """
 
@@ -118,7 +120,6 @@ import hashlib
 import itertools
 import os
 from binascii import a2b_hex
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreducible, hex_to_bits
@@ -607,20 +608,22 @@ _SECRET_MAGIC = "LD2-SECRET v1"
 _PUBLIC_MAGIC = "LD2-PUBLIC v1"
 
 
-def _body_lines(secret: bool, n: int) -> Iterator[tuple[str, int]]:
-    """Name and bit width of every line after the 3-line header, yielded
-    one at a time, so the codec never holds the 5n lines of a public key.
-
-    The 1-bit eq<i>.c is the digit 0 or 1; every other value is hex (all
-    other widths are at least n >= 3).
-    """
+@functools.lru_cache(maxsize=8)
+def _layout(secret: bool, n: int) -> tuple[tuple[tuple[str, int, int], ...], int]:
+    """The layout of every size-n key file: for each line after the 3-line
+    header its name + "=", bit width and digit count (1 for the 0 or 1 of
+    eq<i>.c, hex otherwise), and the text's length, found without the
+    modulus.  n comes from the file being read, so the cache is small."""
     if secret:
-        yield from (("alpha", n), ("A1", n * n), ("c1", n), ("A2", n * n), ("c2", n))
-        return
-    fields = _equation_widths(n)
-    for i in range(1, n + 1):
-        for name, nbits in fields:
-            yield f"eq{i}.{name}", nbits
+        widths = (("alpha", n), ("A1", n * n), ("c1", n), ("A2", n * n), ("c2", n))
+    else:
+        fields = _equation_widths(n)
+        widths = [(f"eq{i}.{name}", nbits) for i in range(1, n + 1) for name, nbits in fields]
+    lines = tuple((name + "=", nbits, 1 if nbits == 1 else 2 * packed_size(nbits))
+                  for name, nbits in widths)
+    magic = _SECRET_MAGIC if secret else _PUBLIC_MAGIC
+    header = len(f"{magic}\nn={n} m={(n + 1) // 2}\npoly=\n") + 2 * packed_size(n + 1)
+    return lines, header + sum(len(name) + count + 1 for name, _, count in lines)
 
 
 def encode_key(key) -> str:
@@ -639,7 +642,14 @@ def fingerprint(pk: PublicKey) -> str:
     """The key's public name: the SHA-256 hex digest of its key file."""
     if not isinstance(pk, PublicKey):
         raise TypeError("expected a PublicKey")
-    return hashlib.sha256(encode_key(pk).encode()).hexdigest()
+    return text_fingerprint(encode_key(pk))
+
+
+def text_fingerprint(text: str) -> str:
+    """The fingerprint of the public key that a key file's text holds.
+    decode_key accepts only encode_key's text of a key, so a text it has
+    read is hashed as it is, without encoding the key again."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _header(secret: bool, n: int) -> str:
@@ -653,28 +663,9 @@ def _key_text(secret: bool, n: int, values) -> str:
     # one join of all the pieces: a public key's text is n^2 hex digits
     # and more, and joining lines built first would copy it twice
     parts = [_header(secret, n)]
-    for (name, nbits), value in zip(_body_lines(secret, n), values):
-        parts += (name, "=", str(value) if nbits == 1 else bits_to_hex(value, nbits), "\n")
+    for (name, nbits, _), value in zip(_layout(secret, n)[0], values):
+        parts += (name, str(value) if nbits == 1 else bits_to_hex(value, nbits), "\n")
     return "".join(parts)
-
-
-def _digit_count(nbits: int) -> int:
-    """Digits of a value of nbits bits in a key file."""
-    return 1 if nbits == 1 else 2 * packed_size(nbits)
-
-
-def _key_length(secret: bool, n: int) -> int:
-    """The length of every size-n key file's text, from n alone: the work
-    grows with the digits of n, not with n."""
-    magic = _SECRET_MAGIC if secret else _PUBLIC_MAGIC
-    header = len(f"{magic}\nn={n} m={(n + 1) // 2}\npoly=\n") + _digit_count(n + 1)
-    if secret:
-        return header + sum(len(name) + 2 + _digit_count(w) for name, w in _body_lines(True, n))
-    # "eq", ".", "=" and "\n" around each name, and the equation numbers
-    # 1..n: each power of ten up to n adds a digit to every number from it on
-    line = sum(len(name) + 5 + _digit_count(w) for name, w in _equation_widths(n))
-    numbers = sum(n + 1 - 10 ** k for k in range(len(str(n))))
-    return header + n * line + 5 * numbers
 
 
 def _has_capitals(text: str, start: int = 0) -> bool:
@@ -696,32 +687,33 @@ def _canonical_values(text: str):
         n = int(text[start:text.find("\n", start)].partition(" ")[0].partition("=")[2])
     except ValueError:
         return None
-    # the length first, so a huge claimed n costs nothing: every file is
-    # longer than its n
-    if n < 3 or n % 2 == 0 or n > len(text) or len(text) != _key_length(secret, n):
+    # every size-n file holds at least n^2 / 2 digits (the two n^2-bit
+    # matrices, or any one xy field), so a huge claimed n fails here and
+    # builds no layout
+    if n < 3 or n % 2 == 0 or n * n > 2 * len(text):
+        return None
+    lines, length = _layout(secret, n)
+    if len(text) != length:
         return None
     header = _header(secret, n)
     if not text.startswith(header):
         return None
+    # the lines at their offsets then end exactly at len(text)
     pos, values = len(header), []
-    for name, nbits in _body_lines(secret, n):
-        name += "="
+    for name, nbits, count in lines:
         if not text.startswith(name, pos):
             return None
         start = pos + len(name)
+        pos = start + count
+        digits = text[start:pos]
         if nbits == 1:
-            pos = start + 1
-            digits = text[start:pos]
             if digits not in ("0", "1"):
                 return None
             value = int(digits)
         else:
-            size = packed_size(nbits)
-            pos = start + 2 * size
-            digits = text[start:pos]
             try:
                 # unlike bytes.fromhex, a2b_hex skips no whitespace, so
-                # data has exactly size bytes
+                # data has exactly count / 2 bytes
                 data = a2b_hex(digits)
             except ValueError:
                 return None
@@ -735,7 +727,7 @@ def _canonical_values(text: str):
             return None
         pos += 1
         values.append(value)
-    if pos != len(text) or not secret and _has_capitals(text, len(header)):
+    if not secret and _has_capitals(text, len(header)):
         return None
     return secret, n, values
 
@@ -763,14 +755,17 @@ def decode_key(text: str):
     included, raises KeyFormatError.
     """
     parsed = _canonical_values(text)
-    return _decode_lines(text) if parsed is None else _key_of(*parsed)
+    if parsed is None:
+        _raise_format_error(text)
+    return _key_of(*parsed)
 
 
-def _decode_lines(text: str):
-    """decode_key line by line: the path of every text that is not
-    canonical, which finds the error to report.  A value error comes before
-    a key invariant, and both before the first line that differs from the
-    canonical text."""
+def _raise_format_error(text: str):
+    """Raise the KeyFormatError of a text that is not canonical, found line
+    by line: a value error comes before a key invariant, and both before
+    the first line that differs from the canonical text.  Here n is bounded
+    only by the line count, so the widths are read lazily and no layout is
+    built before every value has parsed."""
     lines = text.splitlines()
     if not lines:
         raise KeyFormatError("empty key file")
@@ -788,13 +783,15 @@ def _decode_lines(text: str):
         raise KeyFormatError(f"line 2: malformed dimensions: {exc}") from exc
     if n < 3 or n % 2 == 0:
         raise KeyFormatError("line 2: n must be odd and at least 3")
-    # counted before the table is built, so a huge n fails at once
+    # counted before any line is read, so a huge n fails at once
     expected = 3 + (5 if secret else 5 * n)
     if len(lines) != expected:
         raise KeyFormatError(f"{kind} key file has {len(lines)} lines, expected {expected}")
 
+    widths = itertools.cycle((n, n * n, n, n * n, n) if secret
+                             else [nbits for _, nbits in _equation_widths(n)])
     values = []
-    for number, ((_, nbits), line) in enumerate(zip(_body_lines(secret, n), lines[3:]), 4):
+    for number, (nbits, line) in enumerate(zip(widths, lines[3:]), 4):
         value = line.partition("=")[2]
         try:
             if nbits == 1 and value not in ("0", "1"):
@@ -802,10 +799,9 @@ def _decode_lines(text: str):
             values.append(int(value) if nbits == 1 else hex_to_bits(value, nbits))
         except ValueError as exc:
             raise KeyFormatError(f"line {number}: {exc}") from exc
-    key = _key_of(secret, n, values)
-
+    _key_of(secret, n, values)
+    # _canonical_values accepts every text that _key_text writes, so this
+    # text differs from the canonical one
     canonical = _key_text(secret, n, values)
-    if canonical != text:
-        line = os.path.commonprefix((canonical, text)).count("\n") + 1
-        raise KeyFormatError(f"line {line} is not in canonical form")
-    return key
+    line = os.path.commonprefix((canonical, text)).count("\n") + 1
+    raise KeyFormatError(f"line {line} is not in canonical form")

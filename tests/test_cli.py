@@ -260,6 +260,27 @@ def test_inspect_names_both_files_by_the_public_fingerprint(tmp_path, capsys, n)
         assert value not in outputs[1]
 
 
+def test_inspect_hashes_the_public_text_it_read(tmp_path, capsys, monkeypatch):
+    # decode_key accepts only encode_key's text, so inspect names a public
+    # key by the text it read and encodes nothing
+    import ld2.cli as cli_mod
+    import ld2.keys as keys_mod
+
+    _, public = _keygen(tmp_path, 33, seed="1f")
+    text = public.read_text()
+    expected = f"fingerprint: {ld2.fingerprint(ld2.decode_key(text))}"
+    capsys.readouterr()
+
+    def forbidden(*args):
+        raise AssertionError("inspect of a public key must not encode it")
+
+    for module in (keys_mod, cli_mod):
+        monkeypatch.setattr(module, "encode_key", forbidden)
+    monkeypatch.setattr(keys_mod, "_key_text", forbidden)
+    assert main(["inspect", "--key", str(public)]) == 0
+    assert expected in capsys.readouterr().out.splitlines()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

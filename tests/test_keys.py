@@ -225,13 +225,50 @@ def test_decode_does_no_encoding(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 9, 11, 99, 101, 129])
 def test_key_length_is_the_length_of_every_key_file(n):
-    # decode_key compares it with the text's length before any per-n work;
-    # equation numbers of one, two and three digits
+    # decode_key compares it with the text's length before it reads any
+    # line; equation numbers of one, two and three digits
     import ld2.keys as keys_mod
 
     for secret in (True, False):
         text = keys_mod._key_text(secret, n, itertools.repeat(0))
-        assert keys_mod._key_length(secret, n) == len(text)
+        assert keys_mod._layout(secret, n)[1] == len(text)
+
+
+def test_the_layout_is_computed_once_per_size():
+    # the encodes and decodes of one key pair build each kind's layout once
+    import ld2.keys as keys_mod
+
+    pair = keygen(33, seed=0x1A70)
+    keys_mod._layout.cache_clear()
+    for misses, key in enumerate(pair, 1):
+        for _ in range(2):
+            assert decode_key(encode_key(key)) == key
+        assert keys_mod._layout.cache_info().misses == misses
+    assert keys_mod._layout.cache_info().hits == 6
+
+
+def test_a_claimed_huge_n_fails_at_once():
+    # n comes from the file: the n = 3 public file claiming n = 10001, and
+    # 5n + 3 lines claiming n = 20001, which pass the line count; neither
+    # builds a layout or searches for a modulus
+    import ld2.keys as keys_mod
+    from ld2.gf2n import find_irreducible
+
+    n = 20001
+    cases = (
+        (encode_key(keygen(3, 1)[1]).replace("n=3 m=2", "n=10001 m=5001"),
+         "public key file has 18 lines, expected 50008"),
+        (f"LD2-PUBLIC v1\nn={n} m={(n + 1) // 2}\npoly=00\n" + "\n" * (5 * n),
+         "line 4: byte string has the wrong length"),
+    )
+    for text, message in cases:
+        misses = keys_mod._layout.cache_info().misses, find_irreducible.cache_info().misses
+        start = time.perf_counter()
+        with pytest.raises(KeyFormatError, match=f"^{message}$"):
+            decode_key(text)
+        assert time.perf_counter() - start < 1
+        assert (keys_mod._layout.cache_info().misses,
+                find_irreducible.cache_info().misses) == misses
 
 
 def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):

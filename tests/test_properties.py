@@ -43,9 +43,9 @@ from ld2.keys import (
     PublicKey,
     QuadraticEquation,
     _GATE,
-    _body_lines,
     _equation_widths,
     _key_text,
+    _layout,
     _residual_uv,
     decode_key,
     derive_public_key,
@@ -728,7 +728,7 @@ def test_public_field_values_are_the_key_fields(half, seed):
     rng = random.Random(seed)
     values = [
         rng.choice((0, (1 << nbits) - 1, rng.getrandbits(nbits)))
-        for _, nbits in _body_lines(False, n)
+        for _, nbits, _ in _layout(False, n)[0]
     ]
     text = _key_text(False, n, values)
     assert encode_key(decode_key(text)) == text
