@@ -96,21 +96,20 @@ is the canonical one for the degree.  A file decodes only if it is exactly
 the text encode_key writes for the key it describes, so unknown,
 out-of-order or reformatted lines are format errors.  n alone fixes where
 everything in that text is, and _layout(secret, n) describes it once, in
-a small cache: per body line its name + "=", its width and its digit
-count, and the length of the text.  _key_text writes by it, and
-decode_key reads a file at its offsets (_canonical_values): the claimed n
-against the text's length first, since every size-n file holds at least
-n^2 / 2 digits, so a claimed n with n^2 > 2 len(text) fails before any
-work per n; then the length, the three header lines whole, then for each
-line its name, exactly its value's digits, binascii.a2b_hex of them with
-their slack bits, and its newline, and last a scan of the values for
-A-F, which a2b_hex accepts.  Text that passes is encode_key's text of the
-key built from its values: each value has exactly its line's width, the
-public values are the key's fields as they are, and on the secret ones
-BitMatrix.from_bits then to_bits is the identity.  Any other text goes to
-_raise_format_error, a line parser that only reports errors: it names a
-bad value's line first, then a broken key invariant, then the first line
-that differs from _key_text of the values it parsed.
+a small cache: each body line's name + "=", width and digit count, and
+the text's length.  _key_text writes by it, and decode_key reads a file
+at its offsets (_canonical_values): every size-n file holds at least
+n^2 / 2 digits, so a claimed n with n^2 > 2 len(text) fails first; then
+the length, the three header lines whole, then for each line its name,
+exactly its value's digits, binascii.a2b_hex of them with their slack
+bits, and its newline, and last a scan of the values for A-F, which
+a2b_hex accepts.  Text that passes is encode_key's text of the key built
+from its values: each value has exactly its line's width, the public
+values are the key's fields as they are, and on the secret ones
+BitMatrix.from_bits then to_bits is the identity.  Any other text goes
+to _raise_format_error, a line parser that only reports errors: it names
+a bad value's line first, then a broken key invariant, then the first
+line that differs from _key_text of the values it parsed.
 """
 
 from __future__ import annotations
@@ -280,6 +279,11 @@ def _lane_tables(n: int, fields) -> tuple:
 def _equation_widths(n: int) -> tuple[tuple[str, int], ...]:
     """Name and bit width of each key-file field of one equation."""
     return ("xx", n * (n - 1) // 2), ("xy", n * n), ("xl", n), ("yl", n), ("c", 1)
+
+
+def _secret_widths(n: int) -> tuple[tuple[str, int], ...]:
+    """Name and bit width of each line of a secret key file's body."""
+    return ("alpha", n), ("A1", n * n), ("c1", n), ("A2", n * n), ("c2", n)
 
 
 def _set_bits(value: int) -> list[int]:
@@ -614,13 +618,14 @@ def _layout(secret: bool, n: int) -> tuple[tuple[tuple[str, int, int], ...], int
     header its name + "=", bit width and digit count (1 for the 0 or 1 of
     eq<i>.c, hex otherwise), and the text's length, found without the
     modulus.  n comes from the file being read, so the cache is small."""
-    if secret:
-        widths = (("alpha", n), ("A1", n * n), ("c1", n), ("A2", n * n), ("c2", n))
-    else:
-        fields = _equation_widths(n)
-        widths = [(f"eq{i}.{name}", nbits) for i in range(1, n + 1) for name, nbits in fields]
-    lines = tuple((name + "=", nbits, 1 if nbits == 1 else 2 * packed_size(nbits))
-                  for name, nbits in widths)
+    fields = _secret_widths(n) if secret else _equation_widths(n)
+    names = [name + "=" for name, _ in fields]
+    if not secret:
+        names = [f"eq{i}.{name}" for i in range(1, n + 1) for name in names]
+    widths = [nbits for _, nbits in fields]
+    counts = [1 if nbits == 1 else 2 * packed_size(nbits) for nbits in widths]
+    # the first encode or decode at each n pays for this: zip, not a loop
+    lines = tuple(zip(names, itertools.cycle(widths), itertools.cycle(counts)))
     magic = _SECRET_MAGIC if secret else _PUBLIC_MAGIC
     header = len(f"{magic}\nn={n} m={(n + 1) // 2}\npoly=\n") + 2 * packed_size(n + 1)
     return lines, header + sum(len(name) + count + 1 for name, _, count in lines)
@@ -646,9 +651,8 @@ def fingerprint(pk: PublicKey) -> str:
 
 
 def text_fingerprint(text: str) -> str:
-    """The fingerprint of the public key that a key file's text holds.
-    decode_key accepts only encode_key's text of a key, so a text it has
-    read is hashed as it is, without encoding the key again."""
+    """The fingerprint of the key in a public key file's text: decode_key
+    accepts only encode_key's text, so a text it read is hashed as it is."""
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -762,10 +766,9 @@ def decode_key(text: str):
 
 def _raise_format_error(text: str):
     """Raise the KeyFormatError of a text that is not canonical, found line
-    by line: a value error comes before a key invariant, and both before
-    the first line that differs from the canonical text.  Here n is bounded
-    only by the line count, so the widths are read lazily and no layout is
-    built before every value has parsed."""
+    by line: a value error, then a key invariant, then the first line that
+    differs from the canonical text.  n is bounded only by the line count,
+    so the widths are read lazily, and no layout is built before the values."""
     lines = text.splitlines()
     if not lines:
         raise KeyFormatError("empty key file")
@@ -788,8 +791,8 @@ def _raise_format_error(text: str):
     if len(lines) != expected:
         raise KeyFormatError(f"{kind} key file has {len(lines)} lines, expected {expected}")
 
-    widths = itertools.cycle((n, n * n, n, n * n, n) if secret
-                             else [nbits for _, nbits in _equation_widths(n)])
+    fields = _secret_widths(n) if secret else _equation_widths(n)
+    widths = itertools.cycle([nbits for _, nbits in fields])
     values = []
     for number, (nbits, line) in enumerate(zip(widths, lines[3:]), 4):
         value = line.partition("=")[2]
