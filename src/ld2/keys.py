@@ -613,22 +613,22 @@ _PUBLIC_MAGIC = "LD2-PUBLIC v1"
 
 
 @functools.lru_cache(maxsize=8)
-def _layout(secret: bool, n: int) -> tuple[tuple[tuple[str, int, int], ...], int]:
-    """The layout of every size-n key file: for each line after the 3-line
-    header its name + "=", bit width and digit count (1 for the 0 or 1 of
-    eq<i>.c, hex otherwise), and the text's length, found without the
-    modulus.  n comes from the file being read, so the cache is small."""
+def _layout(secret: bool, n: int) -> tuple[tuple[tuple[str, ...], tuple], int]:
+    """The layout of every size-n key file, ((names, widths), length): each
+    body line's name + "=", the bit width and digit count (1 for eq<i>.c's
+    0 or 1, hex otherwise) of the five lines that repeat, once in a secret
+    file and per equation in a public one, and the text's length, found
+    without the modulus.  n comes from the file read, so the cache is small;
+    it keeps no tuple per line, which would wake the garbage collector."""
     fields = _secret_widths(n) if secret else _equation_widths(n)
-    names = [name + "=" for name, _ in fields]
-    if not secret:
-        names = [f"eq{i}.{name}" for i in range(1, n + 1) for name in names]
-    widths = [nbits for _, nbits in fields]
-    counts = [1 if nbits == 1 else 2 * packed_size(nbits) for nbits in widths]
-    # the first encode or decode at each n pays for this: zip, not a loop
-    lines = tuple(zip(names, itertools.cycle(widths), itertools.cycle(counts)))
+    names = [name + "=" for name, _ in fields] if secret else [
+        f"eq{i}.{name}=" for i in range(1, n + 1) for name, _ in fields]
+    widths = tuple((nbits, 1 if nbits == 1 else 2 * packed_size(nbits)) for _, nbits in fields)
     magic = _SECRET_MAGIC if secret else _PUBLIC_MAGIC
     header = len(f"{magic}\nn={n} m={(n + 1) // 2}\npoly=\n") + 2 * packed_size(n + 1)
-    return lines, header + sum(len(name) + count + 1 for name, _, count in lines)
+    # each line: its name, its digits and a newline
+    lines = sum(map(len, names)) + len(names) // 5 * sum(count + 1 for _, count in widths)
+    return (tuple(names), widths), header + lines
 
 
 def encode_key(key) -> str:
@@ -667,7 +667,8 @@ def _key_text(secret: bool, n: int, values) -> str:
     # one join of all the pieces: a public key's text is n^2 hex digits
     # and more, and joining lines built first would copy it twice
     parts = [_header(secret, n)]
-    for (name, nbits, _), value in zip(_layout(secret, n)[0], values):
+    (names, widths), _ = _layout(secret, n)
+    for name, (nbits, _), value in zip(names, itertools.cycle(widths), values):
         parts += (name, str(value) if nbits == 1 else bits_to_hex(value, nbits), "\n")
     return "".join(parts)
 
@@ -691,12 +692,11 @@ def _canonical_values(text: str):
         n = int(text[start:text.find("\n", start)].partition(" ")[0].partition("=")[2])
     except ValueError:
         return None
-    # every size-n file holds at least n^2 / 2 digits (the two n^2-bit
-    # matrices, or any one xy field), so a huge claimed n fails here and
-    # builds no layout
+    # every size-n file holds at least n^2 / 2 digits (A1 and A2, or any
+    # xy), so a huge claimed n fails here and builds no layout
     if n < 3 or n % 2 == 0 or n * n > 2 * len(text):
         return None
-    lines, length = _layout(secret, n)
+    (names, widths), length = _layout(secret, n)
     if len(text) != length:
         return None
     header = _header(secret, n)
@@ -704,7 +704,7 @@ def _canonical_values(text: str):
         return None
     # the lines at their offsets then end exactly at len(text)
     pos, values = len(header), []
-    for name, nbits, count in lines:
+    for name, (nbits, count) in zip(names, itertools.cycle(widths)):
         if not text.startswith(name, pos):
             return None
         start = pos + len(name)

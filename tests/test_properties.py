@@ -29,6 +29,7 @@ key-file codec."""
 
 import dataclasses
 import functools
+import itertools
 import random
 
 import pytest
@@ -726,9 +727,10 @@ def test_public_field_values_are_the_key_fields(half, seed):
     # exactly its width, so eq<i>.c is 0 or 1
     n = 2 * half + 1
     rng = random.Random(seed)
+    names, widths = _layout(False, n)[0]
     values = [
         rng.choice((0, (1 << nbits) - 1, rng.getrandbits(nbits)))
-        for _, nbits, _ in _layout(False, n)[0]
+        for _, (nbits, _) in zip(names, itertools.cycle(widths))
     ]
     text = _key_text(False, n, values)
     assert encode_key(decode_key(text)) == text
