@@ -626,9 +626,9 @@ def _layout(secret: bool, n: int) -> tuple[tuple[tuple[str, ...], tuple], int]:
     widths = tuple((nbits, 1 if nbits == 1 else 2 * packed_size(nbits)) for _, nbits in fields)
     magic = _SECRET_MAGIC if secret else _PUBLIC_MAGIC
     header = len(f"{magic}\nn={n} m={(n + 1) // 2}\npoly=\n") + 2 * packed_size(n + 1)
-    # each line: its name, its digits and a newline
-    lines = sum(map(len, names)) + len(names) // 5 * sum(count + 1 for _, count in widths)
-    return (tuple(names), widths), header + lines
+    # each line: its name, its digits and a newline; the five widths repeat
+    body = sum(map(len, names)) + len(names) // 5 * sum(count + 1 for _, count in widths)
+    return (tuple(names), widths), header + body
 
 
 def encode_key(key) -> str:
