@@ -96,20 +96,20 @@ is the canonical one for the degree.  A file decodes only if it is exactly
 the text encode_key writes for the key it describes, so unknown,
 out-of-order or reformatted lines are format errors.  n alone fixes where
 everything in that text is, and _layout(secret, n) describes it once, in
-a small cache: each body line's name + "=", width and digit count, and
-the text's length.  _key_text writes by it, and decode_key reads a file
-at its offsets (_canonical_values): every size-n file holds at least
-n^2 / 2 digits, so a claimed n with n^2 > 2 len(text) fails first; then
-the length, the three header lines whole, then for each line its name,
-exactly its value's digits, binascii.a2b_hex of them with their slack
-bits, and its newline, and last a scan of the values for A-F, which
-a2b_hex accepts.  Text that passes is encode_key's text of the key built
-from its values: each value has exactly its line's width, the public
-values are the key's fields as they are, and on the secret ones
-BitMatrix.from_bits then to_bits is the identity.  Any other text goes
-to _raise_format_error, a line parser that only reports errors: it names
-a bad value's line first, then a broken key invariant, then the first
-line that differs from _key_text of the values it parsed.
+a small cache: each body line's name + "=", the width and digit count of
+the five lines that repeat, and the text's length.  _key_text writes by
+it, and decode_key reads at its offsets (_canonical_values): every size-n
+file holds at least n^2 / 2 digits, so a claimed n with n^2 > 2 len(text)
+fails first; then the length, the three header lines whole, then for
+each line its name, exactly its value's digits, binascii.a2b_hex of them
+with their slack bits, and its newline, and last a scan of the values
+for A-F, which a2b_hex accepts.  Text that passes is encode_key's text of
+the key built from its values: each value has exactly its line's width,
+the public values are the key's fields as they are, and on the secret
+ones BitMatrix.from_bits then to_bits is the identity.  Any other text
+goes to _raise_format_error, a line parser that only reports errors: it
+names a bad value's line first, then a broken key invariant, then the
+first line that differs from _key_text of the values it parsed.
 """
 
 from __future__ import annotations
