@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from ld2.cipher import (
     DecryptionError,
+    MalformedKeyError,
     PaddingError,
     decrypt_block,
     decrypt_candidates,
@@ -15,7 +17,8 @@ from ld2.cipher import (
     unpad_message,
     verify,
 )
-from ld2.keys import decode_key, encode_key, keygen, relation_residual
+from ld2.keys import PublicKey, QuadraticEquation, decode_key, encode_key, keygen
+from ld2.keys import relation_residual
 from ld2.permutation import CentralMap
 
 
@@ -324,3 +327,47 @@ def test_decrypt_message_padding_errors_name_the_block():
         unpad_message([0, 0], 3)
     with pytest.raises(PaddingError, match=r"^block 0: no padding marker"):
         unpad_message([], 3)
+
+
+# --- keys that are not honest ---------------------------------------------------
+
+# the 32 five-bit blocks 0..31 in order; padding adds a 33rd block, 1
+_ALL_BLOCKS_N5 = sum(x << 5 * x for x in range(32)).to_bytes(20, "little")
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _tampered_keys():
+    """Each n = 5 public key with one xy or yl bit of one equation flipped
+    (150 keys), as a function that builds a fresh copy of it."""
+    _, pk = keygen(5, seed=0x7A3)
+    for i in range(5):
+        for field, width in ((1, 25), (3, 5)):  # xy, yl
+            for bit in range(width):
+                fields = [list(f) for f in pk.fields]
+                fields[i][field] ^= 1 << bit
+                yield lambda fields=fields: PublicKey(
+                    5, [QuadraticEquation(5, *f) for f in fields])
+
+
+def test_tampered_keys_encrypt_or_fail_as_pinned():
+    # per key, every block one at a time, then all of them as one message
+    # on a fresh copy; each outcome is a ciphertext or an error type and
+    # message, and the digest of them all was taken when every block was
+    # solved by elimination
+    digest = hashlib.sha256()
+    errors = 0
+    for make in _tampered_keys():
+        key = make()
+        outcomes = [_outcome(encrypt_block, key, x) for x in range(32)]
+        outcomes.append(_outcome(encrypt_message, make(), _ALL_BLOCKS_N5))
+        errors += sum(o.startswith("MalformedKeyError: ") for o in outcomes)
+        digest.update("\n".join(outcomes).encode() + b"\n")
+    assert errors == 1506
+    assert digest.hexdigest() == (
+        "b3dcfa1c07b8680d1a799cc6a2bdaed62514e9cd0a5a1300e7c299bc9984c25b")

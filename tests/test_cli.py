@@ -143,6 +143,19 @@ def test_hex_errors_name_the_option(tmp_path, capsys):
         assert err == f"error: {message} (n = 5 takes 2 hex digits)\n"
 
 
+def test_encrypt_with_a_singular_key_exits_one(tmp_path, capsys):
+    # one flipped yl bit of equation 1 makes the system at x = 0 singular:
+    # its y-matrix is the yl fields
+    _, pk = ld2.keygen(5, 0x7A3)
+    fields = [list(f) for f in pk.fields]
+    fields[0][3] ^= 1 << 1
+    public = tmp_path / "bad.pub"
+    tampered = ld2.PublicKey(5, [ld2.QuadraticEquation(5, *f) for f in fields])
+    public.write_text(ld2.encode_key(tampered), newline="")
+    assert main(["encrypt", "--public", str(public), "--block", "00"]) == 1
+    assert capsys.readouterr() == ("", "error: public key yields a singular system\n")
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["keygen"]) == 1  # missing required flags
     assert main(["encrypt", "--public", str(tmp_path / "nope.pub"),
