@@ -15,6 +15,8 @@ but deterministic, so it leaks block equality; see the README caveats.
 
 from __future__ import annotations
 
+import itertools
+
 from .gf2n import packed_size
 from .keys import PublicKey, SecretKey, relation_residual
 from .linalg import SingularMatrixError, solve_linear
@@ -39,8 +41,11 @@ def _check_block(value: int, n: int) -> None:
         raise ValueError("block length mismatch")
 
 
-def encrypt_block(pk: PublicKey, x: int) -> int:
-    """Encrypt one n-bit block by solving the public system at x."""
+_SINGULAR = "public key yields a singular system"
+
+
+def _eliminate(pk: PublicKey, x: int) -> int:
+    """The solution of the public system at x, by elimination."""
     matrix, rhs = pk.linear_system(x)
     try:
         return solve_linear(matrix, rhs)
@@ -48,7 +53,41 @@ def encrypt_block(pk: PublicKey, x: int) -> int:
         # cannot happen for honestly generated keys: the y-coefficient
         # matrix is invertible because the inner term of the central map
         # never vanishes
-        raise MalformedKeyError("public key yields a singular system") from exc
+        raise MalformedKeyError(_SINGULAR) from exc
+
+
+def _invert(inversion, blocks) -> list[int]:
+    """The solutions P (r / z(x)) of a certified key's systems at blocks.
+
+    Every z(x) is checked first: z(x) = 0 is a singular system.  Then
+    Montgomery's simultaneous inversion ("Speeding the Pollard and elliptic
+    curve methods of factorization", Math. Comp. 48, 1987) inverts them all
+    with one Field.inv and 3(k - 1) Field.mul for k blocks: the prefix
+    products z_1 ... z_i, the inverse u of the last, and then from the end
+    1/z_i = u z_1 ... z_(i-1), with u multiplied by z_i after each step.
+    """
+    fractions = [inversion.fraction(x) for x in blocks]
+    if not all(z for _, z in fractions):
+        raise MalformedKeyError(_SINGULAR)
+    field = inversion.field
+    prefix = list(itertools.accumulate((z for _, z in fractions), field.mul))
+    u = field.inv(prefix[-1])
+    quotients = []
+    for i in range(len(fractions) - 1, 0, -1):
+        r, z = fractions[i]
+        quotients.append(field.mul(r, field.mul(u, prefix[i - 1])))
+        u = field.mul(u, z)
+    quotients.append(field.mul(fractions[0][0], u))
+    return [inversion.p.apply(q) for q in reversed(quotients)]
+
+
+def encrypt_block(pk: PublicKey, x: int) -> int:
+    """Encrypt one n-bit block: the solution of the public system at x, by
+    one field inversion once the key is certified, by elimination before
+    it is and for good if it fails the certificate (module docstring)."""
+    _check_block(x, pk.n)
+    inversion = pk.inversion(1)
+    return _eliminate(pk, x) if inversion is None else _invert(inversion, [x])[0]
 
 
 def decrypt_candidates(sk: SecretKey, y: int) -> tuple[int, int]:
@@ -137,12 +176,16 @@ def unpad_message(blocks, n: int) -> bytes:
 
 
 def encrypt_message(pk: PublicKey, data: bytes) -> bytes:
-    """Pad and encrypt a byte string block by block (ECB composition)."""
+    """Pad and encrypt a byte string block by block (ECB composition).  On
+    a certified key all blocks share one field inversion."""
+    blocks = pad_message(data, pk.n)
+    inversion = pk.inversion(len(blocks))
+    if inversion is None:
+        ciphertext = [_eliminate(pk, x) for x in blocks]
+    else:
+        ciphertext = _invert(inversion, blocks)
     block_bytes = packed_size(pk.n)
-    out = bytearray()
-    for block in pad_message(data, pk.n):
-        out += encrypt_block(pk, block).to_bytes(block_bytes, "little")
-    return bytes(out)
+    return b"".join(y.to_bytes(block_bytes, "little") for y in ciphertext)
 
 
 def decrypt_message(sk: SecretKey, data: bytes) -> bytes:

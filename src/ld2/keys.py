@@ -124,7 +124,7 @@ from dataclasses import dataclass
 from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreducible, hex_to_bits
 from .gf2n import packed_size
 from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
-from .linalg import bit_columns, nibble_windows, random_invertible, rank
+from .linalg import bit_columns, invert_matrix, nibble_windows, random_invertible, rank
 
 
 class KeyFormatError(ValueError):
@@ -217,12 +217,10 @@ def _chunk_masks(n: int) -> tuple[int, int]:
     return ones, ((1 << n + 1) - 1) * ones
 
 
-def _even_chunks(n: int, v: int, terms: bytes, count: int) -> bool:
-    """Whether chunks 0..count - 1 of v & terms, terms the bytes of one
-    chunk repeated count times, all have even parity: chunk i of a lane sum
-    then holds the value of equation i at (x, y)."""
+def _fold_chunks(n: int, v: int) -> int:
+    """v, bits 0..2n of each chunk, with bit 0 of each chunk set to the
+    parity of the chunk and every other bit of the chunk clear."""
     ones, low = _chunk_masks(n)
-    v &= int.from_bytes(terms * count, "little")
     # bits n+1..2n of each chunk onto bits 0..n-1, then bits 0..n onto
     # bit 0: a window of the least power of two above n, which stays
     # inside the chunk (chunks are at least 2n + 8 bits wide)
@@ -231,7 +229,26 @@ def _even_chunks(n: int, v: int, terms: bytes, count: int) -> bool:
     while shift <= n:
         v ^= v >> shift
         shift *= 2
-    return not v & ones
+    return v & ones
+
+
+def _even_chunks(n: int, v: int, terms: bytes, count: int) -> bool:
+    """Whether chunks 0..count - 1 of v & terms, terms the bytes of one
+    chunk repeated count times, all have even parity: chunk i of a lane sum
+    then holds the value of equation i at (x, y)."""
+    return not _fold_chunks(n, v & int.from_bytes(terms * count, "little"))
+
+
+# byte 0 or 1 -> the ASCII digit of the bit
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _chunk_parities(n: int, v: int) -> int:
+    """The n-bit vector whose bit i is the parity of chunk i of v (bits
+    0..2n of each chunk): one digit per chunk, read in base 2."""
+    size = _chunk_bytes(n)
+    bits = _fold_chunks(n, v).to_bytes(n * size, "little")[::size]
+    return int(bits[::-1].translate(_BIT_DIGITS), 2)
 
 
 def _lane_major(n: int, fields) -> tuple[int, ...]:
@@ -274,6 +291,69 @@ def _lane_tables(n: int, fields) -> tuple:
     cut = (1 << 8 * _chunk_bytes(n) * min(_GATE, n)) - 1
     gate = [lane & cut for lane in lanes]
     return (nibble_windows(lanes[:n]), lanes[n]), (nibble_windows(gate[:n]), gate[n])
+
+
+def _certify_after(n: int) -> int:
+    """K, the encrypted-block count at which a key is certified (module
+    docstring): at least 2, so a key that encrypts one block never pays
+    for the certificate."""
+    return n // 4 + 2
+
+
+class _Inversion:
+    """A certified key's solution of its system at x by one field inversion:
+    y = P (r / z(x)) (module docstring).  Holds the field of the public
+    modulus, P = M(0)^-1 as an AffineMap, the key's window tables and the
+    mask of p0 = P e0 in the y-bits of every chunk."""
+
+    __slots__ = ("field", "p", "_windows", "_constant", "_z_mask")
+
+    def __init__(self, field: Field, p: AffineMap, windows, constant: int, z_mask: int):
+        self.field = field
+        self.p = p
+        self._windows = windows
+        self._constant = constant
+        self._z_mask = z_mask
+
+    def fraction(self, x: int) -> tuple[int, int]:
+        """(r, z(x)): the right-hand side of the system at x and M(x) p0,
+        two sets of chunk parities of the one lane sum at x."""
+        n = self.field.n
+        v = apply_windows(self._windows, x, self._constant)
+        terms = (x | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
+        rhs = _chunk_parities(n, v & int.from_bytes(terms * n, "little"))
+        return rhs, _chunk_parities(n, v & self._z_mask)
+
+
+def _certify(n: int, fields, windows, constant: int) -> _Inversion | None:
+    """The key's _Inversion if B_j = Mult(z_j) M(0), z_j = B_j p0, for
+    every j, else None; None too when M(0) is singular.
+
+    z_j is the chunk parities of lane j under p0, lane j read out of the
+    window tables as the image of x = e_j.  The columns m_k of M(0), packed
+    one per lane, are tabulated once by their byte multiples, and row j
+    takes one carry-less product through them: z_j m_k for every k, in
+    key-file order.  One bit transpose (linalg.bit_columns) of all n rows
+    then holds in entry i bit i of every z_j m_k, at bit j n + k: exactly
+    equation i's xy field when the check holds."""
+    m0 = BitMatrix([f[3] for f in fields], n)
+    try:
+        p = AffineMap(invert_matrix(m0), 0)
+    except SingularMatrixError:
+        return None
+    size = _chunk_bytes(n)
+    z_mask = int.from_bytes((p.apply(1) << n).to_bytes(size, "little") * n, "little")
+    z = [_chunk_parities(n, windows[j >> 3][j >> 2 & 1][1 << (j & 3)] & z_mask)
+         for j in range(n)]
+    field = Field(n)
+    multiples = byte_multiples(field.pack_lanes(m0.transpose().rows))
+    row = field.lane_bytes * n
+    data = b"".join(
+        field.fold_lanes(clmul_bytes(multiples, zj)).to_bytes(row, "little") for zj in z)
+    columns = bit_columns(data, field.lane_bytes, n)
+    if any(column != f[1] for column, f in zip(columns, fields)):
+        return None
+    return _Inversion(field, p, windows, constant, z_mask)
 
 
 def _equation_widths(n: int) -> tuple[tuple[str, int], ...]:
@@ -372,7 +452,7 @@ class PublicKey:
     lane-major copy, whole and cut to holds' gate (module docstring).
     """
 
-    __slots__ = ("n", "fields", "_tables")
+    __slots__ = ("n", "fields", "_tables", "_blocks", "_inversion")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -396,6 +476,8 @@ class PublicKey:
         self.n = n
         self.fields = fields
         self._tables = None
+        self._blocks = 0
+        self._inversion = None  # not checked; False: the check failed
 
     @property
     def equations(self) -> tuple[QuadraticEquation, ...]:
@@ -423,15 +505,19 @@ class PublicKey:
             n, apply_windows(gate, x, gate_constant), terms, min(_GATE, n)
         ) and _even_chunks(n, apply_windows(windows, x, constant), terms, n)
 
+    def _windows(self):
+        """(windows, constant) of the whole tables, built on the first call."""
+        if self._tables is None:
+            self._tables = _lane_tables(self.n, self.fields)
+        return self._tables[0]
+
     def linear_system(self, x: int):
         """Matrix and right-hand side of the linear system in y at fixed x,
         from the lane sum at x; the first call builds the tables."""
         n = self.n
         if not 0 <= x < 1 << n:
             raise ValueError("block length mismatch")
-        if self._tables is None:
-            self._tables = _lane_tables(n, self.fields)
-        (windows, constant), _ = self._tables
+        windows, constant = self._windows()
         size = _chunk_bytes(n)
         data = apply_windows(windows, x, constant).to_bytes(n * size, "little")
         chunks = [int.from_bytes(data[k:k + size], "little") for k in range(0, n * size, size)]
@@ -439,6 +525,16 @@ class PublicKey:
         terms = x | 1 << 2 * n
         rhs = sum(((v & terms).bit_count() & 1) << i for i, v in enumerate(chunks))
         return BitMatrix([v >> n & low for v in chunks], n), rhs
+
+    def inversion(self, blocks: int) -> _Inversion | None:
+        """Count blocks more encrypted blocks; the key's _Inversion if it is
+        certified, else None.  The call that brings the count to
+        _certify_after(n) or past it checks the certificate first, once:
+        a key that fails it keeps the elimination for good."""
+        self._blocks += blocks
+        if self._inversion is None and self._blocks >= _certify_after(self.n):
+            self._inversion = _certify(self.n, self.fields, *self._windows()) or False
+        return self._inversion or None
 
     def __eq__(self, other) -> bool:
         return (

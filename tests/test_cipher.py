@@ -17,8 +17,10 @@ from ld2.cipher import (
     unpad_message,
     verify,
 )
-from ld2.keys import PublicKey, QuadraticEquation, decode_key, encode_key, keygen
-from ld2.keys import relation_residual
+from ld2.gf2n import Field
+from ld2.keys import PublicKey, QuadraticEquation, _certify_after, decode_key, encode_key
+from ld2.keys import keygen, relation_residual
+from ld2.linalg import BitMatrix, Prng, SingularMatrixError, random_invertible, solve_linear
 from ld2.permutation import CentralMap
 
 
@@ -365,9 +367,96 @@ def test_tampered_keys_encrypt_or_fail_as_pinned():
     for make in _tampered_keys():
         key = make()
         outcomes = [_outcome(encrypt_block, key, x) for x in range(32)]
+        assert key._inversion is False  # every such key fails the certificate
         outcomes.append(_outcome(encrypt_message, make(), _ALL_BLOCKS_N5))
         errors += sum(o.startswith("MalformedKeyError: ") for o in outcomes)
         digest.update("\n".join(outcomes).encode() + b"\n")
     assert errors == 1506
     assert digest.hexdigest() == (
         "b3dcfa1c07b8680d1a799cc6a2bdaed62514e9cd0a5a1300e7c299bc9984c25b")
+
+
+def _eliminated(key, x) -> str:
+    """The outcome of solving the system at x by elimination, as _outcome
+    records it."""
+    try:
+        return repr(solve_linear(*key.linear_system(x)))
+    except SingularMatrixError:
+        return "MalformedKeyError: public key yields a singular system"
+
+
+def _crafted_key(n, seed):
+    """A key that passes the certificate, with z(e_0) = 0: M(0) random and
+    invertible, z_0 = 1 and B_j = Mult(z_j) M(0), so that bit i of z_j m_k
+    (m_k column k of M(0)) is bit j n + k of equation i's xy.  xx, xl and
+    c are random."""
+    field, prng = Field(n), Prng(seed)
+    m0 = random_invertible(n, prng)
+    z = [1] + [prng.bits(n) for _ in range(n - 1)]
+    products = [field.mul(zj, mk) for zj in z for mk in m0.transpose().rows]
+    return PublicKey(n, [
+        QuadraticEquation(
+            n, prng.bits(n * (n - 1) // 2),
+            sum((p >> i & 1) << bit for bit, p in enumerate(products)),
+            prng.bits(n), m0.rows[i], prng.bits(1))
+        for i in range(n)])
+
+
+def test_crafted_certified_key_fails_where_elimination_does():
+    n = 9
+    singular = r"^public key yields a singular system$"
+    # block 1 = e_0: z = 1 + z_0 = 0, and M(1) = 0
+    key = _crafted_key(n, 0xC0DE)
+    with pytest.raises(MalformedKeyError, match=singular):
+        encrypt_block(key, 1)
+    assert key._inversion is None  # one block: elimination
+    key = _crafted_key(n, 0xC0DE)
+    # 72 message bits are 8 whole blocks, and the padding block is 1: the
+    # message certifies the key first, then finds the zero z
+    with pytest.raises(MalformedKeyError, match=singular):
+        encrypt_message(key, bytes(range(9)))
+    assert key._inversion
+    outcomes = [_outcome(encrypt_block, key, x) for x in range(1 << n)]
+    assert outcomes == [_eliminated(key, x) for x in range(1 << n)]
+    assert outcomes[1].startswith("MalformedKeyError: ")
+
+
+def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
+    import ld2.keys as keys_mod
+
+    calls = []
+    original = keys_mod._certify
+
+    def counted(n, *args):
+        calls.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(keys_mod, "_certify", counted)
+    n = 33
+    k = _certify_after(n)
+    _, pk = keygen(n, seed=0xCE27)
+    blocks = [Prng(0xB10C).bits(n) for _ in range(3 * k)]
+    expected = [_eliminated(pk, x) for x in blocks]
+    # encrypt_block counts one block a call: K - 1 by elimination, then the
+    # K-th call certifies the key and every later block is inverted
+    assert [repr(encrypt_block(pk, x)) for x in blocks[:k - 1]] == expected[:k - 1]
+    assert calls == [] and pk._inversion is None
+    assert repr(encrypt_block(pk, blocks[k - 1])) == expected[k - 1]
+    assert calls == [n] and pk._inversion
+    assert [repr(encrypt_block(pk, x)) for x in blocks[k:]] == expected[k:]
+    assert calls == [n]
+    message = bytes(range(200))
+    assert decrypt_message(keygen(n, seed=0xCE27)[0], encrypt_message(pk, message)) == message
+    assert calls == [n]
+    # a message of K blocks or more certifies a fresh key first
+    _, fresh = keygen(n, seed=0xCE27)
+    assert encrypt_message(fresh, message) == encrypt_message(pk, message)
+    assert calls == [n, n] and fresh._inversion
+    # a key that fails the certificate is checked once, and keeps elimination
+    fields = [list(f) for f in pk.fields]
+    fields[0][1] ^= 1 << 40  # one xy bit
+    tampered = PublicKey(n, [QuadraticEquation(n, *f) for f in fields])
+    outcomes = [_outcome(encrypt_block, tampered, x) for x in blocks]
+    assert outcomes == [_eliminated(tampered, x) for x in blocks]
+    _outcome(encrypt_message, tampered, message)
+    assert calls == [n, n, n] and tampered._inversion is False

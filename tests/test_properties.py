@@ -35,7 +35,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ld2.cipher import decrypt_message, encrypt_message
+from ld2.cipher import _invert, decrypt_message, encrypt_message
 from ld2.cli import MAX_N
 from ld2.gf2n import Field, _clmul, _spread, apply_columns, byte_multiples, clmul_bytes
 from ld2.gf2n import find_irreducible, frobenius_tables, is_irreducible
@@ -44,6 +44,7 @@ from ld2.keys import (
     PublicKey,
     QuadraticEquation,
     _GATE,
+    _certify_after,
     _equation_widths,
     _key_text,
     _layout,
@@ -603,6 +604,24 @@ def test_encryption_system_solves_to_a_valid_ciphertext(half, data):
     pk = _public_key(2 * half + 1)
     x = data.draw(st.integers(0, (1 << pk.n) - 1))
     assert pk.holds(x, solve_linear(*pk.linear_system(x)))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, 64), st.integers(0, (1 << 64) - 1),
+       st.lists(st.integers(0, (1 << 129) - 1), max_size=6))
+@example(64, 7, [(1 << 129) - 2, 1 << 128])
+def test_inversion_matches_elimination(half, seed, blocks):
+    # every generated key passes the certificate, and then P (r / z(x))
+    # solves its system at x, alone and in a batch
+    n = 2 * half + 1
+    pk = keygen(n, seed)[1]
+    inversion = pk.inversion(_certify_after(n))
+    assert inversion is not None
+    top = (1 << n) - 1
+    xs = [x & top for x in blocks] + [0, 1, top]
+    expected = [solve_linear(*pk.linear_system(x)) for x in xs]
+    assert _invert(inversion, xs) == expected
+    assert [_invert(inversion, [x])[0] for x in xs] == expected
 
 
 @settings(deadline=None, max_examples=25)
