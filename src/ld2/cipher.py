@@ -1,12 +1,20 @@
 """Block encryption and decryption, signatures, and message-level framing.
 
 Encryption substitutes the plaintext block into the public equations,
-which leaves a linear system in the ciphertext bits to be solved by the
-Method of Four Russians (linalg.solve_linear).  Decryption inverts the
-central map with a single field exponentiation; the central map is a
-bijection, so the preimage is unique and is always the second of the two
-candidates the inversion formula gives.  Signing is decryption of the
-digest; verification is evaluation of the public equations.
+which leaves a linear system in the ciphertext bits.  A key solves it by
+the Method of Four Russians (linalg.solve_linear) until the call that
+brings its count of encrypted blocks to K = n // 4 + 2 or past it; that
+call first checks the key against a certificate, once.  A key that passes
+solves each system from then on by one field inversion, y = P (r / z(x)),
+and a message's systems by one inversion for them all; a key that fails
+keeps the elimination.  The keys module docstring gives the algebra, the
+certificate and K.
+
+Decryption inverts the central map with a single field exponentiation;
+the central map is a bijection, so the preimage is unique and is always
+the second of the two candidates the inversion formula gives.  Signing is
+decryption of the digest; verification is evaluation of the public
+equations.
 
 Messages longer than one block use electronic-codebook composition with
 always-appended 10* padding.  That is faithful to the single-block scheme

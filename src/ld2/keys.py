@@ -15,14 +15,19 @@ products per row j of the coefficients and three for the linear terms, all
 through byte multiples of the packed lanes that every product shares, then
 one word-parallel bit transpose straight into the key file's fields.
 
-A PublicKey is in one of two states, and only ever moves forward:
+A PublicKey is in one of three states, and only ever moves forward:
 
-    fields   always: per equation the five fields of the key file, xx (the
-             a_jk, pairs j < k in lexicographic order, so row j starts at
-             bit j*n - j(j+1)/2), xy (the b_jk, row-major, row j at bit
-             j*n), xl (the d_k), yl (the c_k) and c (e)
-    tables   on the first linear_system call: window tables of the
-             lane-major copy of the fields
+    fields     always: per equation the five fields of the key file, xx
+               (the a_jk, pairs j < k in lexicographic order, so row j
+               starts at bit j*n - j(j+1)/2), xy (the b_jk, row-major, row
+               j at bit j*n), xl (the d_k), yl (the c_k) and c (e)
+    tables     on the first encryption: window tables of the lane-major
+               copy of the fields
+    certified  or refused, by the encryption that brings the count of
+               blocks the key has encrypted to K = n // 4 + 2 or past it
+               (PublicKey.inversion): the _Inversion that solves the key's
+               systems by field inversion, or the mark that the key failed
+               the certificate
 
 derive_public_key and decode_key build the fields and nothing else, and
 encode_key writes them as they are.  A QuadraticEquation is a view of
@@ -71,13 +76,50 @@ linalg.apply_windows call, two 16-entry lookups per byte of x.  holds
 with the tables first reads them cut to the first min(_GATE, n) = 6
 chunks, a gate that checks six equations with one lookup, one AND and one
 parity fold, and only a pair that passes it, about one forgery in 64,
-reads the whole tables.  The first linear_system call builds both sets
-(_lane_tables); holds, verification and the key codec never do.  The
-whole tables have 16 ceil(n/4) entries of n chunks, about four times the
-n + 1 lanes of the copy: by tracemalloc, both sets take 0.34, 2.4 and
-17.9 MB at n = 65, 129 and 257 (0.44, 3.0 and 22.6 MB at the peak of the
-build).  The build takes about 2, 8-10 and 45-65 ms on a shared 2-CPU
-x86-64 machine, over nine tenths of it in _lane_major's byte slices.
+reads the whole tables.  The first encryption builds both sets
+(_lane_tables), through linear_system or the certificate below; holds,
+verification and the key codec never do.  The whole tables have 16
+ceil(n/4) entries of n chunks, about four times the n + 1 lanes of the
+copy: by tracemalloc, both sets take 0.34, 2.4 and 17.9 MB at n = 65, 129
+and 257 (0.44, 3.0 and 22.6 MB at the peak of the build).  The build
+takes about 2, 8-10 and 45-65 ms on a shared 2-CPU x86-64 machine, over
+nine tenths of it in _lane_major's byte slices.
+
+Encryption solves the system at x, M(x) y = r(x): row i of M(x) is bits
+n..2n-1 of chunk i of the lane sum, and r(x) the rest.  linear_system and
+linalg.solve_linear solve it by elimination; the construction gives a
+shortcut.  Equation i is coordinate i, in the polynomial basis of the
+public modulus, of R(u, v) = w(u) v + h(u) at u = s(x), v = A2 y + c2,
+with w(u) = F(u) + u + alpha.  So M(x) = Mult(w(s(x))) A2, Mult(z) the
+matrix of a -> z a.  w never vanishes, so M(0), whose rows are the yl
+fields, is invertible.  With P = M(0)^-1 and p0 = P e0 (e0 the element 1),
+M(x) = Mult(z(x)) M(0) for z(x) = M(x) p0, and the one solution is y =
+P (r(x) / z(x)): one Field.inv, one Field.mul and P applied as an
+AffineMap.  r(x) and z(x) are chunk parities of the lane sum at x under
+x | 1 << 2n and under p0 << n (_Inversion.fraction).
+
+A key from a file need not come from the construction, so a key earns the
+shortcut by a certificate.  M(x) = M(0) + sum_j x_j B_j, where row i of
+B_j is row j of equation i's xy (bits n..2n-1 of chunk i of L_j).  If B_j
+= Mult(z_j) M(0), z_j = B_j p0, for every j, then z(x) = 1 + sum_j x_j z_j
+and M(x) = Mult(z(x)) M(0) for every x: M(x) is singular exactly when
+z(x) = 0, and that raises the MalformedKeyError elimination raises.
+_certify checks it with n lane products, as derivation takes the
+coefficients.  A key whose M(0) is singular, or that fails for any j, is
+refused for good and keeps the elimination.
+
+On a shared 2-CPU x86-64 machine the certificate takes about 0.4-0.8,
+1.7-3.0, 9-15 and 90-150 ms at n = 33, 65, 129 and 257 (inverting M(0)
+and tabulating P included), 1-2.6 times the table build.  A block then
+takes about 0.04, 0.06, 0.12-0.21 and 0.4-0.7 ms alone, and about half
+that in a message, against 0.1-0.16, 0.22-0.36, 0.53-0.85 and 1.4-2.3 ms
+by elimination.  The certificate pays for itself after 7-10, 10-12,
+19-27 and 84-110 blocks, and K = n // 4 + 2 (_certify_after: 10, 18, 34
+and 66) is within a factor of two of that at each size: the ski-rental
+rule (Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy caching",
+Algorithmica 3, 1988), by which certifying at the break-even costs at
+most about twice the best choice made in hindsight.  K is at least 2, so
+a key that encrypts one block never pays for the certificate.
 
 Key files are line oriented:
 
