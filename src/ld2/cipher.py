@@ -71,8 +71,9 @@ def _invert(inversion, blocks) -> list[int]:
     Montgomery's simultaneous inversion ("Speeding the Pollard and elliptic
     curve methods of factorization", Math. Comp. 48, 1987) inverts them all
     with one Field.inv and 3(k - 1) Field.mul for k blocks: the prefix
-    products z_1 ... z_i, the inverse u of the last, and then from the end
-    1/z_i = u z_1 ... z_(i-1), with u multiplied by z_i after each step.
+    products z_1 ... z_i (k - 1 products), u the inverse of the last, and
+    then for i = k down to 2, 1/z_i = u (z_1 ... z_(i-1)), after which u z_i
+    is the inverse of z_1 ... z_(i-1) (two products per step).
     """
     fractions = [inversion.fraction(x) for x in blocks]
     if not all(z for _, z in fractions):

@@ -371,8 +371,9 @@ def _certify(n: int, fields, windows, constant: int) -> _Inversion | None:
     """The key's _Inversion if B_j = Mult(z_j) M(0), z_j = B_j p0, for
     every j, else None; None too when M(0) is singular.
 
-    z_j is the chunk parities of lane j under p0, lane j read out of the
-    window tables as the image of x = e_j.  The columns m_k of M(0), packed
+    z_j is the chunk parities of lane j under p0 << n, lane j read out of
+    the window tables as the image of x = e_j (as AffineMap.columns reads
+    a column).  The columns m_k of M(0), packed
     one per lane, are tabulated once by their byte multiples, and row j
     takes one carry-less product through them: z_j m_k for every k, in
     key-file order.  One bit transpose (linalg.bit_columns) of all n rows
@@ -490,8 +491,11 @@ class PublicKey:
 
     fields holds, per equation, its five key-file fields (xx, xy, xl, yl,
     c), always; equations views each of them as a QuadraticEquation.  The
-    first linear_system call builds _tables, the window tables of the
-    lane-major copy, whole and cut to holds' gate (module docstring).
+    first encryption builds _tables, the window tables of the lane-major
+    copy, whole and cut to holds' gate (module docstring).  _blocks counts
+    the blocks encrypted, and _inversion holds the certificate's outcome:
+    None until it is checked, then an _Inversion, or False for a key that
+    failed it.
     """
 
     __slots__ = ("n", "fields", "_tables", "_blocks", "_inversion")
@@ -519,7 +523,7 @@ class PublicKey:
         self.fields = fields
         self._tables = None
         self._blocks = 0
-        self._inversion = None  # not checked; False: the check failed
+        self._inversion = None
 
     @property
     def equations(self) -> tuple[QuadraticEquation, ...]:

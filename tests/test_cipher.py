@@ -20,7 +20,7 @@ from ld2.cipher import (
 from ld2.gf2n import Field
 from ld2.keys import PublicKey, QuadraticEquation, _certify_after, decode_key, encode_key
 from ld2.keys import keygen, relation_residual
-from ld2.linalg import BitMatrix, Prng, SingularMatrixError, random_invertible, solve_linear
+from ld2.linalg import Prng, SingularMatrixError, random_invertible, solve_linear
 from ld2.permutation import CentralMap
 
 
@@ -435,7 +435,8 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     n = 33
     k = _certify_after(n)
     _, pk = keygen(n, seed=0xCE27)
-    blocks = [Prng(0xB10C).bits(n) for _ in range(3 * k)]
+    prng = Prng(0xB10C)
+    blocks = [prng.bits(n) for _ in range(3 * k)]
     expected = [_eliminated(pk, x) for x in blocks]
     # encrypt_block counts one block a call: K - 1 by elimination, then the
     # K-th call certifies the key and every later block is inverted

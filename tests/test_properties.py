@@ -20,7 +20,8 @@ public-key derivation (against the residual, its linear terms against
 residual differences in test_linear_terms_are_residual_differences, and
 against one Field.mul per coefficient with a bitwise transpose in
 test_derive_public_key_matches_per_coefficient_reference), encryption
-solvability, message framing, key-file round trips
+solvability, encryption by field inversion on certified keys against
+elimination (test_inversion_matches_elimination), message framing, key-file round trips
 (test_key_files_round_trip, equations included), the text written from
 any public field values of the right widths being the encoding of the key
 it decodes to, which is what decode_key's canonical check relies on
