@@ -6,9 +6,11 @@ the Method of Four Russians (linalg.solve_linear) until the call that
 brings its count of encrypted blocks to K = n // 4 + 2 or past it; that
 call first checks the key against a certificate, once.  A key that passes
 solves each system from then on by one field inversion, y = P (r / z(x)),
-and a message's systems by one inversion for them all; a key that fails
-keeps the elimination.  The keys module docstring gives the algebra, the
-certificate and K.
+and a message's systems by one inversion for them all: r(x) is read off
+bit-plane tables of the key's quadratic part and z(x) off an n-bit affine
+map, both built once the key passes (_Inversion.fraction).  A key that
+fails keeps the elimination.  The keys module docstring gives the
+algebra, the certificate, the tables and K.
 
 Decryption inverts the central map with a single field exponentiation;
 the central map is a bijection, so the preimage is unique and is always

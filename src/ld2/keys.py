@@ -26,8 +26,9 @@ A PublicKey is in one of three states, and only ever moves forward:
     certified  or refused, by the encryption that brings the count of
                blocks the key has encrypted to K = n // 4 + 2 or past it
                (PublicKey.inversion): the _Inversion that solves the key's
-               systems by field inversion, or the mark that the key failed
-               the certificate
+               systems by field inversion, from bit-plane tables and a z
+               map built once the certificate passes, or the mark that the
+               key failed the certificate
 
 derive_public_key and decode_key build the fields and nothing else, and
 encode_key writes them as they are.  A QuadraticEquation is a view of
@@ -83,7 +84,9 @@ ceil(n/4) entries of n chunks, about four times the n + 1 lanes of the
 copy: by tracemalloc, both sets take 0.34, 2.4 and 17.9 MB at n = 65, 129
 and 257 (0.44, 3.0 and 22.6 MB at the peak of the build).  The build
 takes about 2, 8-10 and 45-65 ms on a shared 2-CPU x86-64 machine, over
-nine tenths of it in _lane_major's byte slices.
+nine tenths of it in _lane_major's byte slices.  A certified key adds its
+plane tables (below): 0.08, 0.58 and 4.4 MB (0.32, 1.4 and 7.3 MB at the
+peak of their build).
 
 Encryption solves the system at x, M(x) y = r(x): row i of M(x) is bits
 n..2n-1 of chunk i of the lane sum, and r(x) the rest.  linear_system and
@@ -95,8 +98,7 @@ matrix of a -> z a.  w never vanishes, so M(0), whose rows are the yl
 fields, is invertible.  With P = M(0)^-1 and p0 = P e0 (e0 the element 1),
 M(x) = Mult(z(x)) M(0) for z(x) = M(x) p0, and the one solution is y =
 P (r(x) / z(x)): one Field.inv, one Field.mul and P applied as an
-AffineMap.  r(x) and z(x) are chunk parities of the lane sum at x under
-x | 1 << 2n and under p0 << n (_Inversion.fraction).
+AffineMap.
 
 A key from a file need not come from the construction, so a key earns the
 shortcut by a certificate.  M(x) = M(0) + sum_j x_j B_j, where row i of
@@ -106,15 +108,44 @@ and M(x) = Mult(z(x)) M(0) for every x: M(x) is singular exactly when
 z(x) = 0, and that raises the MalformedKeyError elimination raises.
 _certify checks it with n lane products, as derivation takes the
 coefficients.  A key whose M(0) is singular, or that fails for any j, is
-refused for good and keeps the elimination.
+refused for good and keeps the elimination, and builds nothing more.
 
-On a shared 2-CPU x86-64 machine the certificate takes about 0.4-0.8,
-1.7-3.0, 9-15 and 90-150 ms at n = 33, 65, 129 and 257 (inverting M(0)
-and tabulating P included), 1-2.6 times the table build.  A block then
-takes about 0.04, 0.06, 0.12-0.21 and 0.4-0.7 ms alone, and about half
-that in a message, against 0.1-0.16, 0.22-0.36, 0.53-0.85 and 1.4-2.3 ms
-by elimination.  The certificate pays for itself after 7-10, 10-12,
-19-27 and 84-110 blocks, and K = n // 4 + 2 (_certify_after: 10, 18, 34
+A key that passes then builds what _Inversion.fraction reads r(x) and
+z(x) off.  z(x) = 1 + sum_j x_j z_j is an affine map of x: an AffineMap
+whose columns are the z_j, about 2 us an apply at n = 129.  r(x) is e
+plus the quadratic form sum_{j<=k} x_j x_k a_jk, with a_kk = d_k since
+x_k^2 = x_k, and every a_jk is an n-bit vector over the equations: so r
+is taken equation-sliced, in the layout of Berbain, Billet and Gilbert's
+bitsliced evaluation.
+Plane k of a value is its bits (n - 1 - k) w .. (n - k) w - 1, w = 8
+ceil(n/8), and the bit-plane lane Q_j holds a_jk in plane k for every k
+>= j and nothing below j.  The plane sum S(x), every Q_j with x_j = 1
+XORed, holds in plane k S_k(x) = sum_{j<=k, x_j=1} a_jk, and
+
+    r(x) = e + sum_{k: x_k=1} S_k(x):
+
+S(x) ANDed with 0xFF bytes in the planes that x selects (x's binary
+digits, each replaced by a plane of 0x00 or 0xFF bytes), then folded onto
+one plane by ceil(log2 n) shifts and masks that halve the count of planes
+(_plane_masks).  Q_j spans planes j..n-1, which sit at the bottom of the
+value, so _plane_tables keeps the lanes as linalg.nibble_windows of x
+reversed: the sum takes the narrow lanes Q_{n-1}, Q_{n-2}, ... first, and
+the tables hold half the bytes that planes in order would.  One bit
+transpose (linalg.bit_column_bytes) of xx | xl << n(n-1)/2 per equation
+gives every a_jk and d_k as the bytes of one plane, and each lane is one
+slice of those bytes behind its d_j.  No chunk is folded and the y-half
+of the lane-major copy is not read.
+
+On a shared 2-CPU x86-64 machine the certificate, with the z map and
+the plane tables of a key that passes, takes about 0.8-1.4, 2.7-5.0,
+13-23 and 120-200 ms at n = 33, 65, 129 and 257 (inverting M(0) and
+tabulating P included; the plane tables alone 0.2-0.4, 1.3-1.4, 3.6-6.6
+and 21-24 ms).  A block then takes about 0.03-0.06, 0.05-0.09, 0.07-0.15
+and 0.23-0.35 ms alone, and about half that in a message (fraction
+5-8, 8-14, 17-28 and 51-77 us), against 0.10-0.18, 0.24-0.39, 0.53-0.93
+and 1.7-2.0 ms by elimination.  The certificate pays for itself after
+13-14, 14-22, 28-51 and 69-86 blocks one at a time (10-11, 13-19, 26-47
+and 63-77 in a message), and K = n // 4 + 2 (_certify_after: 10, 18, 34
 and 66) is within a factor of two of that at each size: the ski-rental
 rule (Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy caching",
 Algorithmica 3, 1988), by which certifying at the break-even costs at
@@ -166,7 +197,8 @@ from dataclasses import dataclass
 from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreducible, hex_to_bits
 from .gf2n import packed_size
 from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
-from .linalg import bit_columns, invert_matrix, nibble_windows, random_invertible, rank
+from .linalg import bit_column_bytes, bit_columns, invert_matrix, nibble_windows, random_invertible
+from .linalg import rank
 
 
 class KeyFormatError(ValueError):
@@ -342,41 +374,83 @@ def _certify_after(n: int) -> int:
     return n // 4 + 2
 
 
+@functools.lru_cache(maxsize=None)
+def _plane_masks(n: int) -> tuple[bytes, bytes, tuple]:
+    """(zero, one, folds) for the bit planes of n variables: a plane of
+    0x00 bytes and one of 0xFF bytes, which replace the digits of x to make
+    the mask of the planes that x selects, and the (shift, low) steps that
+    fold n planes into one, halving their count each step."""
+    size = (n + 7) // 8
+    folds, count = [], n
+    while count > 1:
+        count = (count + 1) // 2
+        folds.append((8 * size * count, (1 << 8 * size * count) - 1))
+    return bytes(size), b"\xff" * size, tuple(folds)
+
+
+def _plane_tables(n: int, fields) -> tuple:
+    """linalg.nibble_windows of the bit-plane lanes Q_{n-1}, ..., Q_0
+    (module docstring), so that apply_windows of x reversed is the plane
+    sum at x.  Entry p of the bit transpose of xx | xl << n(n-1)/2 per
+    equation is the vector over the equations of pair p's a_jk, or of
+    d_{p - n(n-1)/2}, most significant byte first: row j of the pairs, read
+    big-endian behind d_j, puts plane k of Q_j in bits (n - 1 - k) w ..
+    (n - k) w - 1."""
+    size = (n + 7) // 8
+    pairs = n * (n - 1) // 2
+    stride = (pairs + n + 7) // 8
+    data = b"".join((xx | xl << pairs).to_bytes(stride, "little") for xx, _, xl, _, _ in fields)
+    planes = b"".join(bit_column_bytes(data, stride, pairs + n))
+    lanes = []
+    for j in range(n - 1, -1, -1):
+        start = (j * n - j * (j + 1) // 2) * size  # row j of the pairs
+        diagonal = (pairs + j) * size
+        lanes.append(int.from_bytes(
+            planes[diagonal:diagonal + size] + planes[start:start + (n - 1 - j) * size], "big"))
+    return nibble_windows(lanes)
+
+
 class _Inversion:
     """A certified key's solution of its system at x by one field inversion:
     y = P (r / z(x)) (module docstring).  Holds the field of the public
-    modulus, P = M(0)^-1 as an AffineMap, the key's window tables and the
-    mask of p0 = P e0 in the y-bits of every chunk."""
+    modulus, P = M(0)^-1 and z as AffineMaps, the plane tables
+    (_plane_tables) and e, the c fields as one vector."""
 
-    __slots__ = ("field", "p", "_windows", "_constant", "_z_mask")
+    __slots__ = ("field", "p", "_z", "_planes", "_e")
 
-    def __init__(self, field: Field, p: AffineMap, windows, constant: int, z_mask: int):
+    def __init__(self, fields, field: Field, p: AffineMap, z: list[int]):
+        """The tables of the key with these fields, from what its
+        certificate found: the field, P and the z_j."""
+        n = field.n
         self.field = field
         self.p = p
-        self._windows = windows
-        self._constant = constant
-        self._z_mask = z_mask
+        self._z = AffineMap(BitMatrix(z, n).transpose(), 1)
+        self._planes = _plane_tables(n, fields)
+        self._e = sum(f[4] << i for i, f in enumerate(fields))
 
     def fraction(self, x: int) -> tuple[int, int]:
-        """(r, z(x)): the right-hand side of the system at x and M(x) p0,
-        two sets of chunk parities of the one lane sum at x."""
-        n = self.field.n
-        v = apply_windows(self._windows, x, self._constant)
-        terms = (x | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
-        rhs = _chunk_parities(n, v & int.from_bytes(terms * n, "little"))
-        return rhs, _chunk_parities(n, v & self._z_mask)
+        """(r, z(x)): the right-hand side of the system at x, e xor the fold
+        of the planes that x selects of the plane sum at x, and M(x) p0 =
+        z(x) (module docstring)."""
+        zero, one, folds = _plane_masks(self.field.n)
+        digits = f"{x:0{self.field.n}b}"[::-1]  # x_0 first, as plane 0 is the top one
+        v = apply_windows(self._planes, int(digits, 2), 0)
+        v &= int.from_bytes(digits.encode().replace(b"0", zero).replace(b"1", one), "big")
+        for shift, low in folds:
+            v = v & low ^ v >> shift
+        return v ^ self._e, self._z.apply(x)
 
 
-def _certify(n: int, fields, windows, constant: int) -> _Inversion | None:
-    """The key's _Inversion if B_j = Mult(z_j) M(0), z_j = B_j p0, for
-    every j, else None; None too when M(0) is singular.
+def _certify(n: int, fields, windows) -> tuple | None:
+    """(field, P, [z_0, ..., z_{n-1}]) if B_j = Mult(z_j) M(0), z_j = B_j
+    p0, for every j, else None; None too when M(0) is singular.
 
     z_j is the chunk parities of lane j under p0 << n, lane j read out of
     the window tables as the image of x = e_j (as AffineMap.columns reads
-    a column).  The columns m_k of M(0), packed
-    one per lane, are tabulated once by their byte multiples, and row j
-    takes one carry-less product through them: z_j m_k for every k, in
-    key-file order.  One bit transpose (linalg.bit_columns) of all n rows
+    a column).  The columns m_k of M(0), packed one per lane, are
+    tabulated once by their byte multiples, and row j takes one
+    carry-less product through them: z_j m_k for every k, in key-file
+    order.  One bit transpose (linalg.bit_columns) of all n rows
     then holds in entry i bit i of every z_j m_k, at bit j n + k: exactly
     equation i's xy field when the check holds."""
     m0 = BitMatrix([f[3] for f in fields], n)
@@ -396,7 +470,7 @@ def _certify(n: int, fields, windows, constant: int) -> _Inversion | None:
     columns = bit_columns(data, field.lane_bytes, n)
     if any(column != f[1] for column, f in zip(columns, fields)):
         return None
-    return _Inversion(field, p, windows, constant, z_mask)
+    return field, p, z
 
 
 def _equation_widths(n: int) -> tuple[tuple[str, int], ...]:
@@ -579,7 +653,8 @@ class PublicKey:
         a key that fails it keeps the elimination for good."""
         self._blocks += blocks
         if self._inversion is None and self._blocks >= _certify_after(self.n):
-            self._inversion = _certify(self.n, self.fields, *self._windows()) or False
+            certificate = _certify(self.n, self.fields, self._windows()[0])
+            self._inversion = certificate is not None and _Inversion(self.fields, *certificate)
         return self._inversion or None
 
     def __eq__(self, other) -> bool:
@@ -648,17 +723,12 @@ def relation_residual(sk: SecretKey, x: int, y: int) -> int:
 
 
 def _residual_uv(sk: SecretKey, u: int, v: int) -> int:
-    # u^(2^m) u + u^(2^m) v + u v + u a + u^(2^m) + v a + a^(2^m),
-    # grouped by distributivity into three multiplications
+    # u^(2^m) u + u^(2^m) v + u v + u a + u^(2^m) + v a + a^(2^m)
+    # = w (u + v) + u^2 + u^(2^m) + a^(2^m), w = u^(2^m) + u + a: w (u + v)
+    # brings in u^2, which the square cancels
     f = sk.field
     uf = f.frobenius(u)
-    return (
-        f.mul(uf, u ^ v)
-        ^ f.mul(u, v ^ sk.alpha)
-        ^ uf
-        ^ f.mul(v, sk.alpha)
-        ^ sk._alpha_frob
-    )
+    return f.mul(uf ^ u ^ sk.alpha, u ^ v) ^ f.sqr(u) ^ uf ^ sk._alpha_frob
 
 
 def derive_public_key(sk: SecretKey) -> PublicKey:

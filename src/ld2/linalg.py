@@ -5,17 +5,19 @@ row ints, which keeps elimination down to word-wide xors.  One
 elimination, _echelon, serves rank, solve_linear and invert_matrix: the
 Method of Four Russians, which clears k columns from each row with one
 table lookup, so an n x n matrix takes O(n^3 / log n) bit operations
-against Gaussian elimination's O(n^3).  One bit transpose, bit_columns,
-serves BitMatrix.transpose and public-key derivation: Hacker's Delight's
-8 x 8 transpose8, run on every 64-bit word of a strided byte slice at
-once.  window_tables tabulates an F_2-linear map from the images of the
-basis vectors, one table per window of input bits: the elimination's
-tables of pivot sums, gf2n's byte multiples of lane-packed elements, the
-4-bit windows (nibble_windows, apply_windows) through which AffineMap
-applies its matrix and keys.PublicKey takes every lane sum of its
-lane-major copy, each built once, and gf2n's byte-window Frobenius tables.
-AffineMap eliminates only in inverse(); keys.SecretKey checks both secret
-maps and keeps s^-1.  Keygen's xorshift64* generator is here too.
+against Gaussian elimination's O(n^3).  One bit transpose,
+bit_column_bytes, serves BitMatrix.transpose, public-key derivation and
+the keys' certificate and plane tables, as ints through bit_columns or as
+bytes: Hacker's Delight's 8 x 8 transpose8, run on every 64-bit word of a
+strided byte slice at once.  window_tables tabulates an F_2-linear map
+from the images of the basis vectors, one table per window of input bits:
+the elimination's tables of pivot sums, gf2n's byte multiples of
+lane-packed elements, the 4-bit windows (nibble_windows, apply_windows)
+through which AffineMap applies its matrix and keys.PublicKey takes every
+lane sum of its lane-major copy and of its bit planes, each built once,
+and gf2n's byte-window Frobenius tables.  AffineMap eliminates only in
+inverse(); keys.SecretKey checks both secret maps and keeps s^-1.
+Keygen's xorshift64* generator is here too.
 """
 
 from __future__ import annotations
@@ -35,14 +37,23 @@ def bit_columns(data: bytes, stride: int, count: int) -> list[int]:
     """The bit transpose of data, read as records of stride bytes.
 
     Each record is a little-endian bit string; entry i < count of the
-    result has bit r equal to bit i of record r.  Byte b of every record is
-    one strided slice, padded to whole 64-bit words and read as one int:
-    word w is then the 8 x 8 bit matrix whose row k is byte b of record
-    8w + k.  Round s of transpose8 swaps the two off-diagonal s x s blocks
-    of every aligned 2s x 2s block, for s = 1, 2, 4, in every word at
-    once: the masks repeat over the int, and no bit leaves its word.
-    Then byte t of word w holds bit 8b + t of records 8w .. 8w + 7, and the
-    bytes [t::8] are entry 8b + t.
+    result has bit r equal to bit i of record r (bit_column_bytes).
+    """
+    return [int.from_bytes(column, "big") for column in bit_column_bytes(data, stride, count)]
+
+
+def bit_column_bytes(data: bytes, stride: int, count: int) -> list[bytes]:
+    """The entries of bit_columns(data, stride, count) as bytes, ceil(r / 8)
+    each for r records, most significant byte first.
+
+    Byte b of every record is one strided slice, padded to whole 64-bit
+    words and read as one int: word w is then the 8 x 8 bit matrix whose
+    row k is byte b of record 8w + k.  Round s of transpose8 swaps the two
+    off-diagonal s x s blocks of every aligned 2s x 2s block, for s = 1, 2,
+    4, in every word at once: the masks repeat over the int, and no bit
+    leaves its word.  Then byte t of word w holds bit 8b + t of records
+    8w .. 8w + 7: in the block's bytes reversed, entry 8b + t is the bytes
+    [7 - t::8].
     """
     records = len(data) // stride
     pad = bytes(-records % 8)
@@ -55,8 +66,8 @@ def bit_columns(data: bytes, stride: int, count: int) -> list[int]:
         for shift, mask in rounds:
             swap = (x ^ x >> shift) & mask
             x ^= swap ^ swap << shift
-        block = x.to_bytes(size, "little")
-        columns += [int.from_bytes(block[t::8], "little") for t in range(min(8, count - 8 * b))]
+        block = x.to_bytes(size, "big")
+        columns += [block[7 - t::8] for t in range(min(8, count - 8 * b))]
     return columns
 
 

@@ -421,17 +421,39 @@ def test_crafted_certified_key_fails_where_elimination_does():
     assert outcomes[1].startswith("MalformedKeyError: ")
 
 
+@pytest.mark.parametrize("n", [3, 5, 9, 33])
+def test_plane_tables_give_the_system_at_x(n):
+    # a certified key's fraction(x), read off its plane tables and its z
+    # map, is linear_system's right-hand side at x and M(x) p0, on an
+    # honest key and on a crafted one (whose z vanishes at e_0)
+    rng = random.Random(0x91A + n)
+    top = (1 << n) - 1
+    xs = range(1 << n) if n < 10 else [0, 1, top, *(rng.getrandbits(n) for _ in range(60))]
+    for key in (keygen(n, seed=0x91A + n)[1], _crafted_key(n, 0xC0DE + n)):
+        inversion = key.inversion(_certify_after(n))
+        assert inversion is not None
+        p0 = inversion.p.apply(1)
+        for x in xs:
+            matrix, rhs = key.linear_system(x)
+            assert inversion.fraction(x) == (rhs, matrix.mul_vec(p0))
+
+
 def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     import ld2.keys as keys_mod
 
-    calls = []
-    original = keys_mod._certify
+    calls, builds = [], []
+    original, build = keys_mod._certify, keys_mod._plane_tables
 
     def counted(n, *args):
         calls.append(n)
         return original(n, *args)
 
+    def counted_build(n, *args):
+        builds.append(n)
+        return build(n, *args)
+
     monkeypatch.setattr(keys_mod, "_certify", counted)
+    monkeypatch.setattr(keys_mod, "_plane_tables", counted_build)
     n = 33
     k = _certify_after(n)
     _, pk = keygen(n, seed=0xCE27)
@@ -441,18 +463,19 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     # encrypt_block counts one block a call: K - 1 by elimination, then the
     # K-th call certifies the key and every later block is inverted
     assert [repr(encrypt_block(pk, x)) for x in blocks[:k - 1]] == expected[:k - 1]
-    assert calls == [] and pk._inversion is None
+    assert calls == builds == [] and pk._inversion is None
     assert repr(encrypt_block(pk, blocks[k - 1])) == expected[k - 1]
-    assert calls == [n] and pk._inversion
+    # a key that passes the certificate builds its plane tables once
+    assert calls == builds == [n] and pk._inversion
     assert [repr(encrypt_block(pk, x)) for x in blocks[k:]] == expected[k:]
-    assert calls == [n]
+    assert calls == builds == [n]
     message = bytes(range(200))
     assert decrypt_message(keygen(n, seed=0xCE27)[0], encrypt_message(pk, message)) == message
-    assert calls == [n]
+    assert calls == builds == [n]
     # a message of K blocks or more certifies a fresh key first
     _, fresh = keygen(n, seed=0xCE27)
     assert encrypt_message(fresh, message) == encrypt_message(pk, message)
-    assert calls == [n, n] and fresh._inversion
+    assert calls == builds == [n, n] and fresh._inversion
     # a key that fails the certificate is checked once, and keeps elimination
     fields = [list(f) for f in pk.fields]
     fields[0][1] ^= 1 << 40  # one xy bit
@@ -460,4 +483,5 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     outcomes = [_outcome(encrypt_block, tampered, x) for x in blocks]
     assert outcomes == [_eliminated(tampered, x) for x in blocks]
     _outcome(encrypt_message, tampered, message)
-    assert calls == [n, n, n] and tampered._inversion is False
+    # and builds no plane tables
+    assert calls == [n, n, n] and builds == [n, n] and tampered._inversion is False

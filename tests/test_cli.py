@@ -254,6 +254,24 @@ def test_key_files_are_read_byte_for_byte(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: line 1 is not in canonical form\n")
 
 
+def test_a_key_file_longer_than_one_read_piece_is_read_whole(tmp_path):
+    # the CLI reads a key file 64 KiB at a time: at n = 65 a public key file
+    # takes two pieces, and a \r\n in the second still reaches decode_key
+    from ld2.cli import _read_key_file
+
+    _, public = _keygen(tmp_path, 65, seed="5")
+    text = public.read_bytes()
+    assert len(text) > 1 << 16
+    assert _read_key_file(str(public)) == text.decode()
+    copy = tmp_path / "copy.pub"
+    copy.write_bytes(text[:70000] + b"\r\n" + text[70000:])
+    assert _read_key_file(str(copy)) == (text[:70000] + b"\r\n" + text[70000:]).decode()
+    # a byte that is not UTF-8 is reported at its offset in the file
+    copy.write_bytes(text[:70000] + b"\xff" + text[70000:])
+    with pytest.raises(UnicodeDecodeError, match="in position 70000:"):
+        _read_key_file(str(copy))
+
+
 @pytest.mark.parametrize("n", [33, 65])
 def test_inspect_names_both_files_by_the_public_fingerprint(tmp_path, capsys, n):
     # a secret key's fingerprint is its public key's, and its output holds

@@ -16,9 +16,11 @@ BitMatrix.mul_vec, an equation's fields against its terms, the lane-major
 copy cut from the fields (test_linear_system_and_holds_match_evaluate),
 PublicKey.holds on the file fields and through the tables of the copy
 (test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
-public-key derivation (against the residual, its linear terms against
-residual differences in test_linear_terms_are_residual_differences, and
-against one Field.mul per coefficient with a bitwise transpose in
+the relation residual's two products against the three it replaced
+(test_residual_matches_three_products), public-key derivation (against
+the residual, its linear terms against residual differences in
+test_linear_terms_are_residual_differences, and against one Field.mul
+per coefficient with a bitwise transpose in
 test_derive_public_key_matches_per_coefficient_reference), encryption
 solvability, encryption by field inversion on certified keys against
 elimination (test_inversion_matches_elimination), message framing, key-file round trips
@@ -62,6 +64,7 @@ from ld2.linalg import (
     Prng,
     SingularMatrixError,
     apply_windows,
+    bit_column_bytes,
     bit_columns,
     invert_matrix,
     nibble_windows,
@@ -444,9 +447,12 @@ def _random_records(stride, count, seed):
 def test_bit_columns_match_a_bitwise_transpose(case):
     stride, records, count = case
     blob = b"".join(record.to_bytes(stride, "little") for record in records)
-    assert bit_columns(blob, stride, count) == [
+    expected = [
         sum((record >> i & 1) << r for r, record in enumerate(records)) for i in range(count)
     ]
+    assert bit_columns(blob, stride, count) == expected
+    size = (len(records) + 7) // 8
+    assert bit_column_bytes(blob, stride, count) == [e.to_bytes(size, "big") for e in expected]
 
 
 def _trace_by_squaring(field, a):
@@ -660,6 +666,34 @@ def test_linear_terms_are_residual_differences(half, seed, picks):
         yl = sum((f[3] >> j & 1) << i for i, f in enumerate(pk.fields))
         assert xl == _residual_uv(sk, u0 ^ s_cols[j], v0) ^ e
         assert yl == _residual_uv(sk, u0, v0 ^ t_cols[j]) ^ e
+
+
+@functools.lru_cache(maxsize=None)
+def _secret_key(n):
+    return keygen(n, seed=0x5E0 + n)[0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 128), st.data())
+@example(2, None)
+@example(128, None)
+def test_residual_matches_three_products(half, data):
+    # odd n in 3..257: _residual_uv's two products, w(u) (u + v) + u^2 +
+    # F(u) + F(alpha) with w(u) = F(u) + u + alpha, against the grouping
+    # into three products that it replaced
+    n = 2 * half + 1
+    sk = _secret_key(n)
+    field, alpha = sk.field, sk.alpha
+    top = (1 << n) - 1
+    pairs = [(0, 0), (1, 0), (0, 1), (alpha, alpha), (top, top)]
+    if data is not None:
+        pairs += [(data.draw(st.integers(0, top)), data.draw(st.integers(0, top)))
+                  for _ in range(8)]
+    for u, v in pairs:
+        uf = field.frobenius(u)
+        three = (field.mul(uf, u ^ v) ^ field.mul(u, v ^ alpha) ^ uf
+                 ^ field.mul(v, alpha) ^ field.frobenius(alpha))
+        assert _residual_uv(sk, u, v) == three
 
 
 def _reference_public_key(sk):
