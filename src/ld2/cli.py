@@ -342,9 +342,10 @@ def run_bench(n_list, reps: int, seed: int = DEFAULT_SEED) -> list[dict]:
 
     The encrypt time is the mean over the first reps blocks of a fresh key,
     one encrypt_block call each.  Below K = n // 4 + 2 blocks
-    (keys._certify_after) that is the table build and elimination, the
-    cubic model's path; from the K-th block on it includes the certificate
-    and then one field inversion per block.
+    (keys._certify_after) that is elimination on a system read from the
+    key's fields, the cubic model's path; from the K-th block on it
+    includes the table build and the certificate, and then one field
+    inversion per block.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")

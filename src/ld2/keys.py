@@ -15,20 +15,17 @@ products per row j of the coefficients and three for the linear terms, all
 through byte multiples of the packed lanes that every product shares, then
 one word-parallel bit transpose straight into the key file's fields.
 
-A PublicKey is in one of three states, and only ever moves forward:
+A PublicKey is in one of two states, and only ever moves forward:
 
     fields     always: per equation the five fields of the key file, xx
                (the a_jk, pairs j < k in lexicographic order, so row j
                starts at bit j*n - j(j+1)/2), xy (the b_jk, row-major, row
                j at bit j*n), xl (the d_k), yl (the c_k) and c (e)
-    tables     on the first encryption: window tables of the lane-major
-               copy of the fields
-    certified  or refused, by the encryption that brings the count of
-               blocks the key has encrypted to K = n // 4 + 2 or past it
-               (PublicKey.inversion): the _Inversion that solves the key's
-               systems by field inversion, from bit-plane tables and a z
-               map built once the certificate passes, or the mark that the
-               key failed the certificate
+    tables     from the encryption that brings the key's count of encrypted
+               blocks to K = n // 4 + 2 or past it (PublicKey.inversion):
+               window tables of the lane-major copy of the fields, and the
+               certificate's outcome, an _Inversion (bit-plane tables and a
+               z map) or the mark that the key failed it
 
 derive_public_key and decode_key build the fields and nothing else, and
 encode_key writes them as they are.  A QuadraticEquation is a view of
@@ -54,11 +51,18 @@ j*n; bit n - 1 of x is shifted into place on its own.  The compress takes
 about log2(n^2) masked shifts (Hacker's Delight, 2nd ed., 7-4), by move
 masks that _compress_steps builds once per n (_spread_masks).
 
-linear_system takes all n equations at once, from a lane-major copy of
-the fields (the bitsliced evaluation of Berbain, Billet and Gilbert, SAC
-2006, turned on its side): L_0..L_n hold one byte-aligned chunk per
-equation, and chunk i of L_j holds the terms of equation i in 2n + 1
-bits, indices 0-based:
+linear_system reads the fields too.  Y at y = 2^n - 1 is sx (2^n - 1),
+all ones in the rows j with x_j = 1, so one _monomials call gives T and
+that mask.  In the system at x, M(x) y = r(x), row i of M(x) is equation
+i's xy under the mask, folded from n rows of n bits onto one by ceil(log2
+n) shift-XORs that halve the count of rows (_fold_steps), XOR yl, and
+bit i of r(x) is parity(xx & T) ^ parity(xl & x) ^ c.
+
+From the K-th block, holds reads a lane-major copy of the fields (the
+bitsliced evaluation of Berbain, Billet and Gilbert, SAC 2006, turned on
+its side), and so does the certificate below: L_0..L_n hold one
+byte-aligned chunk per equation, and chunk i of L_j holds the terms of
+equation i in 2n + 1 bits, indices 0-based:
 
     L_j, j < n   bits 0..n-1: a_jk (zero for k <= j), bits n..2n-1: b_jk,
                  bit 2n: zero
@@ -67,38 +71,28 @@ bits, indices 0-based:
 _lane_major cuts L_j out of the fields: row j of every xx and of every xy
 by one byte slice per equation, one shift of the joined bytes, one mask
 per chunk and one shift into place.  The lane sum, L_n XOR every L_j with
-x_j = 1, then holds in chunk i equation i with x fixed: bits n..2n-1 are
-the coefficients of y, and parity(v & x) ^ v_2n, v the chunk, is the
-rest.  The lane sum is an affine map of x, and the key keeps the copy
-only as its 4-bit window tables, the Four Russians lookup (Bard, IACR
-ePrint 2006/251) that AffineMap uses: linalg.nibble_windows of
-L_0..L_{n-1}, with L_n as the constant.  Every lane sum is then one
-linalg.apply_windows call, two 16-entry lookups per byte of x.  holds
-with the tables first reads them cut to the first min(_GATE, n) = 6
-chunks, a gate that checks six equations with one lookup, one AND and one
-parity fold, and only a pair that passes it, about one forgery in 64,
-reads the whole tables.  The first encryption builds both sets
-(_lane_tables), through linear_system or the certificate below; holds,
-verification and the key codec never do.  The whole tables have 16
-ceil(n/4) entries of n chunks, about four times the n + 1 lanes of the
-copy: by tracemalloc, both sets take 0.34, 2.4 and 17.9 MB at n = 65, 129
-and 257 (0.44, 3.0 and 22.6 MB at the peak of the build).  The build
-takes about 2, 8-10 and 45-65 ms on a shared 2-CPU x86-64 machine, over
-nine tenths of it in _lane_major's byte slices.  A certified key adds its
-plane tables (below): 0.08, 0.58 and 4.4 MB (0.32, 1.4 and 7.3 MB at the
-peak of their build).
+x_j = 1, holds in chunk i equation i with x fixed: bits n..2n-1 are the
+coefficients of y, and parity(v & x) ^ v_2n, v the chunk, is the rest.
+The key keeps the copy only as 4-bit window tables, the Four Russians
+lookup (Bard, IACR ePrint 2006/251) that AffineMap uses:
+linalg.nibble_windows of L_0..L_{n-1}, with L_n as the constant, so a
+lane sum is one linalg.apply_windows call.  holds first reads them cut to
+the first min(_GATE, n) = 6 chunks, a gate that checks six equations with
+one lookup, one AND and one parity fold, and only a pair that passes it,
+about one forgery in 64, reads the whole tables.  Only
+PublicKey.inversion builds both sets (_lane_tables).  By tracemalloc they
+take 0.34, 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0 and 22.6 MB
+at the peak of the build), and a certified key's plane tables (below)
+0.08, 0.58 and 4.4 MB (0.32, 1.4 and 7.3 MB at the peak of their build).
 
-Encryption solves the system at x, M(x) y = r(x): row i of M(x) is bits
-n..2n-1 of chunk i of the lane sum, and r(x) the rest.  linear_system and
-linalg.solve_linear solve it by elimination; the construction gives a
-shortcut.  Equation i is coordinate i, in the polynomial basis of the
-public modulus, of R(u, v) = w(u) v + h(u) at u = s(x), v = A2 y + c2,
-with w(u) = F(u) + u + alpha.  So M(x) = Mult(w(s(x))) A2, Mult(z) the
-matrix of a -> z a.  w never vanishes, so M(0), whose rows are the yl
-fields, is invertible.  With P = M(0)^-1 and p0 = P e0 (e0 the element 1),
-M(x) = Mult(z(x)) M(0) for z(x) = M(x) p0, and the one solution is y =
-P (r(x) / z(x)): one Field.inv, one Field.mul and P applied as an
-AffineMap.
+linalg.solve_linear eliminates; the construction gives a shortcut.
+Equation i is coordinate i, in the polynomial basis of the public
+modulus, of R(u, v) = w(u) v + h(u) at u = s(x), v = A2 y + c2, with w(u)
+= F(u) + u + alpha.  So M(x) = Mult(w(s(x))) A2, Mult(z) the matrix of a
+-> z a.  w never vanishes, so M(0), whose rows are the yl fields, is
+invertible.  With P = M(0)^-1 and p0 = P e0 (e0 the element 1), M(x) =
+Mult(z(x)) M(0) for z(x) = M(x) p0, and the one solution is y = P (r(x) /
+z(x)): one Field.inv, one Field.mul and P applied as an AffineMap.
 
 A key from a file need not come from the construction, so a key earns the
 shortcut by a certificate.  M(x) = M(0) + sum_j x_j B_j, where row i of
@@ -108,7 +102,8 @@ and M(x) = Mult(z(x)) M(0) for every x: M(x) is singular exactly when
 z(x) = 0, and that raises the MalformedKeyError elimination raises.
 _certify checks it with n lane products, as derivation takes the
 coefficients.  A key whose M(0) is singular, or that fails for any j, is
-refused for good and keeps the elimination, and builds nothing more.
+refused for good and keeps the elimination, and builds nothing past its
+lane tables.
 
 A key that passes then builds what _Inversion.fraction reads r(x) and
 z(x) off.  z(x) = 1 + sum_j x_j z_j is an affine map of x: an AffineMap
@@ -116,41 +111,42 @@ whose columns are the z_j, about 2 us an apply at n = 129.  r(x) is e
 plus the quadratic form sum_{j<=k} x_j x_k a_jk, with a_kk = d_k since
 x_k^2 = x_k, and every a_jk is an n-bit vector over the equations: so r
 is taken equation-sliced, in the layout of Berbain, Billet and Gilbert's
-bitsliced evaluation.
-Plane k of a value is its bits (n - 1 - k) w .. (n - k) w - 1, w = 8
-ceil(n/8), and the bit-plane lane Q_j holds a_jk in plane k for every k
->= j and nothing below j.  The plane sum S(x), every Q_j with x_j = 1
-XORed, holds in plane k S_k(x) = sum_{j<=k, x_j=1} a_jk, and
+bitsliced evaluation.  Plane k of a value is its bits (n - 1 - k) w ..
+(n - k) w - 1, w = 8 ceil(n/8), and the bit-plane lane Q_j holds a_jk in
+plane k for every k >= j and nothing below j.  The plane sum S(x), every
+Q_j with x_j = 1 XORed, holds in plane k S_k(x) = sum_{j<=k, x_j=1} a_jk,
+and
 
     r(x) = e + sum_{k: x_k=1} S_k(x):
 
 S(x) ANDed with 0xFF bytes in the planes that x selects (x's binary
 digits, each replaced by a plane of 0x00 or 0xFF bytes), then folded onto
 one plane by ceil(log2 n) shifts and masks that halve the count of planes
-(_plane_masks).  Q_j spans planes j..n-1, which sit at the bottom of the
-value, so _plane_tables keeps the lanes as linalg.nibble_windows of x
-reversed: the sum takes the narrow lanes Q_{n-1}, Q_{n-2}, ... first, and
-the tables hold half the bytes that planes in order would.  One bit
-transpose (linalg.bit_column_bytes) of xx | xl << n(n-1)/2 per equation
-gives every a_jk and d_k as the bytes of one plane, and each lane is one
-slice of those bytes behind its d_j.  No chunk is folded and the y-half
-of the lane-major copy is not read.
+(_plane_masks, by the _fold_steps of the row fold above).  Q_j spans
+planes j..n-1, which sit at the bottom of the value, so _plane_tables
+keeps the lanes as linalg.nibble_windows of x reversed: the sum takes the
+narrow lanes Q_{n-1}, Q_{n-2}, ... first, and the tables hold half the
+bytes that planes in order would.  One bit transpose
+(linalg.bit_column_bytes) of xx | xl << n(n-1)/2 per equation gives every
+a_jk and d_k as the bytes of one plane, and each lane is one slice of
+those bytes behind its d_j.  No chunk is folded and the y-half of the
+lane-major copy is not read.
 
-On a shared 2-CPU x86-64 machine the certificate, with the z map and
-the plane tables of a key that passes, takes about 0.8-1.4, 2.7-5.0,
-13-23 and 120-200 ms at n = 33, 65, 129 and 257 (inverting M(0) and
-tabulating P included; the plane tables alone 0.2-0.4, 1.3-1.4, 3.6-6.6
-and 21-24 ms).  A block then takes about 0.03-0.06, 0.05-0.09, 0.07-0.15
-and 0.23-0.35 ms alone, and about half that in a message (fraction
-5-8, 8-14, 17-28 and 51-77 us), against 0.10-0.18, 0.24-0.39, 0.53-0.93
-and 1.7-2.0 ms by elimination.  The certificate pays for itself after
-13-14, 14-22, 28-51 and 69-86 blocks one at a time (10-11, 13-19, 26-47
-and 63-77 in a message), and K = n // 4 + 2 (_certify_after: 10, 18, 34
-and 66) is within a factor of two of that at each size: the ski-rental
-rule (Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy caching",
-Algorithmica 3, 1988), by which certifying at the break-even costs at
-most about twice the best choice made in hindsight.  K is at least 2, so
-a key that encrypts one block never pays for the certificate.
+On a shared 2-CPU x86-64 machine the K-th block's build, the lane tables
+and the certificate with the z map and plane tables of a key that passes,
+takes about 1.2-1.6, 4.2-5.5, 20-27 and 150-205 ms at n = 33, 65, 129
+and 257 (the lane tables alone 0.3-0.7, 1.4-2.3, 7-8 and 40-43 ms, the
+plane tables 0.2-0.4, 1.3-1.4, 3.6-6.6 and 21-24 ms).  A certified block
+then takes about 0.03-0.05, 0.05-0.06, 0.08-0.13 and 0.20-0.22 ms alone,
+and about half that in a message, against 0.12, 0.27-0.46, 0.77-0.81 and
+2.9-3.1 ms by elimination from the fields.  The build pays for itself
+after 14-23, 10-26, 28-41 and 53-72 blocks one at a time (12-17, 10-24,
+27-37 and 51-70 in a message), and K = n // 4 + 2 (_certify_after: 10,
+18, 34 and 66) is within about a factor of two of that at each size: the
+ski-rental rule (Karlin, Manasse, Rudolph and Sleator, "Competitive
+snoopy caching", Algorithmica 3, 1988), by which buying at the
+break-even costs at most about twice the best choice made in hindsight.
+K is at least 2, so a key that encrypts one block builds no tables.
 
 Key files are line oriented:
 
@@ -375,17 +371,30 @@ def _certify_after(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _plane_masks(n: int) -> tuple[bytes, bytes, tuple]:
-    """(zero, one, folds) for the bit planes of n variables: a plane of
-    0x00 bytes and one of 0xFF bytes, which replace the digits of x to make
-    the mask of the planes that x selects, and the (shift, low) steps that
-    fold n planes into one, halving their count each step."""
-    size = (n + 7) // 8
-    folds, count = [], n
+def _fold_steps(count: int, width: int) -> tuple:
+    """The (shift, low) steps that fold count rows of width bits, row r at
+    bit r*width, onto row 0 by XOR, halving the count of rows each step."""
+    steps = []
     while count > 1:
         count = (count + 1) // 2
-        folds.append((8 * size * count, (1 << 8 * size * count) - 1))
-    return bytes(size), b"\xff" * size, tuple(folds)
+        steps.append((width * count, (1 << width * count) - 1))
+    return tuple(steps)
+
+
+def _fold(v: int, steps) -> int:
+    """The XOR of the rows of v, folded by steps (_fold_steps)."""
+    for shift, low in steps:
+        v = v & low ^ v >> shift
+    return v
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_masks(n: int) -> tuple[bytes, bytes, tuple]:
+    """(zero, one, folds) for the bit planes of n variables: planes of 0x00
+    and of 0xFF bytes, which replace the digits of x to make the mask of the
+    planes that x selects, and the _fold_steps of n planes."""
+    size = (n + 7) // 8
+    return bytes(size), b"\xff" * size, _fold_steps(n, 8 * size)
 
 
 def _plane_tables(n: int, fields) -> tuple:
@@ -436,9 +445,7 @@ class _Inversion:
         digits = f"{x:0{self.field.n}b}"[::-1]  # x_0 first, as plane 0 is the top one
         v = apply_windows(self._planes, int(digits, 2), 0)
         v &= int.from_bytes(digits.encode().replace(b"0", zero).replace(b"1", one), "big")
-        for shift, low in folds:
-            v = v & low ^ v >> shift
-        return v ^ self._e, self._z.apply(x)
+        return _fold(v, folds) ^ self._e, self._z.apply(x)
 
 
 def _certify(n: int, fields, windows) -> tuple | None:
@@ -450,9 +457,9 @@ def _certify(n: int, fields, windows) -> tuple | None:
     a column).  The columns m_k of M(0), packed one per lane, are
     tabulated once by their byte multiples, and row j takes one
     carry-less product through them: z_j m_k for every k, in key-file
-    order.  One bit transpose (linalg.bit_columns) of all n rows
-    then holds in entry i bit i of every z_j m_k, at bit j n + k: exactly
-    equation i's xy field when the check holds."""
+    order.  One bit transpose (linalg.bit_columns) of all n rows then holds
+    in entry i bit i of every z_j m_k, at bit j n + k: exactly equation i's
+    xy field when the check holds."""
     m0 = BitMatrix([f[3] for f in fields], n)
     try:
         p = AffineMap(invert_matrix(m0), 0)
@@ -564,12 +571,11 @@ class PublicKey:
     """The n public quadratic equations over F(2^n), n = 2m - 1.
 
     fields holds, per equation, its five key-file fields (xx, xy, xl, yl,
-    c), always; equations views each of them as a QuadraticEquation.  The
-    first encryption builds _tables, the window tables of the lane-major
-    copy, whole and cut to holds' gate (module docstring).  _blocks counts
-    the blocks encrypted, and _inversion holds the certificate's outcome:
-    None until it is checked, then an _Inversion, or False for a key that
-    failed it.
+    c), always; equations views each of them as a QuadraticEquation.
+    _blocks counts the blocks encrypted; _tables (the lane tables, whole
+    and cut to holds' gate) and _inversion (an _Inversion, or False for a
+    key that failed the certificate) are None until the K-th (module
+    docstring).
     """
 
     __slots__ = ("n", "fields", "_tables", "_blocks", "_inversion")
@@ -607,11 +613,11 @@ class PublicKey:
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y).
 
-        Without the tables the equations are evaluated one by one on the
+        Before the K-th block the equations are evaluated one by one on the
         fields, against T (the xx monomials at x) and Y = x (x) y, until one
-        is 1 (_vanish_on_fields).  With them, the gate's lane sum, then the
-        whole one, is ANDed with terms = x | y << n | 1 << 2n in every chunk,
-        and _even_chunks folds the equations' parities at once.
+        is 1 (_vanish_on_fields).  With the tables, the gate's lane sum, then
+        the whole one, is ANDed with terms = x | y << n | 1 << 2n in every
+        chunk, and _even_chunks folds the equations' parities at once.
         """
         n = self.n
         top = 1 << n
@@ -625,35 +631,30 @@ class PublicKey:
             n, apply_windows(gate, x, gate_constant), terms, min(_GATE, n)
         ) and _even_chunks(n, apply_windows(windows, x, constant), terms, n)
 
-    def _windows(self):
-        """(windows, constant) of the whole tables, built on the first call."""
-        if self._tables is None:
-            self._tables = _lane_tables(self.n, self.fields)
-        return self._tables[0]
-
     def linear_system(self, x: int):
         """Matrix and right-hand side of the linear system in y at fixed x,
-        from the lane sum at x; the first call builds the tables."""
+        folded from the fields (module docstring)."""
         n = self.n
         if not 0 <= x < 1 << n:
             raise ValueError("block length mismatch")
-        windows, constant = self._windows()
-        size = _chunk_bytes(n)
-        data = apply_windows(windows, x, constant).to_bytes(n * size, "little")
-        chunks = [int.from_bytes(data[k:k + size], "little") for k in range(0, n * size, size)]
-        low = (1 << n) - 1
-        terms = x | 1 << 2 * n
-        rhs = sum(((v & terms).bit_count() & 1) << i for i, v in enumerate(chunks))
-        return BitMatrix([v >> n & low for v in chunks], n), rhs
+        # x (x) y at y = 2^n - 1: all ones in the rows j with x_j = 1
+        pairs, select = _monomials(n, x, (1 << n) - 1)
+        steps = _fold_steps(n, n)
+        rows, rhs = [], 0
+        for i, (xx, xy, xl, yl, c) in enumerate(self.fields):
+            rows.append(_fold(xy & select, steps) ^ yl)
+            rhs |= (((xx & pairs).bit_count() ^ (xl & x).bit_count() ^ c) & 1) << i
+        return BitMatrix(rows, n), rhs
 
     def inversion(self, blocks: int) -> _Inversion | None:
         """Count blocks more encrypted blocks; the key's _Inversion if it is
-        certified, else None.  The call that brings the count to
-        _certify_after(n) or past it checks the certificate first, once:
-        a key that fails it keeps the elimination for good."""
+        certified, else None.  The call that reaches _certify_after(n) builds
+        the tables and checks the certificate, once: a key that fails keeps
+        the elimination for good."""
         self._blocks += blocks
         if self._inversion is None and self._blocks >= _certify_after(self.n):
-            certificate = _certify(self.n, self.fields, self._windows()[0])
+            self._tables = _lane_tables(self.n, self.fields)
+            certificate = _certify(self.n, self.fields, self._tables[0][0])
             self._inversion = certificate is not None and _Inversion(self.fields, *certificate)
         return self._inversion or None
 
@@ -762,8 +763,7 @@ def derive_public_key(sk: SecretKey) -> PublicKey:
     of every row (xy), then d, c and e.  One bit transpose
     (linalg.bit_columns, by 8 x 8 bit blocks) turns them into one int per
     equation, xx | xy | xl | yl | c side by side, and shifts split it into
-    the fields.  The key is those fields and nothing else until its first
-    linear_system call.
+    the fields: all the key holds until its K-th encrypted block.
     """
     field = sk.field
     n = field.n

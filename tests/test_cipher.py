@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -50,12 +51,17 @@ def test_encrypt_is_injective(toy_pk):
 
 
 def test_encrypt_rejects_oversized_block(toy_pk):
-    # 8 fits the one byte the window tables read, but indexes past their
-    # 8-entry table, so linear_system must reject it before the lookup
-    toy_pk.linear_system(0)
-    for x in (8, -1):
-        with pytest.raises(ValueError, match="block length mismatch"):
-            encrypt_block(toy_pk, x)
+    # on the fields and, past the K-th block, with the tables: 8 fits the
+    # one byte the window tables read, but indexes past their 8-entry
+    # table, so it must be rejected before the lookup
+    certified = decode_key(encode_key(toy_pk))
+    certified.inversion(_certify_after(3))
+    for key in (decode_key(encode_key(toy_pk)), certified):
+        for x in (8, -1):
+            with pytest.raises(ValueError, match="block length mismatch"):
+                encrypt_block(key, x)
+            with pytest.raises(ValueError, match="block length mismatch"):
+                key.linear_system(x)
 
 
 # --- block decryption ------------------------------------------------------------
@@ -196,8 +202,10 @@ def test_verify_matches_encryption(toy_pk):
 
 def test_verify_rejects_oversized_inputs(toy_pk):
     # with the window tables, which 8 would index past, and without them
-    toy_pk.linear_system(0)
-    for key in (toy_pk, decode_key(encode_key(toy_pk))):
+    tabled = decode_key(encode_key(toy_pk))
+    tabled.inversion(_certify_after(3))
+    assert tabled._tables is not None
+    for key in (tabled, decode_key(encode_key(toy_pk))):
         for bad in (8, -1):
             with pytest.raises(ValueError, match="block length mismatch"):
                 verify(key, bad, 0)
@@ -422,6 +430,44 @@ def test_crafted_certified_key_fails_where_elimination_does():
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 33])
+def test_fields_give_the_system_at_x(n, monkeypatch):
+    # linear_system reads the fields: bit i of the right-hand side is
+    # equation i at (x, 0), and bit k of row i its change from y = 0 to y
+    # = e_k, on keys that pass the certificate, that it refuses and whose
+    # systems are singular; no block below K builds the lane tables
+    import ld2.keys as keys_mod
+
+    def forbidden(*args):
+        raise AssertionError("the lane tables are built at the K-th block only")
+
+    monkeypatch.setattr(keys_mod, "_lane_tables", forbidden)
+    rng = random.Random(0xF1E + n)
+    top = (1 << n) - 1
+    xs = [0, 1, top, *(rng.getrandbits(n) for _ in range(12))]
+    widths = [width for _, width in keys_mod._equation_widths(n)]
+    keys = [
+        keygen(n, seed=0xF1E + n)[1],
+        PublicKey._from_fields(n, (tuple((1 << w) - 1 for w in widths),) * n),
+        PublicKey._from_fields(n, tuple(tuple(rng.getrandbits(w) for w in widths)
+                                        for _ in range(n))),
+        _crafted_key(n, 0xF1E + n),
+    ]
+    for key in keys:
+        equations = key.equations
+        for x in xs:
+            matrix, rhs = key.linear_system(x)
+            for i, eq in enumerate(equations):
+                value = eq.evaluate(x, 0)
+                assert rhs >> i & 1 == value
+                assert matrix.rows[i] == sum(
+                    (eq.evaluate(x, 1 << k) ^ value) << k for k in range(n))
+        blocks = list(itertools.islice(itertools.cycle(xs), _certify_after(n) - 1))
+        assert [_outcome(encrypt_block, key, x) for x in blocks] == [
+            _eliminated(key, x) for x in blocks]
+        assert key._tables is None and key._inversion is None
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 33])
 def test_plane_tables_give_the_system_at_x(n):
     # a certified key's fraction(x), read off its plane tables and its z
     # map, is linear_system's right-hand side at x and M(x) p0, on an
@@ -439,43 +485,40 @@ def test_plane_tables_give_the_system_at_x(n):
 
 
 def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
+    # each call logs its n: calls of _certify, builds of the plane tables
+    # and lanes of the lane tables
     import ld2.keys as keys_mod
 
-    calls, builds = [], []
-    original, build = keys_mod._certify, keys_mod._plane_tables
+    calls, builds, lanes = [], [], []
+    for name, log in (("_certify", calls), ("_plane_tables", builds), ("_lane_tables", lanes)):
+        def counted(n, *args, original=getattr(keys_mod, name), log=log):
+            log.append(n)
+            return original(n, *args)
 
-    def counted(n, *args):
-        calls.append(n)
-        return original(n, *args)
-
-    def counted_build(n, *args):
-        builds.append(n)
-        return build(n, *args)
-
-    monkeypatch.setattr(keys_mod, "_certify", counted)
-    monkeypatch.setattr(keys_mod, "_plane_tables", counted_build)
+        monkeypatch.setattr(keys_mod, name, counted)
     n = 33
     k = _certify_after(n)
     _, pk = keygen(n, seed=0xCE27)
     prng = Prng(0xB10C)
     blocks = [prng.bits(n) for _ in range(3 * k)]
     expected = [_eliminated(pk, x) for x in blocks]
-    # encrypt_block counts one block a call: K - 1 by elimination, then the
-    # K-th call certifies the key and every later block is inverted
+    # encrypt_block counts one block a call: K - 1 by elimination, which
+    # builds no tables of any kind, then the K-th call certifies the key
+    # and every later block is inverted
     assert [repr(encrypt_block(pk, x)) for x in blocks[:k - 1]] == expected[:k - 1]
-    assert calls == builds == [] and pk._inversion is None
+    assert calls == builds == lanes == [] and pk._inversion is None and pk._tables is None
     assert repr(encrypt_block(pk, blocks[k - 1])) == expected[k - 1]
-    # a key that passes the certificate builds its plane tables once
-    assert calls == builds == [n] and pk._inversion
+    # a key that passes the certificate builds its lane and plane tables once
+    assert calls == builds == lanes == [n] and pk._inversion and pk._tables is not None
     assert [repr(encrypt_block(pk, x)) for x in blocks[k:]] == expected[k:]
-    assert calls == builds == [n]
+    assert calls == builds == lanes == [n]
     message = bytes(range(200))
     assert decrypt_message(keygen(n, seed=0xCE27)[0], encrypt_message(pk, message)) == message
-    assert calls == builds == [n]
+    assert calls == builds == lanes == [n]
     # a message of K blocks or more certifies a fresh key first
     _, fresh = keygen(n, seed=0xCE27)
     assert encrypt_message(fresh, message) == encrypt_message(pk, message)
-    assert calls == builds == [n, n] and fresh._inversion
+    assert calls == builds == lanes == [n, n] and fresh._inversion
     # a key that fails the certificate is checked once, and keeps elimination
     fields = [list(f) for f in pk.fields]
     fields[0][1] ^= 1 << 40  # one xy bit
@@ -483,5 +526,6 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     outcomes = [_outcome(encrypt_block, tampered, x) for x in blocks]
     assert outcomes == [_eliminated(tampered, x) for x in blocks]
     _outcome(encrypt_message, tampered, message)
-    # and builds no plane tables
-    assert calls == [n, n, n] and builds == [n, n] and tampered._inversion is False
+    # and builds its lane tables once, at the K-th block, and no plane tables
+    assert calls == lanes == [n, n, n] and builds == [n, n] and tampered._inversion is False
+    assert tampered._tables is not None

@@ -11,6 +11,7 @@ from ld2.keys import (
     PublicKey,
     QuadraticEquation,
     SecretKey,
+    _certify_after,
     decode_key,
     derive_public_key,
     encode_key,
@@ -273,9 +274,9 @@ def test_a_claimed_huge_n_fails_at_once():
 
 def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     # a key holds its file fields; keygen, the codec, verification, the
-    # equation views and the CLI's verify and inspect never build the
-    # tables, and the first linear_system call builds them once, from the
-    # fields
+    # equation views, the CLI's verify and inspect, linear_system and the
+    # first K - 1 encrypted blocks never build the tables, and the K-th
+    # block builds them once, from the fields
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, sign, verify
     from ld2.cli import main
@@ -306,6 +307,11 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     assert calls == [] and pk._tables is None and decoded._tables is None
 
     first = encrypt_block(decoded, 5)
+    assert decoded.linear_system(6) and calls == [] and decoded._tables is None
+    k = _certify_after(n)
+    assert [encrypt_block(decoded, 5) for _ in range(k - 2)] == [first] * (k - 2)
+    assert calls == [] and decoded._tables is None
+    assert encrypt_block(decoded, 5) == first
     assert calls == [decoded.fields] and decoded._tables is not None
     assert encrypt_block(decoded, 5) == first and decoded.linear_system(6)
     assert decoded.equations == pk.equations and pk._tables is None
@@ -343,9 +349,10 @@ def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
     assert calls == expected
 
 
-def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
-    # keygen, the key codec and verification never pay for the window
-    # tables of the copy; the first linear_system call builds them
+def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
+    # keygen, the key codec, verification and the first K - 1 encrypted
+    # blocks never pay for the window tables of the copy; the K-th block
+    # builds them, once per key
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, encrypt_message, sign, verify
 
@@ -368,21 +375,28 @@ def test_lane_major_copy_is_built_once_by_the_first_encryption(monkeypatch):
     for key in (pk, decoded):
         check(key)
     assert builds == [] and pk._tables is None and decoded._tables is None
+    k = _certify_after(9)
     first = encrypt_block(pk, 5)
+    assert [encrypt_block(pk, 5) for _ in range(k - 2)] == [first] * (k - 2)
+    assert builds == [] and pk._tables is None
+    assert encrypt_block(pk, 5) == first
     assert builds == [9] and pk._tables is not None
     assert encrypt_block(pk, 5) == first
     encrypt_message(pk, b"lane-major")
     check(pk)
     assert builds == [9]
+    # a message of K blocks or more builds them on a fresh key
+    assert encrypt_message(decoded, b"lane-major") == encrypt_message(pk, b"lane-major")
     assert encrypt_block(decoded, 5) == first
     assert builds == [9, 9]
 
 
 @pytest.mark.parametrize("n", [9, 65])
 def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
-    # with the copy, valid pairs and forgeries go through the gate tables
-    # and the copy alone; a decoded key without it evaluates on its file
-    # fields, once per call, and builds no tables
+    # with the copy, which the K-th block builds, valid pairs and
+    # forgeries go through the gate tables and the copy alone; a decoded
+    # key without it evaluates on its file fields, once per call, and
+    # builds no tables
     import ld2.keys as keys_mod
     from ld2.cipher import sign, verify
 
@@ -396,7 +410,7 @@ def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
         return original(n, fields, x, y)
 
     monkeypatch.setattr(keys_mod, "_vanish_on_fields", counted)
-    pk.linear_system(1)
+    pk.inversion(_certify_after(n))
     rng = random.Random(n)
     pairs, expected = [], []
     for _ in range(4):
@@ -414,13 +428,13 @@ def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
 @pytest.mark.parametrize("n", [129, 257])
 def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     # the decoded key evaluates every equation on its file fields; the
-    # other checks the gate's through its tables, then all of them from the
-    # copy.  Both see the valid pair and every one-bit flip of the
-    # signature and of the digest
-    from ld2.cipher import encrypt_block, sign
+    # other, past the K-th block, checks the gate's through its tables,
+    # then all of them from the copy.  Both see the valid pair and every
+    # one-bit flip of the signature and of the digest
+    from ld2.cipher import sign
 
     sk, pk = keygen(n, seed=0x1A6E + n)
-    encrypt_block(pk, 1)
+    pk.inversion(_certify_after(n))
     decoded = decode_key(encode_key(pk))
     assert decoded == pk and pk._tables is not None and decoded._tables is None
     digest = random.Random(n).getrandbits(n)

@@ -12,9 +12,10 @@ transpose of linalg against per-bit loops
 (test_window_tables_match_the_images_bit_by_bit,
 test_bit_columns_match_a_bitwise_transpose), GF(2) transpose, rank, solving
 and inversion on any shape, AffineMap.apply's window tables against
-BitMatrix.mul_vec, an equation's fields against its terms, the lane-major
-copy cut from the fields (test_linear_system_and_holds_match_evaluate),
-PublicKey.holds on the file fields and through the tables of the copy
+BitMatrix.mul_vec, an equation's fields against its terms, the system
+linear_system folds from the fields and the lane-major copy cut from them
+(test_linear_system_and_holds_match_evaluate), PublicKey.holds on the file
+fields and through the tables of the copy
 (test_holds_finds_the_one_failing_equation_with_and_without_the_copy),
 the relation residual's two products against the three it replaced
 (test_residual_matches_three_products), public-key derivation (against
@@ -542,19 +543,24 @@ def test_evaluate_matches_terms(eq, x, y):
 @example(65, 7, "ones")
 @example(127, 7, "ones")
 def test_linear_system_and_holds_match_evaluate(n, seed, fill):
-    # _lane_major slices row j of xx from bit j*n - j(j+1)/2 and of xy from
-    # bit j*n; with n odd, from n = 9 on, these start at every bit of a
-    # byte, and at n = 65 and 127 a chunk is many bytes long.  All-ones
-    # fields fail if a row's chunk is not masked
+    # linear_system folds the rows of xy from the fields; _lane_major
+    # slices row j of xx from bit j*n - j(j+1)/2 and of xy from bit j*n;
+    # with n odd, from n = 9 on, these start at every bit of a byte, and at
+    # n = 65 and 127 a chunk is many bytes long.  All-ones fields fail if a
+    # row's chunk is not masked
     rng = random.Random(seed)
     pk = PublicKey(n, [QuadraticEquation(n, *f) for f in _random_fields(rng, n, fill)])
     x, y = rng.getrandbits(n), rng.getrandbits(n)
     values = [eq.evaluate(x, y) for eq in pk.equations]
-    # holds evaluates every equation until linear_system builds the copy
+    # holds evaluates every equation until the K-th block builds the copy,
+    # for a key the certificate refuses too
     assert pk.holds(x, y) == (not any(values))
     matrix, rhs = pk.linear_system(x)
     for i, row in enumerate(matrix.rows):
         assert ((row & y).bit_count() ^ rhs >> i) & 1 == values[i]
+    assert pk._tables is None
+    pk.inversion(_certify_after(n))
+    assert pk._tables is not None
     assert pk.holds(x, y) == (not any(values))
 
 
@@ -578,11 +584,13 @@ def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed,
         low, high = (0, gate - 1) if where == "gate" else (gate, n - 1)
         failing = data.draw(st.integers(low, high), label="failing")
         equations[failing] = dataclasses.replace(equations[failing], c=1 - equations[failing].c)
-    # the two states of a key: fields only, then fields and tables
+    # the two states of a key: fields only, then, from the K-th block,
+    # fields and tables, whether the certificate passes or, as it does for
+    # almost every such key, refuses it
     pk = PublicKey(n, equations)
     assert pk.holds(x, y) == (failing is None)
     assert pk._tables is None
-    pk.linear_system(x)
+    pk.inversion(_certify_after(n))
     assert pk._tables is not None
     assert pk.holds(x, y) == (failing is None)
 
