@@ -5,14 +5,13 @@ which leaves a linear system in the ciphertext bits.  A key reads it off
 its key-file fields (PublicKey.linear_system) and solves it by the
 Method of Four Russians (linalg.solve_linear) until the call that brings
 its count of encrypted blocks to K = n // 4 + 2 or past it; that call
-first builds the key's tables and checks it against a certificate, once.
-A key that passes solves each system from then on by one field
-inversion, y = P (r / z(x)), and a message's systems by one inversion
-for them all: r(x) is read off bit-plane tables of the key's quadratic
-part and z(x) off an n-bit affine map, both built once the key passes
-(_Inversion.fraction).  A key that fails keeps the elimination.  The
-keys module docstring gives the algebra, the certificate, the tables and
-K.
+first checks it against a certificate, once.  A key that passes builds
+its tables and solves each system from then on by one field inversion,
+y = P (r / z(x)), and a message's systems by one inversion for them all:
+r(x) is read off bit-plane tables of the key's quadratic part and z(x)
+off an n-bit affine map (_Certified.fraction).  A key that fails builds
+nothing and keeps the elimination.  The keys module docstring gives the
+algebra, the certificate, the tables and K.
 
 Decryption inverts the central map with a single field exponentiation;
 the central map is a bijection, so the preimage is unique and is always
@@ -141,11 +140,12 @@ def sign(sk: SecretKey, digest: int) -> int:
 def verify(pk: PublicKey, digest: int, signature: int) -> bool:
     """Check a signature by evaluating the public equations; no solve needed.
 
-    A key that has encrypted K = n // 4 + 2 blocks reads its equations
-    from window tables of its lane-major copy, behind a six-equation gate
-    (PublicKey.holds); any other key evaluates them on its key-file
-    fields.  The keys module docstring gives the layout of the copy and
-    the tables' memory.  verify builds no tables.
+    A certified key, one that passed the certificate at its K-th
+    encrypted block (K = n // 4 + 2), reads its equations from window
+    tables of its lane-major copy, behind a six-equation gate
+    (PublicKey.holds); any other key, below K or refused, evaluates them
+    on its key-file fields.  The keys module docstring gives the layout of
+    the copy and the tables' memory.  verify builds no tables.
     """
     return pk.holds(signature, digest)
 

@@ -15,27 +15,28 @@ products per row j of the coefficients and three for the linear terms, all
 through byte multiples of the packed lanes that every product shares, then
 one word-parallel bit transpose straight into the key file's fields.
 
-A PublicKey is in one of two states, and only ever moves forward:
+A PublicKey holds per equation the five fields of the key file: xx (the
+a_jk, pairs j < k in lexicographic order, so row j starts at bit j*n -
+j(j+1)/2), xy (the b_jk, row-major, row j at bit j*n), xl (the d_k), yl
+(the c_k) and c (e).  The encryption that brings its count of encrypted
+blocks to K = n // 4 + 2 or past it (PublicKey.inversion) checks the
+certificate below, once, so a key is in one of three states, and only
+ever moves forward:
 
-    fields     always: per equation the five fields of the key file, xx
-               (the a_jk, pairs j < k in lexicographic order, so row j
-               starts at bit j*n - j(j+1)/2), xy (the b_jk, row-major, row
-               j at bit j*n), xl (the d_k), yl (the c_k) and c (e)
-    tables     from the encryption that brings the key's count of encrypted
-               blocks to K = n // 4 + 2 or past it (PublicKey.inversion):
-               window tables of the lane-major copy of the fields, and the
-               certificate's outcome, an _Inversion (bit-plane tables and a
-               z map) or the mark that the key failed it
+    below K     the fields
+    refused     the fields, for good
+    certified   the fields and a _Certified, every table the key builds:
+                the lane-major copy's window tables, bit planes and z map
 
 derive_public_key and decode_key build the fields and nothing else, and
 encode_key writes them as they are.  A QuadraticEquation is a view of
 one equation's fields, so PublicKey.equations and PublicKey(n, equations)
 convert nothing.
 
-holds without the tables evaluates on the fields.  Let sx be x spread to
-stride n (bit j moved to bit j*n).  Then Y = y * sx is x (x) y row-major,
-bit j*n + k = x_j y_k: its n copies of y are n bits wide and n bits
-apart, so the product has no carries.  Likewise x * sx is x (x) x, and T,
+holds on a key that is not certified evaluates on the fields.  Let sx be
+x spread to stride n (bit j moved to bit j*n).  Then Y = y * sx is x (x)
+y row-major, bit j*n + k = x_j y_k: its n copies of y are n bits wide and
+n bits apart, so the product has no carries.  Likewise x * sx is x (x) x, and T,
 its compress by the strict upper triangle (bits j*n + k, k > j), holds
 x_j x_k for j < k in lexicographic order: the order of xx.  Each equation
 is then
@@ -58,11 +59,10 @@ i's xy under the mask, folded from n rows of n bits onto one by ceil(log2
 n) shift-XORs that halve the count of rows (_fold_steps), XOR yl, and
 bit i of r(x) is parity(xx & T) ^ parity(xl & x) ^ c.
 
-From the K-th block, holds reads a lane-major copy of the fields (the
+On a certified key, holds reads a lane-major copy of the fields (the
 bitsliced evaluation of Berbain, Billet and Gilbert, SAC 2006, turned on
-its side), and so does the certificate below: L_0..L_n hold one
-byte-aligned chunk per equation, and chunk i of L_j holds the terms of
-equation i in 2n + 1 bits, indices 0-based:
+its side): L_0..L_n hold one byte-aligned chunk per equation, and chunk i
+of L_j holds the terms of equation i in 2n + 1 bits, indices 0-based:
 
     L_j, j < n   bits 0..n-1: a_jk (zero for k <= j), bits n..2n-1: b_jk,
                  bit 2n: zero
@@ -79,11 +79,11 @@ linalg.nibble_windows of L_0..L_{n-1}, with L_n as the constant, so a
 lane sum is one linalg.apply_windows call.  holds first reads them cut to
 the first min(_GATE, n) = 6 chunks, a gate that checks six equations with
 one lookup, one AND and one parity fold, and only a pair that passes it,
-about one forgery in 64, reads the whole tables.  Only
-PublicKey.inversion builds both sets (_lane_tables).  By tracemalloc they
-take 0.34, 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0 and 22.6 MB
-at the peak of the build), and a certified key's plane tables (below)
-0.08, 0.58 and 4.4 MB (0.32, 1.4 and 7.3 MB at the peak of their build).
+about one forgery in 64, reads the whole tables.  Only a _Certified
+builds both sets (_lane_tables), once.  By tracemalloc they take 0.34,
+2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0 and 22.6 MB at the peak
+of the build), and a certified key's plane tables (below) 0.08, 0.58 and
+4.4 MB (0.32, 1.4 and 7.3 MB at the peak of their build).
 
 linalg.solve_linear eliminates; the construction gives a shortcut.
 Equation i is coordinate i, in the polynomial basis of the public
@@ -96,19 +96,22 @@ z(x)): one Field.inv, one Field.mul and P applied as an AffineMap.
 
 A key from a file need not come from the construction, so a key earns the
 shortcut by a certificate.  M(x) = M(0) + sum_j x_j B_j, where row i of
-B_j is row j of equation i's xy (bits n..2n-1 of chunk i of L_j).  If B_j
-= Mult(z_j) M(0), z_j = B_j p0, for every j, then z(x) = 1 + sum_j x_j z_j
-and M(x) = Mult(z(x)) M(0) for every x: M(x) is singular exactly when
-z(x) = 0, and that raises the MalformedKeyError elimination raises.
-_certify checks it with n lane products, as derivation takes the
-coefficients.  A key whose M(0) is singular, or that fails for any j, is
-refused for good and keeps the elimination, and builds nothing past its
-lane tables.
+B_j is row j of equation i's xy.  If B_j = Mult(z_j) M(0), z_j = B_j p0,
+for every j, then z(x) = 1 + sum_j x_j z_j and M(x) = Mult(z(x)) M(0) for
+every x: M(x) is singular exactly when z(x) = 0, and that raises the
+MalformedKeyError elimination raises.  _certify reads the z_j off the xy
+fields: bit i of z_j is the parity of row j of xy_i under p0, so xy_i AND
+p0 in every row, each row folded onto bit j*n by ceil(log2 n) masked
+shift-XORs and compressed by the diagonal, is row i of the matrix whose
+columns are the z_j (_z_rows).  n lane products check every j, as
+derivation takes the coefficients.  A key whose M(0) is singular, or that
+fails for any j, is refused for good, keeps the elimination and builds
+nothing.
 
-A key that passes then builds what _Inversion.fraction reads r(x) and
-z(x) off.  z(x) = 1 + sum_j x_j z_j is an affine map of x: an AffineMap
-whose columns are the z_j, about 2 us an apply at n = 129.  r(x) is e
-plus the quadratic form sum_{j<=k} x_j x_k a_jk, with a_kk = d_k since
+A key that passes then builds what _Certified.fraction reads r(x) and
+z(x) off.  z(x) = 1 + sum_j x_j z_j is an affine map of x: the AffineMap
+of that matrix, about 2 us an apply at n = 129.  r(x) is e plus the
+quadratic form sum_{j<=k} x_j x_k a_jk, with a_kk = d_k since
 x_k^2 = x_k, and every a_jk is an n-bit vector over the equations: so r
 is taken equation-sliced, in the layout of Berbain, Billet and Gilbert's
 bitsliced evaluation.  Plane k of a value is its bits (n - 1 - k) w ..
@@ -129,24 +132,24 @@ narrow lanes Q_{n-1}, Q_{n-2}, ... first, and the tables hold half the
 bytes that planes in order would.  One bit transpose
 (linalg.bit_column_bytes) of xx | xl << n(n-1)/2 per equation gives every
 a_jk and d_k as the bytes of one plane, and each lane is one slice of
-those bytes behind its d_j.  No chunk is folded and the y-half of the
-lane-major copy is not read.
+those bytes behind its d_j.
 
-On a shared 2-CPU x86-64 machine the K-th block's build, the lane tables
-and the certificate with the z map and plane tables of a key that passes,
-takes about 1.2-1.6, 4.2-5.5, 20-27 and 150-205 ms at n = 33, 65, 129
-and 257 (the lane tables alone 0.3-0.7, 1.4-2.3, 7-8 and 40-43 ms, the
-plane tables 0.2-0.4, 1.3-1.4, 3.6-6.6 and 21-24 ms).  A certified block
-then takes about 0.03-0.05, 0.05-0.06, 0.08-0.13 and 0.20-0.22 ms alone,
-and about half that in a message, against 0.12, 0.27-0.46, 0.77-0.81 and
-2.9-3.1 ms by elimination from the fields.  The build pays for itself
-after 14-23, 10-26, 28-41 and 53-72 blocks one at a time (12-17, 10-24,
-27-37 and 51-70 in a message), and K = n // 4 + 2 (_certify_after: 10,
-18, 34 and 66) is within about a factor of two of that at each size: the
-ski-rental rule (Karlin, Manasse, Rudolph and Sleator, "Competitive
-snoopy caching", Algorithmica 3, 1988), by which buying at the
-break-even costs at most about twice the best choice made in hindsight.
-K is at least 2, so a key that encrypts one block builds no tables.
+Pinned to one CPU of a shared 2-CPU x86-64 machine, the K-th block of a
+key that passes, the certificate, z map, plane and lane tables, takes
+about 1.5-2.8, 5.5-9.5, 31-44 and 230-270 ms at n = 33, 65, 129 and 257
+(the lane tables 0.5-0.8, 1.8-3.2, 8.5-14 and 49-78 ms, the plane tables
+0.3-0.5, 1.2-2.0, 4.8-8.5 and 29-43 ms), and of a key it refuses 0.7-1.3,
+2.5-4.2, 13-21 and 130-175 ms.  A certified block then takes 0.04-0.08,
+0.06-0.11, 0.11-0.21 and 0.30-0.51 ms alone, and about half that in a
+message, against 0.15-0.28, 0.38-0.65, 1.0-1.8 and 4.3-7.0 ms by
+elimination from the fields.  The build pays for itself after 14, 17-18,
+21-47 and 36-65 blocks one at a time (12, 15-16, 20-44 and 35-63 in a
+message), and K = n // 4 + 2 (_certify_after: 10, 18, 34 and 66) is
+within about a factor of two of that at each size: the ski-rental rule
+(Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy caching",
+Algorithmica 3, 1988), by which buying at the break-even costs at most
+about twice the best choice made in hindsight.  K is at least 2, so a
+key that encrypts one block builds no tables.
 
 Key files are line oriented:
 
@@ -287,10 +290,12 @@ def _chunk_masks(n: int) -> tuple[int, int]:
     return ones, ((1 << n + 1) - 1) * ones
 
 
-def _fold_chunks(n: int, v: int) -> int:
-    """v, bits 0..2n of each chunk, with bit 0 of each chunk set to the
-    parity of the chunk and every other bit of the chunk clear."""
+def _even_chunks(n: int, v: int, terms: bytes, count: int) -> bool:
+    """Whether chunks 0..count - 1 of v & terms, terms the bytes of one
+    chunk repeated count times, all have even parity: chunk i of a lane sum
+    then holds the value of equation i at (x, y)."""
     ones, low = _chunk_masks(n)
+    v &= int.from_bytes(terms * count, "little")
     # bits n+1..2n of each chunk onto bits 0..n-1, then bits 0..n onto
     # bit 0: a window of the least power of two above n, which stays
     # inside the chunk (chunks are at least 2n + 8 bits wide)
@@ -299,26 +304,7 @@ def _fold_chunks(n: int, v: int) -> int:
     while shift <= n:
         v ^= v >> shift
         shift *= 2
-    return v & ones
-
-
-def _even_chunks(n: int, v: int, terms: bytes, count: int) -> bool:
-    """Whether chunks 0..count - 1 of v & terms, terms the bytes of one
-    chunk repeated count times, all have even parity: chunk i of a lane sum
-    then holds the value of equation i at (x, y)."""
-    return not _fold_chunks(n, v & int.from_bytes(terms * count, "little"))
-
-
-# byte 0 or 1 -> the ASCII digit of the bit
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _chunk_parities(n: int, v: int) -> int:
-    """The n-bit vector whose bit i is the parity of chunk i of v (bits
-    0..2n of each chunk): one digit per chunk, read in base 2."""
-    size = _chunk_bytes(n)
-    bits = _fold_chunks(n, v).to_bytes(n * size, "little")[::size]
-    return int(bits[::-1].translate(_BIT_DIGITS), 2)
+    return not v & ones
 
 
 def _lane_major(n: int, fields) -> tuple[int, ...]:
@@ -419,23 +405,22 @@ def _plane_tables(n: int, fields) -> tuple:
     return nibble_windows(lanes)
 
 
-class _Inversion:
-    """A certified key's solution of its system at x by one field inversion:
-    y = P (r / z(x)) (module docstring).  Holds the field of the public
-    modulus, P = M(0)^-1 and z as AffineMaps, the plane tables
-    (_plane_tables) and e, the c fields as one vector."""
+class _Certified:
+    """All that a key that passed the certificate builds, once: the field
+    of the public modulus, P = M(0)^-1 and z as AffineMaps, the plane
+    tables and e, the c fields as one vector, for y = P (r / z(x)); and the
+    lane tables, which PublicKey.holds reads (module docstring)."""
 
-    __slots__ = ("field", "p", "_z", "_planes", "_e")
+    __slots__ = ("field", "p", "_z", "_planes", "_e", "_lanes")
 
-    def __init__(self, fields, field: Field, p: AffineMap, z: list[int]):
-        """The tables of the key with these fields, from what its
-        certificate found: the field, P and the z_j."""
+    def __init__(self, fields, field: Field, p: AffineMap, z: AffineMap):
         n = field.n
         self.field = field
         self.p = p
-        self._z = AffineMap(BitMatrix(z, n).transpose(), 1)
+        self._z = z
         self._planes = _plane_tables(n, fields)
         self._e = sum(f[4] << i for i, f in enumerate(fields))
+        self._lanes = _lane_tables(n, fields)
 
     def fraction(self, x: int) -> tuple[int, int]:
         """(r, z(x)): the right-hand side of the system at x, e xor the fold
@@ -448,32 +433,48 @@ class _Inversion:
         return _fold(v, folds) ^ self._e, self._z.apply(x)
 
 
-def _certify(n: int, fields, windows) -> tuple | None:
-    """(field, P, [z_0, ..., z_{n-1}]) if B_j = Mult(z_j) M(0), z_j = B_j
-    p0, for every j, else None; None too when M(0) is singular.
+def _z_rows(n: int, fields, p0: int) -> list[int]:
+    """The rows of the matrix whose column j is z_j = B_j p0 (module
+    docstring).  Each fold's shift is masked to the row's bits 0..width -
+    half - 1, so that an odd width pulls in no bit of the next row; the
+    compress by the diagonal drops the bits the folds leave above j*n."""
+    diagonal = _spread_masks(n)[1]
+    folds, width = [], n
+    while width > 1:
+        half = (width + 1) // 2
+        folds.append((half, ((1 << width - half) - 1) * diagonal))
+        width = half
+    gather = _compress_steps(diagonal, n * n)
+    rows = []
+    for f in fields:
+        v = f[1] & p0 * diagonal
+        for half, high in folds:
+            v ^= v >> half & high
+        rows.append(_compress(v, diagonal, gather))
+    return rows
 
-    z_j is the chunk parities of lane j under p0 << n, lane j read out of
-    the window tables as the image of x = e_j (as AffineMap.columns reads
-    a column).  The columns m_k of M(0), packed one per lane, are
-    tabulated once by their byte multiples, and row j takes one
-    carry-less product through them: z_j m_k for every k, in key-file
-    order.  One bit transpose (linalg.bit_columns) of all n rows then holds
-    in entry i bit i of every z_j m_k, at bit j n + k: exactly equation i's
-    xy field when the check holds."""
+
+def _certify(n: int, fields) -> tuple | None:
+    """(field, P, z) if B_j = Mult(z_j) M(0), z_j = B_j p0, for every j,
+    else None; None too when M(0) is singular.  z is the AffineMap x -> 1 +
+    sum_j x_j z_j, its matrix read off the xy fields (_z_rows).
+
+    The columns m_k of M(0), packed one per lane, are tabulated once by
+    their byte multiples, and each z_j takes one carry-less product
+    through them: z_j m_k for every k, in key-file order.  One bit
+    transpose (linalg.bit_columns) of the n products holds in entry i bit
+    i of every z_j m_k, at bit j n + k: equation i's xy if the check holds."""
     m0 = BitMatrix([f[3] for f in fields], n)
     try:
         p = AffineMap(invert_matrix(m0), 0)
     except SingularMatrixError:
         return None
-    size = _chunk_bytes(n)
-    z_mask = int.from_bytes((p.apply(1) << n).to_bytes(size, "little") * n, "little")
-    z = [_chunk_parities(n, windows[j >> 3][j >> 2 & 1][1 << (j & 3)] & z_mask)
-         for j in range(n)]
+    z = AffineMap(BitMatrix(_z_rows(n, fields, p.apply(1)), n), 1)
     field = Field(n)
     multiples = byte_multiples(field.pack_lanes(m0.transpose().rows))
     row = field.lane_bytes * n
     data = b"".join(
-        field.fold_lanes(clmul_bytes(multiples, zj)).to_bytes(row, "little") for zj in z)
+        field.fold_lanes(clmul_bytes(multiples, zj)).to_bytes(row, "little") for zj in z.columns)
     columns = bit_columns(data, field.lane_bytes, n)
     if any(column != f[1] for column, f in zip(columns, fields)):
         return None
@@ -572,13 +573,12 @@ class PublicKey:
 
     fields holds, per equation, its five key-file fields (xx, xy, xl, yl,
     c), always; equations views each of them as a QuadraticEquation.
-    _blocks counts the blocks encrypted; _tables (the lane tables, whole
-    and cut to holds' gate) and _inversion (an _Inversion, or False for a
-    key that failed the certificate) are None until the K-th (module
-    docstring).
+    _blocks counts the blocks encrypted; _inversion is None until the K-th,
+    then a _Certified, which holds every table the key builds, or False for
+    a key the certificate refused (module docstring).
     """
 
-    __slots__ = ("n", "fields", "_tables", "_blocks", "_inversion")
+    __slots__ = ("n", "fields", "_blocks", "_inversion")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -601,7 +601,6 @@ class PublicKey:
     def _set(self, n: int, fields: tuple) -> None:
         self.n = n
         self.fields = fields
-        self._tables = None
         self._blocks = 0
         self._inversion = None
 
@@ -613,20 +612,22 @@ class PublicKey:
     def holds(self, x: int, y: int) -> bool:
         """Whether every public equation vanishes at (x, y).
 
-        Before the K-th block the equations are evaluated one by one on the
-        fields, against T (the xx monomials at x) and Y = x (x) y, until one
-        is 1 (_vanish_on_fields).  With the tables, the gate's lane sum, then
-        the whole one, is ANDed with terms = x | y << n | 1 << 2n in every
-        chunk, and _even_chunks folds the equations' parities at once.
+        On a key that is not certified the equations are evaluated one by
+        one on the fields, against T (the xx monomials at x) and Y = x (x)
+        y, until one is 1 (_vanish_on_fields).  On a certified key, the
+        gate's lane sum, then the whole one, is ANDed with terms = x | y <<
+        n | 1 << 2n in every chunk, and _even_chunks folds the equations'
+        parities at once.
         """
         n = self.n
         top = 1 << n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
-        if self._tables is None:
+        certified = self._inversion
+        if not certified:
             return _vanish_on_fields(n, self.fields, x, y)
         terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
-        (windows, constant), (gate, gate_constant) = self._tables
+        (windows, constant), (gate, gate_constant) = certified._lanes
         return _even_chunks(
             n, apply_windows(gate, x, gate_constant), terms, min(_GATE, n)
         ) and _even_chunks(n, apply_windows(windows, x, constant), terms, n)
@@ -646,16 +647,14 @@ class PublicKey:
             rhs |= (((xx & pairs).bit_count() ^ (xl & x).bit_count() ^ c) & 1) << i
         return BitMatrix(rows, n), rhs
 
-    def inversion(self, blocks: int) -> _Inversion | None:
-        """Count blocks more encrypted blocks; the key's _Inversion if it is
-        certified, else None.  The call that reaches _certify_after(n) builds
-        the tables and checks the certificate, once: a key that fails keeps
-        the elimination for good."""
+    def inversion(self, blocks: int) -> _Certified | None:
+        """Count blocks more encrypted blocks; the key's _Certified if it is
+        certified, else None.  The call that reaches _certify_after(n) checks
+        the certificate, once; only a key that passes builds tables."""
         self._blocks += blocks
         if self._inversion is None and self._blocks >= _certify_after(self.n):
-            self._tables = _lane_tables(self.n, self.fields)
-            certificate = _certify(self.n, self.fields, self._tables[0][0])
-            self._inversion = certificate is not None and _Inversion(self.fields, *certificate)
+            certificate = _certify(self.n, self.fields)
+            self._inversion = certificate is not None and _Certified(self.fields, *certificate)
         return self._inversion or None
 
     def __eq__(self, other) -> bool:

@@ -13,12 +13,12 @@ strided byte slice at once.  window_tables tabulates an F_2-linear map
 from the images of the basis vectors, one table per window of input bits:
 the elimination's tables of pivot sums, gf2n's byte multiples of
 lane-packed elements, the 4-bit windows (nibble_windows, apply_windows)
-through which AffineMap applies its matrix and a keys.PublicKey that has
-encrypted K blocks takes every lane sum of its lane-major copy and of its
-bit planes, both built once, at the K-th block, and gf2n's byte-window
-Frobenius tables.  AffineMap eliminates only in inverse(); keys.SecretKey
-checks both secret maps and keeps s^-1.  Keygen's xorshift64* generator
-is here too.
+through which AffineMap applies its matrix and a certified
+keys.PublicKey takes every lane sum of its lane-major copy and of its bit
+planes, both built once, when the certificate passes at the K-th block,
+and gf2n's byte-window Frobenius tables.  AffineMap eliminates only in
+inverse(); keys.SecretKey checks both secret maps and keeps s^-1.
+Keygen's xorshift64* generator is here too.
 """
 
 from __future__ import annotations

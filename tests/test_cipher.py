@@ -203,8 +203,7 @@ def test_verify_matches_encryption(toy_pk):
 def test_verify_rejects_oversized_inputs(toy_pk):
     # with the window tables, which 8 would index past, and without them
     tabled = decode_key(encode_key(toy_pk))
-    tabled.inversion(_certify_after(3))
-    assert tabled._tables is not None
+    assert tabled.inversion(_certify_after(3)) is not None
     for key in (tabled, decode_key(encode_key(toy_pk))):
         for bad in (8, -1):
             with pytest.raises(ValueError, match="block length mismatch"):
@@ -464,7 +463,7 @@ def test_fields_give_the_system_at_x(n, monkeypatch):
         blocks = list(itertools.islice(itertools.cycle(xs), _certify_after(n) - 1))
         assert [_outcome(encrypt_block, key, x) for x in blocks] == [
             _eliminated(key, x) for x in blocks]
-        assert key._tables is None and key._inversion is None
+        assert key._inversion is None
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 33])
@@ -482,6 +481,32 @@ def test_plane_tables_give_the_system_at_x(n):
         for x in xs:
             matrix, rhs = key.linear_system(x)
             assert inversion.fraction(x) == (rhs, matrix.mul_vec(p0))
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 33])
+def test_certificate_reads_z_off_the_fields(n):
+    # bit j of row i of the z map's matrix is the parity of row j of
+    # equation i's xy under p, here bit by bit, on keys that pass the
+    # certificate, all-ones keys and random-field keys, with p at 1, all
+    # ones and random
+    import ld2.keys as keys_mod
+
+    rng = random.Random(0x2E0 + n)
+    widths = [width for _, width in keys_mod._equation_widths(n)]
+    keys = [
+        keygen(n, seed=0x2E0 + n)[1],
+        _crafted_key(n, 0x2E1 + n),
+        PublicKey._from_fields(n, (tuple((1 << w) - 1 for w in widths),) * n),
+        PublicKey._from_fields(n, tuple(tuple(rng.getrandbits(w) for w in widths)
+                                        for _ in range(n))),
+    ]
+    for key in keys:
+        for p in (1, (1 << n) - 1, rng.getrandbits(n)):
+            expected = []
+            for _, xy, _, _, _ in key.fields:
+                bits = [[xy >> j * n + k & p >> k & 1 for k in range(n)] for j in range(n)]
+                expected.append(sum((sum(row) & 1) << j for j, row in enumerate(bits)))
+            assert keys_mod._z_rows(n, key.fields, p) == expected
 
 
 def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
@@ -506,10 +531,10 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     # builds no tables of any kind, then the K-th call certifies the key
     # and every later block is inverted
     assert [repr(encrypt_block(pk, x)) for x in blocks[:k - 1]] == expected[:k - 1]
-    assert calls == builds == lanes == [] and pk._inversion is None and pk._tables is None
+    assert calls == builds == lanes == [] and pk._inversion is None
     assert repr(encrypt_block(pk, blocks[k - 1])) == expected[k - 1]
     # a key that passes the certificate builds its lane and plane tables once
-    assert calls == builds == lanes == [n] and pk._inversion and pk._tables is not None
+    assert calls == builds == lanes == [n] and pk._inversion._lanes is not None
     assert [repr(encrypt_block(pk, x)) for x in blocks[k:]] == expected[k:]
     assert calls == builds == lanes == [n]
     message = bytes(range(200))
@@ -526,6 +551,5 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     outcomes = [_outcome(encrypt_block, tampered, x) for x in blocks]
     assert outcomes == [_eliminated(tampered, x) for x in blocks]
     _outcome(encrypt_message, tampered, message)
-    # and builds its lane tables once, at the K-th block, and no plane tables
-    assert calls == lanes == [n, n, n] and builds == [n, n] and tampered._inversion is False
-    assert tampered._tables is not None
+    # and builds nothing: no lane tables and no plane tables
+    assert calls == [n, n, n] and builds == lanes == [n, n] and tampered._inversion is False

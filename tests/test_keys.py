@@ -215,7 +215,7 @@ def test_decode_does_no_encoding(monkeypatch):
     for key, text in texts:
         decoded = decode_key(text)
         assert decoded == key
-        assert isinstance(decoded, SecretKey) or decoded._tables is None
+        assert isinstance(decoded, SecretKey) or decoded._inversion is None
     # a file that is not canonical goes to the line parser, which may
     # build the canonical text to name the first line that differs: here
     # the last of the n = 5 public file's 28, with no final newline
@@ -276,7 +276,7 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     # a key holds its file fields; keygen, the codec, verification, the
     # equation views, the CLI's verify and inspect, linear_system and the
     # first K - 1 encrypted blocks never build the tables, and the K-th
-    # block builds them once, from the fields
+    # block certifies the key and builds them once, from the fields
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, sign, verify
     from ld2.cli import main
@@ -304,20 +304,20 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     assert main(verify_argv + [bits_to_hex(signature, n)]) == 0
     assert main(["inspect", "--key", str(public)]) == 0
     capsys.readouterr()
-    assert calls == [] and pk._tables is None and decoded._tables is None
+    assert calls == [] and pk._inversion is None and decoded._inversion is None
 
     first = encrypt_block(decoded, 5)
-    assert decoded.linear_system(6) and calls == [] and decoded._tables is None
+    assert decoded.linear_system(6) and calls == [] and decoded._inversion is None
     k = _certify_after(n)
     assert [encrypt_block(decoded, 5) for _ in range(k - 2)] == [first] * (k - 2)
-    assert calls == [] and decoded._tables is None
+    assert calls == [] and decoded._inversion is None
     assert encrypt_block(decoded, 5) == first
-    assert calls == [decoded.fields] and decoded._tables is not None
+    assert calls == [decoded.fields] and decoded._inversion._lanes is not None
     assert encrypt_block(decoded, 5) == first and decoded.linear_system(6)
-    assert decoded.equations == pk.equations and pk._tables is None
+    assert decoded.equations == pk.equations and pk._inversion is None
     assert len(calls) == 1
     built = PublicKey(n, pk.equations)
-    assert built == pk and built.fields == pk.fields and built._tables is None
+    assert built == pk and built.fields == pk.fields and built._inversion is None
     assert len(calls) == 1
 
 
@@ -352,7 +352,7 @@ def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
 def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
     # keygen, the key codec, verification and the first K - 1 encrypted
     # blocks never pay for the window tables of the copy; the K-th block
-    # builds them, once per key
+    # certifies the key and builds them, once per key
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, encrypt_message, sign, verify
 
@@ -374,13 +374,13 @@ def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
 
     for key in (pk, decoded):
         check(key)
-    assert builds == [] and pk._tables is None and decoded._tables is None
+    assert builds == [] and pk._inversion is None and decoded._inversion is None
     k = _certify_after(9)
     first = encrypt_block(pk, 5)
     assert [encrypt_block(pk, 5) for _ in range(k - 2)] == [first] * (k - 2)
-    assert builds == [] and pk._tables is None
+    assert builds == [] and pk._inversion is None
     assert encrypt_block(pk, 5) == first
-    assert builds == [9] and pk._tables is not None
+    assert builds == [9] and pk._inversion._lanes is not None
     assert encrypt_block(pk, 5) == first
     encrypt_message(pk, b"lane-major")
     check(pk)
@@ -393,10 +393,10 @@ def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
 
 @pytest.mark.parametrize("n", [9, 65])
 def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
-    # with the copy, which the K-th block builds, valid pairs and
-    # forgeries go through the gate tables and the copy alone; a decoded
-    # key without it evaluates on its file fields, once per call, and
-    # builds no tables
+    # with the copy, which the K-th block builds on certifying the key,
+    # valid pairs and forgeries go through the gate tables and the copy
+    # alone; a decoded key without it evaluates on its file fields, once
+    # per call, and builds no tables
     import ld2.keys as keys_mod
     from ld2.cipher import sign, verify
 
@@ -410,7 +410,7 @@ def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
         return original(n, fields, x, y)
 
     monkeypatch.setattr(keys_mod, "_vanish_on_fields", counted)
-    pk.inversion(_certify_after(n))
+    assert pk.inversion(_certify_after(n)) is not None
     rng = random.Random(n)
     pairs, expected = [], []
     for _ in range(4):
@@ -422,21 +422,21 @@ def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
     assert evaluations == []
     assert [decoded.holds(*pair) for pair in pairs] == expected
     assert evaluations == [n] * len(pairs)
-    assert decoded._tables is None
+    assert decoded._inversion is None
 
 
 @pytest.mark.parametrize("n", [129, 257])
 def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     # the decoded key evaluates every equation on its file fields; the
-    # other, past the K-th block, checks the gate's through its tables,
-    # then all of them from the copy.  Both see the valid pair and every
-    # one-bit flip of the signature and of the digest
+    # other, certified at the K-th block, checks the gate's through its
+    # tables, then all of them from the copy.  Both see the valid pair and
+    # every one-bit flip of the signature and of the digest
     from ld2.cipher import sign
 
     sk, pk = keygen(n, seed=0x1A6E + n)
     pk.inversion(_certify_after(n))
     decoded = decode_key(encode_key(pk))
-    assert decoded == pk and pk._tables is not None and decoded._tables is None
+    assert decoded == pk and pk._inversion and decoded._inversion is None
     digest = random.Random(n).getrandbits(n)
     signature = sign(sk, digest)
     pairs = [(signature, digest)]
@@ -445,7 +445,7 @@ def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     expected = [True] + [False] * (2 * n)
     assert [pk.holds(*pair) for pair in pairs] == expected
     assert [decoded.holds(*pair) for pair in pairs] == expected
-    assert decoded._tables is None
+    assert decoded._inversion is None
 
 
 def test_toy_secret_encoding_is_stable(toy_sk):

@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -546,22 +547,30 @@ def test_linear_system_and_holds_match_evaluate(n, seed, fill):
     # linear_system folds the rows of xy from the fields; _lane_major
     # slices row j of xx from bit j*n - j(j+1)/2 and of xy from bit j*n;
     # with n odd, from n = 9 on, these start at every bit of a byte, and at
-    # n = 65 and 127 a chunk is many bytes long.  All-ones fields fail if a
-    # row's chunk is not masked
+    # n = 65 and 127 a chunk is many bytes long.  All-ones xx fields fail
+    # if a row's chunk is not masked (no certified key has all-ones xy)
     rng = random.Random(seed)
-    pk = PublicKey(n, [QuadraticEquation(n, *f) for f in _random_fields(rng, n, fill)])
+    fields = _random_fields(rng, n, fill)
     x, y = rng.getrandbits(n), rng.getrandbits(n)
-    values = [eq.evaluate(x, y) for eq in pk.equations]
-    # holds evaluates every equation until the K-th block builds the copy,
-    # for a key the certificate refuses too
-    assert pk.holds(x, y) == (not any(values))
-    matrix, rhs = pk.linear_system(x)
-    for i, row in enumerate(matrix.rows):
-        assert ((row & y).bit_count() ^ rhs >> i) & 1 == values[i]
-    assert pk._tables is None
-    pk.inversion(_certify_after(n))
-    assert pk._tables is not None
-    assert pk.holds(x, y) == (not any(values))
+    # the same xx, xl and c under the xy and yl of a generated key, which
+    # are all the certificate reads: a key it certifies, where the random
+    # fields give one it refuses (all but a few of them)
+    certified = [(xx, key[1], xl, key[3], c)
+                 for (xx, _, xl, _, c), key in zip(fields, _public_key(n).fields)]
+    for key_fields in (fields, certified):
+        pk = PublicKey(n, [QuadraticEquation(n, *f) for f in key_fields])
+        values = [eq.evaluate(x, y) for eq in pk.equations]
+        # holds evaluates every equation on the fields until the K-th
+        # block, and after it on a refused key; a certified key reads its
+        # lane tables
+        assert pk.holds(x, y) == (not any(values))
+        matrix, rhs = pk.linear_system(x)
+        for i, row in enumerate(matrix.rows):
+            assert ((row & y).bit_count() ^ rhs >> i) & 1 == values[i]
+        assert pk._inversion is None
+        pk.inversion(_certify_after(n))
+        assert pk.holds(x, y) == (not any(values))
+    assert pk._inversion._lanes is not None
 
 
 @settings(deadline=None)
@@ -571,28 +580,44 @@ def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed,
     # then at most one constant flipped: inside the gate, which its tables
     # see, or past it, where only the whole lane-major copy can; both with
     # equal weight (at n = 3 and 5 the gate covers every equation)
+    import ld2.keys as keys_mod
+
     rng = random.Random(seed)
     x, y = rng.getrandbits(n), rng.getrandbits(n)
-    equations = []
-    for *terms, _ in _random_fields(rng, n):
-        eq = QuadraticEquation(n, *terms, 0)
-        equations.append(dataclasses.replace(eq, c=eq.evaluate(x, y)))
+    fields = _random_fields(rng, n)
     gate = min(_GATE, n)
     where = data.draw(st.sampled_from(["none", "gate", "past"][: 2 + (n > gate)]), label="where")
     failing = None
     if where != "none":
         low, high = (0, gate - 1) if where == "gate" else (gate, n - 1)
         failing = data.draw(st.integers(low, high), label="failing")
-        equations[failing] = dataclasses.replace(equations[failing], c=1 - equations[failing].c)
-    # the two states of a key: fields only, then, from the K-th block,
-    # fields and tables, whether the certificate passes or, as it does for
-    # almost every such key, refuses it
-    pk = PublicKey(n, equations)
-    assert pk.holds(x, y) == (failing is None)
-    assert pk._tables is None
-    pk.inversion(_certify_after(n))
-    assert pk._tables is not None
-    assert pk.holds(x, y) == (failing is None)
+
+    def key(key_fields):
+        equations = []
+        for *terms, _ in key_fields:
+            eq = QuadraticEquation(n, *terms, 0)
+            equations.append(dataclasses.replace(eq, c=eq.evaluate(x, y)))
+        if failing is not None:
+            flipped = equations[failing]
+            equations[failing] = dataclasses.replace(flipped, c=1 - flipped.c)
+        return PublicKey(n, equations)
+
+    # the random fields give a key the certificate refuses (all but about
+    # one in 400 at n = 3, and fewer above), which holds reads on its
+    # fields before the K-th block and after it.  The xy and yl of a
+    # generated key, which are all the certificate reads, under the same
+    # xx and xl give a key it certifies, which holds reads on its fields,
+    # then from the K-th block through its gate and lane tables
+    generated = _public_key(n).fields
+    twin = [(xx, gen[1], xl, gen[3], c) for (xx, _, xl, _, c), gen in zip(fields, generated)]
+    for pk in (key(fields), key(twin)):
+        for blocks in (0, _certify_after(n)):
+            pk.inversion(blocks)
+            with mock.patch.object(keys_mod, "_vanish_on_fields",
+                                   wraps=keys_mod._vanish_on_fields) as on_fields:
+                assert pk.holds(x, y) == (failing is None)
+            assert on_fields.call_count == (not pk._inversion)
+    assert pk._inversion
 
 
 @pytest.mark.parametrize("n", [129, 257])
