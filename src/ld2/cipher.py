@@ -15,9 +15,14 @@ algebra, the certificate, the tables and K.
 
 Decryption inverts the central map with a single field exponentiation;
 the central map is a bijection, so the preimage is unique and is always
-the second of the two candidates the inversion formula gives.  Signing is
-decryption of the digest; verification is evaluation of the public
-equations.
+the second of the two candidates the inversion formula gives.  A block
+(decrypt_block) takes that exponentiation; a message's blocks share one
+field inversion, since the exponentiation z1^(2^m - 1) is F(z1) / z1, F
+the Frobenius map by 2^m, and the inversion serves all the z1 by
+Montgomery's trick, as it serves encryption's z(x) (decrypt_message).
+Each block, alone or in a message, takes one relation residual to catch
+faults.  Signing is decryption of the digest, block by block;
+verification is evaluation of the public equations.
 
 Messages longer than one block use electronic-codebook composition with
 always-appended 10* padding.  That is faithful to the single-block scheme
@@ -67,21 +72,19 @@ def _eliminate(pk: PublicKey, x: int) -> int:
         raise MalformedKeyError(_SINGULAR) from exc
 
 
-def _invert(inversion, blocks) -> list[int]:
-    """The solutions P (r / z(x)) of a certified key's systems at blocks.
+def _quotients(field, fractions) -> list[int]:
+    """The quotients r / z of the pairs (r, z) in fractions, every z nonzero.
 
-    Every z(x) is checked first: z(x) = 0 is a singular system.  Then
     Montgomery's simultaneous inversion ("Speeding the Pollard and elliptic
-    curve methods of factorization", Math. Comp. 48, 1987) inverts them all
-    with one Field.inv and 3(k - 1) Field.mul for k blocks: the prefix
+    curve methods of factorization", Math. Comp. 48, 1987) inverts the k
+    denominators with one Field.inv and 3(k - 1) Field.mul: the prefix
     products z_1 ... z_i (k - 1 products), u the inverse of the last, and
     then for i = k down to 2, 1/z_i = u (z_1 ... z_(i-1)), after which u z_i
-    is the inverse of z_1 ... z_(i-1) (two products per step).
+    is the inverse of z_1 ... z_(i-1) (two products per step).  One more
+    product per pair takes in its numerator.  An empty list costs nothing.
     """
-    fractions = [inversion.fraction(x) for x in blocks]
-    if not all(z for _, z in fractions):
-        raise MalformedKeyError(_SINGULAR)
-    field = inversion.field
+    if not fractions:
+        return []
     prefix = list(itertools.accumulate((z for _, z in fractions), field.mul))
     u = field.inv(prefix[-1])
     quotients = []
@@ -90,7 +93,20 @@ def _invert(inversion, blocks) -> list[int]:
         quotients.append(field.mul(r, field.mul(u, prefix[i - 1])))
         u = field.mul(u, z)
     quotients.append(field.mul(fractions[0][0], u))
-    return [inversion.p.apply(q) for q in reversed(quotients)]
+    quotients.reverse()
+    return quotients
+
+
+def _invert(inversion, blocks) -> list[int]:
+    """The solutions P (r / z(x)) of a certified key's systems at blocks.
+
+    Every z(x) is checked first: z(x) = 0 is a singular system.  Then all
+    the quotients share one field inversion (_quotients).
+    """
+    fractions = [inversion.fraction(x) for x in blocks]
+    if not all(z for _, z in fractions):
+        raise MalformedKeyError(_SINGULAR)
+    return [inversion.p.apply(q) for q in _quotients(inversion.field, fractions)]
 
 
 def encrypt_block(pk: PublicKey, x: int) -> int:
@@ -121,6 +137,9 @@ def decrypt_candidates(sk: SecretKey, y: int) -> tuple[int, int]:
     return sk.s_inverse.apply(v ^ 1), sk.s_inverse.apply(z3)
 
 
+_FAULT = "decrypted block fails the hidden relation"
+
+
 def decrypt_block(sk: SecretKey, y: int) -> int:
     """Decrypt one block: the second candidate, s^-1(z3), is the preimage.
 
@@ -128,7 +147,7 @@ def decrypt_block(sk: SecretKey, y: int) -> int:
     """
     x = decrypt_candidates(sk, y)[1]
     if relation_residual(sk, x, y):
-        raise DecryptionError("decrypted block fails the hidden relation")
+        raise DecryptionError(_FAULT)
     return x
 
 
@@ -204,20 +223,38 @@ def encrypt_message(pk: PublicKey, data: bytes) -> bytes:
 def decrypt_message(sk: SecretKey, data: bytes) -> bytes:
     """Decrypt, then unpad; rejects misaligned input and slack bits.
 
-    Errors in a block name its 0-based index, as in "block 3: ...", and
-    so do padding errors (see unpad_message).
+    The blocks share one field inversion.  For each block v = t(y) and
+    z1 = alpha + 1 + v + F(v), F the Frobenius map by 2^m; the single
+    exponentiation z2 = z1^(2^m - 1) is F(z1) / z1, or 0 when z1 = 0, and
+    the k nonzero z1 are inverted together (_quotients): one Field.inv and
+    3(k - 1) Field.mul, plus one Field.mul a block for F(z1), where
+    decrypt_block takes one Field.pow a block.  No other Field.pow runs.
+    The plaintext is s^-1(v + 1 + z2), as in decrypt_candidates, and every
+    block keeps its one relation_residual, the fault check.
+
+    Slack bits are checked in every block before any is decrypted.  Errors
+    in a block name its 0-based index, as in "block 3: ...", and so do
+    padding errors (see unpad_message).
     """
-    n = sk.field.n
+    field = sk.field
+    n = field.n
     block_bytes = packed_size(n)
     if len(data) == 0 or len(data) % block_bytes:
         raise ValueError("ciphertext length is not a multiple of the block size")
-    blocks = []
+    ciphertext = []
     for index, i in enumerate(range(0, len(data), block_bytes)):
         value = int.from_bytes(data[i : i + block_bytes], "little")
         if value >> n:
             raise ValueError(f"block {index}: nonzero slack bits in ciphertext block")
-        try:
-            blocks.append(decrypt_block(sk, value))
-        except DecryptionError as exc:
-            raise DecryptionError(f"block {index}: {exc}") from exc
+        ciphertext.append(value)
+    vs = [sk.t.apply(y) for y in ciphertext]
+    base = sk.alpha ^ 1
+    z1s = [base ^ v ^ field.frobenius(v) for v in vs]
+    z2s = iter(_quotients(field, [(field.frobenius(z1), z1) for z1 in z1s if z1]))
+    blocks = []
+    for index, (y, v, z1) in enumerate(zip(ciphertext, vs, z1s)):
+        x = sk.s_inverse.apply(v ^ 1 ^ (next(z2s) if z1 else 0))
+        if relation_residual(sk, x, y):
+            raise DecryptionError(f"block {index}: {_FAULT}")
+        blocks.append(x)
     return unpad_message(blocks, n)

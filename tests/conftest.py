@@ -10,8 +10,37 @@ from ld2.cli import (
     TOY_EQUATIONS,
     toy_secret_key,
 )
-from ld2.gf2n import Field
+from ld2.cipher import DecryptionError, decrypt_block, unpad_message
+from ld2.gf2n import Field, packed_size
 from ld2.keys import QuadraticEquation, derive_public_key
+
+
+def outcome(fn, *args) -> str:
+    """fn(*args) as its repr, or a ValueError (ld2's error types among
+    them) as its type and message; any other exception propagates."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def decrypt_per_block(sk, data: bytes) -> bytes:
+    """decrypt_message's reference: the framing checks, decrypt_block on
+    each block in turn, then unpad_message."""
+    n = sk.field.n
+    size = packed_size(n)
+    if len(data) == 0 or len(data) % size:
+        raise ValueError("ciphertext length is not a multiple of the block size")
+    blocks = []
+    for index, i in enumerate(range(0, len(data), size)):
+        y = int.from_bytes(data[i : i + size], "little")
+        if y >> n:
+            raise ValueError(f"block {index}: nonzero slack bits in ciphertext block")
+        try:
+            blocks.append(decrypt_block(sk, y))
+        except DecryptionError as exc:
+            raise DecryptionError(f"block {index}: {exc}") from exc
+    return unpad_message(blocks, n)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,8 @@ from ld2.cipher import (
     unpad_message,
     verify,
 )
-from ld2.gf2n import Field
+from conftest import decrypt_per_block, outcome
+from ld2.gf2n import Field, packed_size
 from ld2.keys import PublicKey, QuadraticEquation, _certify_after, decode_key, encode_key
 from ld2.keys import keygen, relation_residual
 from ld2.linalg import Prng, SingularMatrixError, random_invertible, solve_linear
@@ -338,17 +339,115 @@ def test_decrypt_message_padding_errors_name_the_block():
         unpad_message([], 3)
 
 
+# --- a message's decryption by one field inversion ----------------------------
+
+def _z1(sk, y):
+    """The base z1 = alpha + 1 + v + F(v), v = t(y), of block y's
+    exponentiation."""
+    v = sk.t.apply(y)
+    return sk.alpha ^ 1 ^ v ^ sk.field.frobenius(v)
+
+
+def _vanishing_blocks(sk):
+    """The ciphertexts y = t^-1(v) of the two v with z1 = 0: the roots of
+    v + F(v) = alpha + 1, two since F + id has kernel {0, 1}."""
+    field = sk.field
+    roots = [v for v in range(field.order) if v ^ field.frobenius(v) == sk.alpha ^ 1]
+    assert len(roots) == 2 and roots[0] ^ roots[1] == 1
+    t_inverse = sk.t.inverse()
+    blocks = [t_inverse.apply(v) for v in roots]
+    assert [_z1(sk, y) for y in blocks] == [0, 0]
+    return blocks
+
+
+def _packed(n, blocks) -> bytes:
+    return b"".join(y.to_bytes(packed_size(n), "little") for y in blocks)
+
+
+def test_decrypt_message_takes_one_inversion(monkeypatch):
+    # one Field.inv per message and none when every z1 is 0, no Field.pow
+    # but that inv's own, and one relation residual per block
+    import ld2.cipher as cipher_mod
+
+    sk, pk = keygen(9, seed=0xB10C)
+    roots = _vanishing_blocks(sk)
+    rng = random.Random(28)
+    messages = [encrypt_message(pk, rng.randbytes(k)) for k in (0, 1, 18, 250)]
+    other = int.from_bytes(messages[1][:2], "little")
+    messages += [_packed(9, blocks) for blocks in (
+        roots[:1], roots, roots * 4, roots + [other], [roots[0], other, roots[1]])]
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(Field, "inv", counted("inv", Field.inv))
+    monkeypatch.setattr(Field, "pow", counted("pow", Field.pow))
+    monkeypatch.setattr(cipher_mod, "relation_residual", counted("residual", relation_residual))
+    for data in messages:
+        blocks = [int.from_bytes(data[i : i + 2], "little") for i in range(0, len(data), 2)]
+        inversions = int(any(_z1(sk, y) for y in blocks))
+        counts.update(inv=0, pow=0, residual=0)
+        outcome(decrypt_message, sk, data)
+        assert counts == {"inv": inversions, "pow": inversions, "residual": len(blocks)}
+    assert inversions == 1
+
+
+@pytest.mark.parametrize("n", [5, 9, 13])
+def test_decrypt_message_where_z1_vanishes(n):
+    # the two blocks with z1 = 0, alone, together and inside messages,
+    # against decrypt_block on each block
+    sk, pk = keygen(n, seed=0x21 + n)
+    roots = _vanishing_blocks(sk)
+    size = packed_size(n)
+    rng = random.Random(n)
+    cases = [_packed(n, [y]) for y in roots] + [_packed(n, roots), _packed(n, roots[::-1])]
+    aligned = []
+    for length in (0, 3, 40):
+        data = encrypt_message(pk, rng.randbytes(length))
+        for at in (0, len(data) // size // 2 * size, len(data)):
+            cases += [data[:at] + _packed(n, [y]) + data[at:] for y in roots]
+        # eight blocks in front shift the stream by whole bytes
+        aligned.append(_packed(n, roots * 4) + data)
+    outcomes = [outcome(decrypt_message, sk, data) for data in cases + aligned]
+    assert outcomes == [outcome(decrypt_per_block, sk, data) for data in cases + aligned]
+    assert all(o.startswith("b") for o in outcomes[len(cases):])
+
+
+def test_decrypt_message_on_every_one_and_two_block_ciphertext_n5():
+    sk, _ = keygen(5, seed=0x26)
+    cases = [bytes([y]) for y in range(256)]
+    cases += [bytes([a, b]) for a in range(32) for b in range(32)]
+    outcomes = [outcome(decrypt_message, sk, data) for data in cases]
+    assert outcomes == [outcome(decrypt_per_block, sk, data) for data in cases]
+
+
+@pytest.mark.parametrize("n, pinned", [(3, "030701060503030101"), (5, "0c081b021e")])
+def test_decrypt_message_on_every_one_byte_edit(n, pinned):
+    # every single-byte substitution, deletion and truncation of one pinned
+    # ciphertext: the outcome of decrypt_block on each block, and never a
+    # traceback
+    sk, pk = keygen(n, seed=0x5EE)
+    data = encrypt_message(pk, b"ld2")
+    assert data.hex() == pinned
+    edits = [data[:i] for i in range(len(data))]
+    edits += [data[:i] + data[i + 1 :] for i in range(len(data))]
+    edits += [data[:i] + bytes([b]) + data[i + 1 :]
+              for i in range(len(data)) for b in range(256) if b != data[i]]
+    outcomes = [outcome(decrypt_message, sk, e) for e in edits]
+    assert outcomes == [outcome(decrypt_per_block, sk, e) for e in edits]
+    kinds = {o.partition(":")[0] for o in outcomes if not o.startswith("b")}
+    assert kinds == {"ValueError", "PaddingError"}
+    assert any(o.startswith("b") for o in outcomes)
+
+
 # --- keys that are not honest ---------------------------------------------------
 
 # the 32 five-bit blocks 0..31 in order; padding adds a 33rd block, 1
 _ALL_BLOCKS_N5 = sum(x << 5 * x for x in range(32)).to_bytes(20, "little")
-
-
-def _outcome(fn, *args) -> str:
-    try:
-        return repr(fn(*args))
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 def _tampered_keys():
@@ -373,9 +472,9 @@ def test_tampered_keys_encrypt_or_fail_as_pinned():
     errors = 0
     for make in _tampered_keys():
         key = make()
-        outcomes = [_outcome(encrypt_block, key, x) for x in range(32)]
+        outcomes = [outcome(encrypt_block, key, x) for x in range(32)]
         assert key._inversion is False  # every such key fails the certificate
-        outcomes.append(_outcome(encrypt_message, make(), _ALL_BLOCKS_N5))
+        outcomes.append(outcome(encrypt_message, make(), _ALL_BLOCKS_N5))
         errors += sum(o.startswith("MalformedKeyError: ") for o in outcomes)
         digest.update("\n".join(outcomes).encode() + b"\n")
     assert errors == 1506
@@ -423,7 +522,7 @@ def test_crafted_certified_key_fails_where_elimination_does():
     with pytest.raises(MalformedKeyError, match=singular):
         encrypt_message(key, bytes(range(9)))
     assert key._inversion
-    outcomes = [_outcome(encrypt_block, key, x) for x in range(1 << n)]
+    outcomes = [outcome(encrypt_block, key, x) for x in range(1 << n)]
     assert outcomes == [_eliminated(key, x) for x in range(1 << n)]
     assert outcomes[1].startswith("MalformedKeyError: ")
 
@@ -461,7 +560,7 @@ def test_fields_give_the_system_at_x(n, monkeypatch):
                 assert matrix.rows[i] == sum(
                     (eq.evaluate(x, 1 << k) ^ value) << k for k in range(n))
         blocks = list(itertools.islice(itertools.cycle(xs), _certify_after(n) - 1))
-        assert [_outcome(encrypt_block, key, x) for x in blocks] == [
+        assert [outcome(encrypt_block, key, x) for x in blocks] == [
             _eliminated(key, x) for x in blocks]
         assert key._inversion is None
 
@@ -548,8 +647,8 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     fields = [list(f) for f in pk.fields]
     fields[0][1] ^= 1 << 40  # one xy bit
     tampered = PublicKey(n, [QuadraticEquation(n, *f) for f in fields])
-    outcomes = [_outcome(encrypt_block, tampered, x) for x in blocks]
+    outcomes = [outcome(encrypt_block, tampered, x) for x in blocks]
     assert outcomes == [_eliminated(tampered, x) for x in blocks]
-    _outcome(encrypt_message, tampered, message)
+    outcome(encrypt_message, tampered, message)
     # and builds nothing: no lane tables and no plane tables
     assert calls == [n, n, n] and builds == lanes == [n, n] and tampered._inversion is False

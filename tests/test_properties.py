@@ -24,7 +24,9 @@ test_linear_terms_are_residual_differences, and against one Field.mul
 per coefficient with a bitwise transpose in
 test_derive_public_key_matches_per_coefficient_reference), encryption
 solvability, encryption by field inversion on certified keys against
-elimination (test_inversion_matches_elimination), message framing, key-file round trips
+elimination (test_inversion_matches_elimination), a message's decryption by
+one field inversion against decrypt_block on each block
+(test_decrypt_message_matches_decrypt_block), message framing, key-file round trips
 (test_key_files_round_trip, equations included), the text written from
 any public field values of the right widths being the encoding of the key
 it decodes to, which is what decode_key's canonical check relies on
@@ -40,9 +42,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import decrypt_per_block, outcome
 from ld2.cipher import _invert, decrypt_message, encrypt_message
 from ld2.cli import MAX_N
 from ld2.gf2n import Field, _clmul, _spread, apply_columns, byte_multiples, clmul_bytes
+from ld2.gf2n import packed_size
 from ld2.gf2n import find_irreducible, frobenius_tables, is_irreducible
 from ld2.keys import (
     KeyFormatError,
@@ -727,6 +731,24 @@ def test_residual_matches_three_products(half, data):
         three = (field.mul(uf, u ^ v) ^ field.mul(u, v ^ alpha) ^ uf
                  ^ field.mul(v, alpha) ^ field.frobenius(alpha))
         assert _residual_uv(sk, u, v) == three
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 64), st.data())
+def test_decrypt_message_matches_decrypt_block(half, data):
+    # odd n in 3..129: random aligned ciphertexts, some with slack bits in
+    # one block, give the outcome of decrypt_block on each block and then
+    # unpad_message: the same plaintext, or the same error type and message
+    # (slack bits, padding, and the block each names)
+    n = 2 * half + 1
+    sk = _secret_key(n)
+    size = packed_size(n)
+    blocks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    if blocks and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(blocks) - 1))
+        blocks[i] |= data.draw(st.integers(1, (1 << 8 * size - n) - 1)) << n
+    ciphertext = b"".join(y.to_bytes(size, "little") for y in blocks)
+    assert outcome(decrypt_message, sk, ciphertext) == outcome(decrypt_per_block, sk, ciphertext)
 
 
 def _reference_public_key(sk):
