@@ -387,13 +387,15 @@ def test_decrypt_message_takes_one_inversion(monkeypatch):
     monkeypatch.setattr(Field, "inv", counted("inv", Field.inv))
     monkeypatch.setattr(Field, "pow", counted("pow", Field.pow))
     monkeypatch.setattr(cipher_mod, "relation_residual", counted("residual", relation_residual))
+    seen = set()
     for data in messages:
         blocks = [int.from_bytes(data[i : i + 2], "little") for i in range(0, len(data), 2)]
         inversions = int(any(_z1(sk, y) for y in blocks))
+        seen.add(inversions)
         counts.update(inv=0, pow=0, residual=0)
         outcome(decrypt_message, sk, data)
         assert counts == {"inv": inversions, "pow": inversions, "residual": len(blocks)}
-    assert inversions == 1
+    assert seen == {0, 1}
 
 
 @pytest.mark.parametrize("n", [5, 9, 13])
