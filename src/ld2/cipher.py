@@ -1,17 +1,10 @@
 """Block encryption and decryption, signatures, and message-level framing.
 
 Encryption substitutes the plaintext block into the public equations,
-which leaves a linear system in the ciphertext bits.  A key reads it off
-its key-file fields (PublicKey.linear_system) and solves it by the
-Method of Four Russians (linalg.solve_linear) until the call that brings
-its count of encrypted blocks to K = n // 4 + 2 or past it; that call
-first checks it against a certificate, once.  A key that passes builds
-its tables and solves each system from then on by one field inversion,
-y = P (r / z(x)), and a message's systems by one inversion for them all:
-r(x) is read off bit-plane tables of the key's quadratic part and z(x)
-off an n-bit affine map (_Certified.fraction).  A key that fails builds
-nothing and keeps the elimination.  The keys module docstring gives the
-algebra, the certificate, the tables and K.
+which leaves a linear system in the ciphertext bits, and solves it
+(PublicKey.solve): by elimination, or on a key certified at its K-th
+block by one field inversion for all the blocks of a call.  The keys
+module docstring gives the algebra, the certificate, the tables and K.
 
 Decryption inverts the central map with a single field exponentiation;
 the central map is a bijection, so the preimage is unique and is always
@@ -19,10 +12,10 @@ the second of the two candidates the inversion formula gives.  A block
 (decrypt_block) takes that exponentiation; a message's blocks share one
 field inversion, since the exponentiation z1^(2^m - 1) is F(z1) / z1, F
 the Frobenius map by 2^m, and the inversion serves all the z1 by
-Montgomery's trick, as it serves encryption's z(x) (decrypt_message).
-Each block, alone or in a message, takes one relation residual to catch
-faults.  Signing is decryption of the digest, block by block;
-verification is evaluation of the public equations.
+Montgomery's trick (Field.quotients), as it serves encryption's z(x)
+(decrypt_message).  Each block, alone or in a message, takes one
+relation residual to catch faults.  Signing is decryption of the digest,
+block by block; verification is evaluation of the public equations.
 
 Messages longer than one block use electronic-codebook composition with
 always-appended 10* padding.  That is faithful to the single-block scheme
@@ -31,11 +24,9 @@ but deterministic, so it leaks block equality; see the README caveats.
 
 from __future__ import annotations
 
-import itertools
-
 from .gf2n import packed_size
 from .keys import PublicKey, SecretKey, relation_residual
-from .linalg import SingularMatrixError, solve_linear
+from .linalg import SingularMatrixError
 
 
 class MalformedKeyError(ValueError):
@@ -57,65 +48,20 @@ def _check_block(value: int, n: int) -> None:
         raise ValueError("block length mismatch")
 
 
-_SINGULAR = "public key yields a singular system"
-
-
-def _eliminate(pk: PublicKey, x: int) -> int:
-    """The solution of the public system at x, by elimination."""
-    matrix, rhs = pk.linear_system(x)
+def _solve(pk: PublicKey, blocks: list[int]) -> list[int]:
+    """The ciphertexts of blocks, by PublicKey.solve."""
     try:
-        return solve_linear(matrix, rhs)
+        return pk.solve(blocks)
     except SingularMatrixError as exc:
         # cannot happen for honestly generated keys: the y-coefficient
         # matrix is invertible because the inner term of the central map
         # never vanishes
-        raise MalformedKeyError(_SINGULAR) from exc
-
-
-def _quotients(field, fractions) -> list[int]:
-    """The quotients r / z of the pairs (r, z) in fractions, every z nonzero.
-
-    Montgomery's simultaneous inversion ("Speeding the Pollard and elliptic
-    curve methods of factorization", Math. Comp. 48, 1987) inverts the k
-    denominators with one Field.inv and 3(k - 1) Field.mul: the prefix
-    products z_1 ... z_i (k - 1 products), u the inverse of the last, and
-    then for i = k down to 2, 1/z_i = u (z_1 ... z_(i-1)), after which u z_i
-    is the inverse of z_1 ... z_(i-1) (two products per step).  One more
-    product per pair takes in its numerator.  An empty list costs nothing.
-    """
-    if not fractions:
-        return []
-    prefix = list(itertools.accumulate((z for _, z in fractions), field.mul))
-    u = field.inv(prefix[-1])
-    quotients = []
-    for i in range(len(fractions) - 1, 0, -1):
-        r, z = fractions[i]
-        quotients.append(field.mul(r, field.mul(u, prefix[i - 1])))
-        u = field.mul(u, z)
-    quotients.append(field.mul(fractions[0][0], u))
-    quotients.reverse()
-    return quotients
-
-
-def _invert(inversion, blocks) -> list[int]:
-    """The solutions P (r / z(x)) of a certified key's systems at blocks.
-
-    Every z(x) is checked first: z(x) = 0 is a singular system.  Then all
-    the quotients share one field inversion (_quotients).
-    """
-    fractions = [inversion.fraction(x) for x in blocks]
-    if not all(z for _, z in fractions):
-        raise MalformedKeyError(_SINGULAR)
-    return [inversion.p.apply(q) for q in _quotients(inversion.field, fractions)]
+        raise MalformedKeyError("public key yields a singular system") from exc
 
 
 def encrypt_block(pk: PublicKey, x: int) -> int:
-    """Encrypt one n-bit block: the solution of the public system at x, by
-    one field inversion once the key is certified, by elimination before
-    it is and for good if it fails the certificate (module docstring)."""
-    _check_block(x, pk.n)
-    inversion = pk.inversion(1)
-    return _eliminate(pk, x) if inversion is None else _invert(inversion, [x])[0]
+    """Encrypt one n-bit block: the solution of the public system at x."""
+    return _solve(pk, [x])[0]
 
 
 def decrypt_candidates(sk: SecretKey, y: int) -> tuple[int, int]:
@@ -210,12 +156,7 @@ def unpad_message(blocks, n: int) -> bytes:
 def encrypt_message(pk: PublicKey, data: bytes) -> bytes:
     """Pad and encrypt a byte string block by block (ECB composition).  On
     a certified key all blocks share one field inversion."""
-    blocks = pad_message(data, pk.n)
-    inversion = pk.inversion(len(blocks))
-    if inversion is None:
-        ciphertext = [_eliminate(pk, x) for x in blocks]
-    else:
-        ciphertext = _invert(inversion, blocks)
+    ciphertext = _solve(pk, pad_message(data, pk.n))
     block_bytes = packed_size(pk.n)
     return b"".join(y.to_bytes(block_bytes, "little") for y in ciphertext)
 
@@ -226,8 +167,8 @@ def decrypt_message(sk: SecretKey, data: bytes) -> bytes:
     The blocks share one field inversion.  For each block v = t(y) and
     z1 = alpha + 1 + v + F(v), F the Frobenius map by 2^m; the single
     exponentiation z2 = z1^(2^m - 1) is F(z1) / z1, or 0 when z1 = 0, and
-    the k nonzero z1 are inverted together (_quotients): one Field.inv and
-    3(k - 1) Field.mul, plus one Field.mul a block for F(z1), where
+    the k nonzero z1 are inverted together (Field.quotients): one Field.inv
+    and 3(k - 1) Field.mul, plus one Field.mul a block for F(z1), where
     decrypt_block takes one Field.pow a block.  No other Field.pow runs.
     The plaintext is s^-1(v + 1 + z2), as in decrypt_candidates, and every
     block keeps its one relation_residual, the fault check.
@@ -250,7 +191,7 @@ def decrypt_message(sk: SecretKey, data: bytes) -> bytes:
     vs = [sk.t.apply(y) for y in ciphertext]
     base = sk.alpha ^ 1
     z1s = [base ^ v ^ field.frobenius(v) for v in vs]
-    z2s = iter(_quotients(field, [(field.frobenius(z1), z1) for z1 in z1s if z1]))
+    z2s = iter(field.quotients([(field.frobenius(z1), z1) for z1 in z1s if z1]))
     blocks = []
     for index, (y, v, z1) in enumerate(zip(ciphertext, vs, z1s)):
         x = sk.s_inverse.apply(v ^ 1 ^ (next(z2s) if z1 else 0))

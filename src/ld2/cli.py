@@ -148,8 +148,16 @@ def _read_key_file(path: str) -> str:
             return file.read()
 
 
+def _key_file_text(path: str) -> str:
+    """_read_key_file(path); an error decoding the file names it."""
+    try:
+        return _read_key_file(path)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def _load_key(path: str, cls):
-    key = decode_key(_read_key_file(path))
+    key = decode_key(_key_file_text(path))
     if not isinstance(key, cls):
         kind = "public" if cls is PublicKey else "secret"
         raise CliError(f"{path} is not a {kind} key")
@@ -241,7 +249,7 @@ def _print_fields(fields) -> None:
 
 
 def _cmd_inspect(args) -> int:
-    text = _read_key_file(args.key)
+    text = _key_file_text(args.key)
     key = decode_key(text)
     public = isinstance(key, PublicKey)
     # decode_key accepts only canonical text, so its lines are the key's:

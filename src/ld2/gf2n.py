@@ -15,7 +15,8 @@ whole bytes in their spread squares; clmul_bytes looks up whole bytes in
 the 256 multiples that byte_multiples tabulates once for many products.
 Up to n elements packed one per byte-aligned lane of 2n bits or more
 (Field.pack_lanes) times one element is such a product, and
-Field.fold_lanes reduces every lane of it at once.
+Field.fold_lanes reduces every lane of it at once.  Field.quotients
+divides k pairs with one Field.inv, by Montgomery's simultaneous inversion.
 
 The modulus of each field is the first polynomial in the deterministic
 scan order of find_irreducible that passes Ben-Or's irreducibility test
@@ -26,6 +27,7 @@ across runs and machines.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .linalg import window_tables
 
@@ -278,6 +280,30 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.sqr(self.pow(a, (1 << (self.n - 1)) - 1))
+
+    def quotients(self, fractions) -> list[int]:
+        """The quotients r / z of the pairs (r, z) in fractions, every z nonzero.
+
+        Montgomery's simultaneous inversion ("Speeding the Pollard and elliptic
+        curve methods of factorization", Math. Comp. 48, 1987) inverts the k
+        denominators with one inv and 3(k - 1) mul: the prefix products z_1
+        ... z_i (k - 1 products), u the inverse of the last, and then for i =
+        k down to 2, 1/z_i = u (z_1 ... z_(i-1)), after which u z_i is the
+        inverse of z_1 ... z_(i-1) (two products per step).  One more product
+        per pair takes in its numerator.  An empty list costs nothing.
+        """
+        if not fractions:
+            return []
+        prefix = list(itertools.accumulate((z for _, z in fractions), self.mul))
+        u = self.inv(prefix[-1])
+        quotients = []
+        for i in range(len(fractions) - 1, 0, -1):
+            r, z = fractions[i]
+            quotients.append(self.mul(r, self.mul(u, prefix[i - 1])))
+            u = self.mul(u, z)
+        quotients.append(self.mul(fractions[0][0], u))
+        quotients.reverse()
+        return quotients
 
     def trace(self, a: int) -> int:
         """The F_2-valued trace a + a^2 + a^4 + ... + a^(2^(n-1)).

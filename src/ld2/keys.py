@@ -18,15 +18,16 @@ one word-parallel bit transpose straight into the key file's fields.
 A PublicKey holds per equation the five fields of the key file: xx (the
 a_jk, pairs j < k in lexicographic order, so row j starts at bit j*n -
 j(j+1)/2), xy (the b_jk, row-major, row j at bit j*n), xl (the d_k), yl
-(the c_k) and c (e).  The encryption that brings its count of encrypted
-blocks to K = n // 4 + 2 or past it (PublicKey.inversion) checks the
-certificate below, once, so a key is in one of three states, and only
-ever moves forward:
+(the c_k) and c (e).  The call of PublicKey.solve, encryption's solve,
+that brings its count of solved blocks to K = n // 4 + 2 or past it
+checks the certificate below, once, so a key is in one of three states,
+and only ever moves forward:
 
-    below K     the fields
-    refused     the fields, for good
+    below K     the fields; solve eliminates (linalg.solve_linear)
+    refused     the fields, for good; solve eliminates
     certified   the fields and a _Certified, every table the key builds:
-                the lane-major copy's window tables, bit planes and z map
+                the lane-major copy's window tables and the bit planes;
+                solve takes one Field.inv a call (_Certified.solve)
 
 derive_public_key and decode_key build the fields and nothing else, and
 encode_key writes them as they are.  A QuadraticEquation is a view of
@@ -82,8 +83,8 @@ one lookup, one AND and one parity fold, and only a pair that passes it,
 about one forgery in 64, reads the whole tables.  Only a _Certified
 builds both sets (_lane_tables), once.  By tracemalloc they take 0.34,
 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0 and 22.6 MB at the peak
-of the build), and a certified key's plane tables (below) 0.08, 0.58 and
-4.4 MB (0.32, 1.4 and 7.3 MB at the peak of their build).
+of the build), and a certified key's plane tables (below) 0.09, 0.59 and
+4.4 MB (0.32, 1.4 and 7.8 MB at the peak of their build).
 
 linalg.solve_linear eliminates; the construction gives a shortcut.
 Equation i is coordinate i, in the polynomial basis of the public
@@ -92,7 +93,8 @@ modulus, of R(u, v) = w(u) v + h(u) at u = s(x), v = A2 y + c2, with w(u)
 -> z a.  w never vanishes, so M(0), whose rows are the yl fields, is
 invertible.  With P = M(0)^-1 and p0 = P e0 (e0 the element 1), M(x) =
 Mult(z(x)) M(0) for z(x) = M(x) p0, and the one solution is y = P (r(x) /
-z(x)): one Field.inv, one Field.mul and P applied as an AffineMap.
+z(x)): one Field.inv, one Field.mul and P applied as an AffineMap, and a
+list of blocks shares the Field.inv (Field.quotients).
 
 A key from a file need not come from the construction, so a key earns the
 shortcut by a certificate.  M(x) = M(0) + sum_j x_j B_j, where row i of
@@ -108,34 +110,35 @@ derivation takes the coefficients.  A key whose M(0) is singular, or that
 fails for any j, is refused for good, keeps the elimination and builds
 nothing.
 
-A key that passes then builds what _Certified.fraction reads r(x) and
-z(x) off.  z(x) = 1 + sum_j x_j z_j is an affine map of x: the AffineMap
-of that matrix, about 2 us an apply at n = 129.  r(x) is e plus the
-quadratic form sum_{j<=k} x_j x_k a_jk, with a_kk = d_k since
-x_k^2 = x_k, and every a_jk is an n-bit vector over the equations: so r
-is taken equation-sliced, in the layout of Berbain, Billet and Gilbert's
-bitsliced evaluation.  Plane k of a value is its bits (n - 1 - k) w ..
-(n - k) w - 1, w = 8 ceil(n/8), and the bit-plane lane Q_j holds a_jk in
-plane k for every k >= j and nothing below j.  The plane sum S(x), every
-Q_j with x_j = 1 XORed, holds in plane k S_k(x) = sum_{j<=k, x_j=1} a_jk,
-and
+A key that passes then builds the tables that _Certified.fraction reads
+r(x) and z(x) off, in one lookup.  r(x) is e plus the quadratic form
+sum_{j<=k} x_j x_k a_jk, with a_kk = d_k since x_k^2 = x_k, and every
+a_jk is an n-bit vector over the equations: so r is taken
+equation-sliced, in the layout of Berbain, Billet and Gilbert's
+bitsliced evaluation.  Plane k of a value, k = 0 .. n, is its bits
+(n - k) w .. (n + 1 - k) w - 1, w = 8 ceil(n/8), and the bit-plane lane
+Q_j holds a_jk in plane k for every k >= j, nothing in planes k < j,
+and z_j in plane n, the bottom one.  The plane sum S(x), 1 (z's translation)
+XOR every Q_j with x_j = 1, holds z(x) in plane n and in plane k < n
+S_k(x) = sum_{j<=k, x_j=1} a_jk, and
 
     r(x) = e + sum_{k: x_k=1} S_k(x):
 
 S(x) ANDed with 0xFF bytes in the planes that x selects (x's binary
-digits, each replaced by a plane of 0x00 or 0xFF bytes), then folded onto
-one plane by ceil(log2 n) shifts and masks that halve the count of planes
-(_plane_masks, by the _fold_steps of the row fold above).  Q_j spans
-planes j..n-1, which sit at the bottom of the value, so _plane_tables
-keeps the lanes as linalg.nibble_windows of x reversed: the sum takes the
-narrow lanes Q_{n-1}, Q_{n-2}, ... first, and the tables hold half the
-bytes that planes in order would.  One bit transpose
+digits, each replaced by a plane of 0x00 or 0xFF bytes, then a plane of
+0x00 for plane n), then folded onto one plane by ceil(log2(n + 1)) shifts
+and masks that halve the count of planes (_plane_masks, by the
+_fold_steps of the row fold above).  Q_j spans planes j..n, which sit at
+the bottom of the value, so _plane_tables keeps the lanes as
+linalg.nibble_windows of x reversed: the sum takes the narrow lanes
+Q_{n-1}, Q_{n-2}, ... first, and the tables hold about half the bytes
+that planes in order would.  One bit transpose
 (linalg.bit_column_bytes) of xx | xl << n(n-1)/2 per equation gives every
 a_jk and d_k as the bytes of one plane, and each lane is one slice of
 those bytes behind its d_j.
 
 Pinned to one CPU of a shared 2-CPU x86-64 machine, the K-th block of a
-key that passes, the certificate, z map, plane and lane tables, takes
+key that passes, the certificate, plane and lane tables, takes
 about 1.5-2.8, 5.5-9.5, 31-44 and 230-270 ms at n = 33, 65, 129 and 257
 (the lane tables 0.5-0.8, 1.8-3.2, 8.5-14 and 49-78 ms, the plane tables
 0.3-0.5, 1.2-2.0, 4.8-8.5 and 29-43 ms), and of a key it refuses 0.7-1.3,
@@ -197,7 +200,7 @@ from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreduci
 from .gf2n import packed_size
 from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
 from .linalg import bit_column_bytes, bit_columns, invert_matrix, nibble_windows, random_invertible
-from .linalg import rank
+from .linalg import rank, solve_linear
 
 
 class KeyFormatError(ValueError):
@@ -377,20 +380,20 @@ def _fold(v: int, steps) -> int:
 @functools.lru_cache(maxsize=None)
 def _plane_masks(n: int) -> tuple[bytes, bytes, tuple]:
     """(zero, one, folds) for the bit planes of n variables: planes of 0x00
-    and of 0xFF bytes, which replace the digits of x to make the mask of the
-    planes that x selects, and the _fold_steps of n planes."""
+    and of 0xFF bytes, which make the mask of the planes that x selects
+    (module docstring), and the _fold_steps of the n + 1 planes."""
     size = (n + 7) // 8
-    return bytes(size), b"\xff" * size, _fold_steps(n, 8 * size)
+    return bytes(size), b"\xff" * size, _fold_steps(n + 1, 8 * size)
 
 
-def _plane_tables(n: int, fields) -> tuple:
+def _plane_tables(n: int, fields, z) -> tuple:
     """linalg.nibble_windows of the bit-plane lanes Q_{n-1}, ..., Q_0
     (module docstring), so that apply_windows of x reversed is the plane
     sum at x.  Entry p of the bit transpose of xx | xl << n(n-1)/2 per
     equation is the vector over the equations of pair p's a_jk, or of
     d_{p - n(n-1)/2}, most significant byte first: row j of the pairs, read
-    big-endian behind d_j, puts plane k of Q_j in bits (n - 1 - k) w ..
-    (n - k) w - 1."""
+    big-endian behind d_j and ahead of z_j = z[j], puts plane k of Q_j in
+    bits (n - k) w .. (n + 1 - k) w - 1."""
     size = (n + 7) // 8
     pairs = n * (n - 1) // 2
     stride = (pairs + n + 7) // 8
@@ -401,36 +404,45 @@ def _plane_tables(n: int, fields) -> tuple:
         start = (j * n - j * (j + 1) // 2) * size  # row j of the pairs
         diagonal = (pairs + j) * size
         lanes.append(int.from_bytes(
-            planes[diagonal:diagonal + size] + planes[start:start + (n - 1 - j) * size], "big"))
+            planes[diagonal:diagonal + size] + planes[start:start + (n - 1 - j) * size]
+            + z[j].to_bytes(size, "big"), "big"))
     return nibble_windows(lanes)
 
 
 class _Certified:
     """All that a key that passed the certificate builds, once: the field
-    of the public modulus, P = M(0)^-1 and z as AffineMaps, the plane
-    tables and e, the c fields as one vector, for y = P (r / z(x)); and the
-    lane tables, which PublicKey.holds reads (module docstring)."""
+    of the public modulus, P = M(0)^-1 as an AffineMap, the plane tables
+    (with the z_j) and e, the c fields as one vector, for y = P (r /
+    z(x)); and the lane tables, which PublicKey.holds reads (module docstring)."""
 
-    __slots__ = ("field", "p", "_z", "_planes", "_e", "_lanes")
+    __slots__ = ("field", "p", "_planes", "_e", "_lanes")
 
-    def __init__(self, fields, field: Field, p: AffineMap, z: AffineMap):
+    def __init__(self, fields, field: Field, p: AffineMap, z: tuple[int, ...]):
         n = field.n
         self.field = field
         self.p = p
-        self._z = z
-        self._planes = _plane_tables(n, fields)
+        self._planes = _plane_tables(n, fields, z)
         self._e = sum(f[4] << i for i, f in enumerate(fields))
         self._lanes = _lane_tables(n, fields)
 
     def fraction(self, x: int) -> tuple[int, int]:
-        """(r, z(x)): the right-hand side of the system at x, e xor the fold
-        of the planes that x selects of the plane sum at x, and M(x) p0 =
-        z(x) (module docstring)."""
-        zero, one, folds = _plane_masks(self.field.n)
-        digits = f"{x:0{self.field.n}b}"[::-1]  # x_0 first, as plane 0 is the top one
-        v = apply_windows(self._planes, int(digits, 2), 0)
-        v &= int.from_bytes(digits.encode().replace(b"0", zero).replace(b"1", one), "big")
-        return _fold(v, folds) ^ self._e, self._z.apply(x)
+        """(r, z(x)) from one lookup, the plane sum at x from 1: r, the
+        right-hand side of the system at x, is e xor the fold of the planes
+        that x selects, and z(x) = M(x) p0 is plane n (module docstring)."""
+        n = self.field.n
+        zero, one, folds = _plane_masks(n)
+        digits = f"{x:0{n}b}"[::-1]  # x_0 first, as plane 0 is the top one
+        v = apply_windows(self._planes, int(digits, 2), 1)
+        select = digits.encode().replace(b"0", zero).replace(b"1", one) + zero
+        return _fold(v & int.from_bytes(select, "big"), folds) ^ self._e, v & (1 << n) - 1
+
+    def solve(self, blocks) -> list[int]:
+        """The solutions P (r / z(x)) of the systems at blocks, by one field
+        inversion (Field.quotients); SingularMatrixError if some z(x) = 0."""
+        fractions = [self.fraction(x) for x in blocks]
+        if not all(z for _, z in fractions):
+            raise SingularMatrixError("matrix is singular")
+        return [self.p.apply(q) for q in self.field.quotients(fractions)]
 
 
 def _z_rows(n: int, fields, p0: int) -> list[int]:
@@ -456,8 +468,8 @@ def _z_rows(n: int, fields, p0: int) -> list[int]:
 
 def _certify(n: int, fields) -> tuple | None:
     """(field, P, z) if B_j = Mult(z_j) M(0), z_j = B_j p0, for every j,
-    else None; None too when M(0) is singular.  z is the AffineMap x -> 1 +
-    sum_j x_j z_j, its matrix read off the xy fields (_z_rows).
+    else None; None too when M(0) is singular.  z lists the z_j, the
+    columns of the matrix read off the xy fields (_z_rows).
 
     The columns m_k of M(0), packed one per lane, are tabulated once by
     their byte multiples, and each z_j takes one carry-less product
@@ -469,12 +481,12 @@ def _certify(n: int, fields) -> tuple | None:
         p = AffineMap(invert_matrix(m0), 0)
     except SingularMatrixError:
         return None
-    z = AffineMap(BitMatrix(_z_rows(n, fields, p.apply(1)), n), 1)
+    z = BitMatrix(_z_rows(n, fields, p.apply(1)), n).transpose().rows
     field = Field(n)
     multiples = byte_multiples(field.pack_lanes(m0.transpose().rows))
     row = field.lane_bytes * n
     data = b"".join(
-        field.fold_lanes(clmul_bytes(multiples, zj)).to_bytes(row, "little") for zj in z.columns)
+        field.fold_lanes(clmul_bytes(multiples, zj)).to_bytes(row, "little") for zj in z)
     columns = bit_columns(data, field.lane_bytes, n)
     if any(column != f[1] for column, f in zip(columns, fields)):
         return None
@@ -573,7 +585,7 @@ class PublicKey:
 
     fields holds, per equation, its five key-file fields (xx, xy, xl, yl,
     c), always; equations views each of them as a QuadraticEquation.
-    _blocks counts the blocks encrypted; _inversion is None until the K-th,
+    _blocks counts the blocks solved; _inversion is None until the K-th,
     then a _Certified, which holds every table the key builds, or False for
     a key the certificate refused (module docstring).
     """
@@ -647,15 +659,23 @@ class PublicKey:
             rhs |= (((xx & pairs).bit_count() ^ (xl & x).bit_count() ^ c) & 1) << i
         return BitMatrix(rows, n), rhs
 
-    def inversion(self, blocks: int) -> _Certified | None:
-        """Count blocks more encrypted blocks; the key's _Certified if it is
-        certified, else None.  The call that reaches _certify_after(n) checks
-        the certificate, once; only a key that passes builds tables."""
-        self._blocks += blocks
-        if self._inversion is None and self._blocks >= _certify_after(self.n):
-            certificate = _certify(self.n, self.fields)
+    def solve(self, blocks) -> list[int]:
+        """The solutions y of the systems M(x) y = r(x) at the blocks x, in
+        order; SingularMatrixError if one is singular.  The blocks are
+        checked, then counted, and the call that brings the count to
+        _certify_after(n) or past it certifies the key or refuses it, once
+        (module docstring)."""
+        n = self.n
+        top = 1 << n
+        if not all(0 <= x < top for x in blocks):
+            raise ValueError("block length mismatch")
+        self._blocks += len(blocks)
+        if self._inversion is None and self._blocks >= _certify_after(n):
+            certificate = _certify(n, self.fields)
             self._inversion = certificate is not None and _Certified(self.fields, *certificate)
-        return self._inversion or None
+        if self._inversion:
+            return self._inversion.solve(blocks)
+        return [solve_linear(*self.linear_system(x)) for x in blocks]
 
     def __eq__(self, other) -> bool:
         return (

@@ -56,7 +56,8 @@ def test_encrypt_rejects_oversized_block(toy_pk):
     # one byte the window tables read, but indexes past their 8-entry
     # table, so it must be rejected before the lookup
     certified = decode_key(encode_key(toy_pk))
-    certified.inversion(_certify_after(3))
+    certified.solve([0] * _certify_after(3))
+    assert certified._inversion
     for key in (decode_key(encode_key(toy_pk)), certified):
         for x in (8, -1):
             with pytest.raises(ValueError, match="block length mismatch"):
@@ -204,7 +205,8 @@ def test_verify_matches_encryption(toy_pk):
 def test_verify_rejects_oversized_inputs(toy_pk):
     # with the window tables, which 8 would index past, and without them
     tabled = decode_key(encode_key(toy_pk))
-    assert tabled.inversion(_certify_after(3)) is not None
+    tabled.solve([0] * _certify_after(3))
+    assert tabled._inversion
     for key in (tabled, decode_key(encode_key(toy_pk))):
         for bad in (8, -1):
             with pytest.raises(ValueError, match="block length mismatch"):
@@ -364,6 +366,14 @@ def _packed(n, blocks) -> bytes:
     return b"".join(y.to_bytes(packed_size(n), "little") for y in blocks)
 
 
+def _counted(counts, name, fn):
+    """fn, counting its calls in counts[name]."""
+    def call(*args):
+        counts[name] += 1
+        return fn(*args)
+    return call
+
+
 def test_decrypt_message_takes_one_inversion(monkeypatch):
     # one Field.inv per message and none when every z1 is 0, no Field.pow
     # but that inv's own, and one relation residual per block
@@ -377,16 +387,10 @@ def test_decrypt_message_takes_one_inversion(monkeypatch):
     messages += [_packed(9, blocks) for blocks in (
         roots[:1], roots, roots * 4, roots + [other], [roots[0], other, roots[1]])]
     counts = {}
-
-    def counted(name, fn):
-        def call(*args):
-            counts[name] += 1
-            return fn(*args)
-        return call
-
-    monkeypatch.setattr(Field, "inv", counted("inv", Field.inv))
-    monkeypatch.setattr(Field, "pow", counted("pow", Field.pow))
-    monkeypatch.setattr(cipher_mod, "relation_residual", counted("residual", relation_residual))
+    monkeypatch.setattr(Field, "inv", _counted(counts, "inv", Field.inv))
+    monkeypatch.setattr(Field, "pow", _counted(counts, "pow", Field.pow))
+    monkeypatch.setattr(cipher_mod, "relation_residual",
+                        _counted(counts, "residual", relation_residual))
     seen = set()
     for data in messages:
         blocks = [int.from_bytes(data[i : i + 2], "little") for i in range(0, len(data), 2)]
@@ -396,6 +400,47 @@ def test_decrypt_message_takes_one_inversion(monkeypatch):
         outcome(decrypt_message, sk, data)
         assert counts == {"inv": inversions, "pow": inversions, "residual": len(blocks)}
     assert seen == {0, 1}
+
+
+def test_encrypt_message_takes_one_inversion(monkeypatch):
+    # on a certified key one Field.inv per message, no Field.pow but that
+    # inv's own, and no elimination; below K and on a key the certificate
+    # refused, one linear_system and one solve_linear per block and no
+    # Field.inv
+    import ld2.keys as keys_mod
+
+    n = 9
+    k = _certify_after(n)
+    _, certified = keygen(n, seed=0xE1C)
+    # equation 0 plus equation 1 in place of equation 0: the same solutions,
+    # and a key the certificate refuses
+    fields = list(certified.fields)
+    fields[0] = tuple(a ^ b for a, b in zip(fields[0], fields[1]))
+    refused = PublicKey._from_fields(n, tuple(fields))
+    for key in (certified, refused):
+        encrypt_message(key, bytes(n * k // 8))  # K blocks
+    assert certified._inversion and refused._inversion is False
+    counts = {}
+    monkeypatch.setattr(Field, "inv", _counted(counts, "inv", Field.inv))
+    monkeypatch.setattr(Field, "pow", _counted(counts, "pow", Field.pow))
+    monkeypatch.setattr(PublicKey, "linear_system",
+                        _counted(counts, "system", PublicKey.linear_system))
+    monkeypatch.setattr(keys_mod, "solve_linear", _counted(counts, "solve", solve_linear))
+    rng = random.Random(0xE1C)
+    for length in (0, 1, 3, 8, 250):
+        data = rng.randbytes(length)
+        blocks = len(pad_message(data, n))
+        counts.update(inv=0, pow=0, system=0, solve=0)
+        ciphertext = encrypt_message(certified, data)
+        assert counts == {"inv": 1, "pow": 1, "system": 0, "solve": 0}
+        keys = [refused]
+        if blocks < k:
+            keys.append(PublicKey(n, certified.equations))  # a fresh key, below K
+        for key in keys:
+            counts.update(inv=0, pow=0, system=0, solve=0)
+            assert encrypt_message(key, data) == ciphertext
+            assert counts == {"inv": 0, "pow": 0, "system": blocks, "solve": blocks}
+            assert key._inversion is (False if key is refused else None)
 
 
 @pytest.mark.parametrize("n", [5, 9, 13])
@@ -576,8 +621,9 @@ def test_plane_tables_give_the_system_at_x(n):
     top = (1 << n) - 1
     xs = range(1 << n) if n < 10 else [0, 1, top, *(rng.getrandbits(n) for _ in range(60))]
     for key in (keygen(n, seed=0x91A + n)[1], _crafted_key(n, 0xC0DE + n)):
-        inversion = key.inversion(_certify_after(n))
-        assert inversion is not None
+        key.solve([0] * _certify_after(n))  # z(0) = 1 on every key
+        inversion = key._inversion
+        assert inversion
         p0 = inversion.p.apply(1)
         for x in xs:
             matrix, rhs = key.linear_system(x)

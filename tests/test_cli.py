@@ -272,6 +272,26 @@ def test_a_key_file_longer_than_one_read_piece_is_read_whole(tmp_path):
         _read_key_file(str(copy))
 
 
+def test_a_key_file_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys):
+    # verify, sign and inspect exit 1, and the diagnostic names the file
+    # ahead of the decoder's message, which gives the bad byte's offset
+    secret, public = _keygen(tmp_path, 5, seed="5")
+    capsys.readouterr()
+    bad_public, bad_secret = tmp_path / "bad.pub", tmp_path / "bad.sec"
+    bad_public.write_bytes(b"\xff" + public.read_bytes())
+    text = secret.read_bytes()
+    bad_secret.write_bytes(text[:10] + b"\xff" + text[10:])
+    reason = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+    for argv, path, at in (
+        (["verify", "--public", str(bad_public), "--digest", "15", "--sig", "15"], bad_public, 0),
+        (["sign", "--secret", str(bad_secret), "--digest", "15"], bad_secret, 10),
+        (["inspect", "--key", str(bad_public)], bad_public, 0),
+        (["inspect", "--key", str(bad_secret)], bad_secret, 10),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {reason.format(at)}\n")
+
+
 @pytest.mark.parametrize("n", [33, 65])
 def test_inspect_names_both_files_by_the_public_fingerprint(tmp_path, capsys, n):
     # a secret key's fingerprint is its public key's, and its output holds

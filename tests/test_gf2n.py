@@ -161,6 +161,42 @@ def test_inv_known_answers(f8):
         assert f8.inv(f8.inv(a)) == a
 
 
+class _CountedField(Field):
+    """A Field that counts its mul and inv calls.  inv runs on a plain
+    Field, so that the products of its own chain are not counted."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.counts = {"mul": 0, "inv": 0}
+
+    def mul(self, a, b):
+        self.counts["mul"] += 1
+        return super().mul(a, b)
+
+    def inv(self, a):
+        self.counts["inv"] += 1
+        return Field(self.n).inv(a)
+
+
+@pytest.mark.parametrize("n", [3, 5, 33, 129])
+def test_quotients_take_one_inv_and_4k_minus_3_mul(n):
+    # Montgomery's trick: 3(k - 1) products for the inverses, one per
+    # numerator, one inv for them all, and nothing for no pairs
+    field = _CountedField(n)
+    assert field.quotients([]) == []
+    assert field.counts == {"mul": 0, "inv": 0}
+    rng = random.Random(n)
+    plain = Field(n)
+    for k in (1, 2, 3, 10):
+        pairs = [(rng.getrandbits(n), rng.randrange(1, field.order)) for _ in range(k)]
+        field.counts.update(mul=0, inv=0)
+        quotients = field.quotients(pairs)
+        assert field.counts == {"mul": 4 * k - 3, "inv": 1}
+        assert quotients == [plain.mul(r, plain.inv(z)) for r, z in pairs]
+
+
 def test_trace_known_answers(f8):
     assert f8.trace(1) == 1  # n odd
     assert f8.trace(GAMMA) == 0

@@ -410,7 +410,8 @@ def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
         return original(n, fields, x, y)
 
     monkeypatch.setattr(keys_mod, "_vanish_on_fields", counted)
-    assert pk.inversion(_certify_after(n)) is not None
+    pk.solve([0] * _certify_after(n))
+    assert pk._inversion
     rng = random.Random(n)
     pairs, expected = [], []
     for _ in range(4):
@@ -434,7 +435,7 @@ def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     from ld2.cipher import sign
 
     sk, pk = keygen(n, seed=0x1A6E + n)
-    pk.inversion(_certify_after(n))
+    pk.solve([0] * _certify_after(n))
     decoded = decode_key(encode_key(pk))
     assert decoded == pk and pk._inversion and decoded._inversion is None
     digest = random.Random(n).getrandbits(n)

@@ -4,9 +4,11 @@ square and multiply, Field.trace against the sum of squares it replaced,
 every carry-less product of gf2n against shift and xor bit by bit
 (test_carry_less_products_match_shift_and_xor), the lane-packed product
 through shared byte multiples against Field.mul lane by lane
-(test_lane_products_match_mul_lane_by_lane), Ben-Or's irreducibility test
-against Rabin's on random polynomials, on Ben-Or's longest reducible case
-and on every canonical modulus (test_is_irreducible_agrees_with_rabin,
+(test_lane_products_match_mul_lane_by_lane), Field.quotients against
+one Field.inv per pair (test_quotients_match_mul_by_inv_pair_by_pair),
+Ben-Or's irreducibility test against Rabin's on random polynomials, on
+Ben-Or's longest reducible case and on every canonical modulus
+(test_is_irreducible_agrees_with_rabin,
 test_every_canonical_modulus_passes_rabin), the window tables and the bit
 transpose of linalg against per-bit loops
 (test_window_tables_match_the_images_bit_by_bit,
@@ -33,6 +35,7 @@ it decodes to, which is what decode_key's canonical check relies on
 (test_public_field_values_are_the_key_fields), and the strictness of the
 key-file codec."""
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -43,7 +46,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import decrypt_per_block, outcome
-from ld2.cipher import _invert, decrypt_message, encrypt_message
+from ld2.cipher import decrypt_message, encrypt_message
 from ld2.cli import MAX_N
 from ld2.gf2n import Field, _clmul, _spread, apply_columns, byte_multiples, clmul_bytes
 from ld2.gf2n import packed_size
@@ -161,6 +164,15 @@ def test_carry_less_products_match_shift_and_xor(a, b):
     assert _clmul(a, b) == expected
     assert clmul_bytes(byte_multiples(a), b) == expected
     assert _spread(a) == _shift_and_xor(a, a)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([3, 5, 33, 129]), st.data())
+def test_quotients_match_mul_by_inv_pair_by_pair(n, data):
+    field = Field(n)
+    element, unit = st.integers(0, field.order - 1), st.integers(1, field.order - 1)
+    pairs = data.draw(st.lists(st.tuples(element, unit), max_size=8), label="pairs")
+    assert field.quotients(pairs) == [field.mul(r, field.inv(z)) for r, z in pairs]
 
 
 @settings(deadline=None, max_examples=25)
@@ -572,7 +584,10 @@ def test_linear_system_and_holds_match_evaluate(n, seed, fill):
         for i, row in enumerate(matrix.rows):
             assert ((row & y).bit_count() ^ rhs >> i) & 1 == values[i]
         assert pk._inversion is None
-        pk.inversion(_certify_after(n))
+        # random fields may give singular systems: solve counts the blocks
+        # before it solves them
+        with contextlib.suppress(SingularMatrixError):
+            pk.solve([x] * _certify_after(n))
         assert pk.holds(x, y) == (not any(values))
     assert pk._inversion._lanes is not None
 
@@ -616,7 +631,8 @@ def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed,
     twin = [(xx, gen[1], xl, gen[3], c) for (xx, _, xl, _, c), gen in zip(fields, generated)]
     for pk in (key(fields), key(twin)):
         for blocks in (0, _certify_after(n)):
-            pk.inversion(blocks)
+            with contextlib.suppress(SingularMatrixError):
+                pk.solve([x] * blocks)
             with mock.patch.object(keys_mod, "_vanish_on_fields",
                                    wraps=keys_mod._vanish_on_fields) as on_fields:
                 assert pk.holds(x, y) == (failing is None)
@@ -659,13 +675,13 @@ def test_inversion_matches_elimination(half, seed, blocks):
     # solves its system at x, alone and in a batch
     n = 2 * half + 1
     pk = keygen(n, seed)[1]
-    inversion = pk.inversion(_certify_after(n))
-    assert inversion is not None
+    pk.solve([0] * _certify_after(n))
+    assert pk._inversion
     top = (1 << n) - 1
     xs = [x & top for x in blocks] + [0, 1, top]
     expected = [solve_linear(*pk.linear_system(x)) for x in xs]
-    assert _invert(inversion, xs) == expected
-    assert [_invert(inversion, [x])[0] for x in xs] == expected
+    assert pk.solve(xs) == expected
+    assert [pk.solve([x])[0] for x in xs] == expected
 
 
 @settings(deadline=None, max_examples=25)
