@@ -83,8 +83,8 @@ one lookup, one AND and one parity fold, and only a pair that passes it,
 about one forgery in 64, reads the whole tables.  Only a _Certified
 builds both sets (_lane_tables), once.  By tracemalloc they take 0.34,
 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0 and 22.6 MB at the peak
-of the build), and a certified key's plane tables (below) 0.09, 0.59 and
-4.4 MB (0.32, 1.4 and 7.8 MB at the peak of their build).
+of the build), and a certified key's plane tables (below) 0.09, 0.60 and
+4.5 MB (0.32, 1.4 and 7.8 MB at the peak of their build).
 
 linalg.solve_linear eliminates; the construction gives a shortcut.
 Equation i is coordinate i, in the polynomial basis of the public
@@ -124,15 +124,19 @@ S_k(x) = sum_{j<=k, x_j=1} a_jk, and
 
     r(x) = e + sum_{k: x_k=1} S_k(x):
 
-S(x) ANDed with 0xFF bytes in the planes that x selects (x's binary
-digits, each replaced by a plane of 0x00 or 0xFF bytes, then a plane of
-0x00 for plane n), then folded onto one plane by ceil(log2(n + 1)) shifts
-and masks that halve the count of planes (_plane_masks, by the
-_fold_steps of the row fold above).  Q_j spans planes j..n, which sit at
-the bottom of the value, so _plane_tables keeps the lanes as
-linalg.nibble_windows of x reversed: the sum takes the narrow lanes
-Q_{n-1}, Q_{n-2}, ... first, and the tables hold about half the bytes
-that planes in order would.  One bit transpose
+S(x) ANDed with 0xFF bytes in the planes that x selects, then folded onto
+one plane by ceil(log2(n + 1)) shifts and masks that halve the count of
+planes (_fold_steps, as in the row fold above).  The select mask is built
+a byte of x at a time: spread[b] holds the 8 planes that byte b's bits
+select, a plane of 0x00 or 0xFF bytes each, bit 0 first, so the join of
+spread over x's little-endian bytes, read big-endian, holds plane x_0 at
+the top of 8 ceil(n/8) planes, and a right shift by (8 ceil(n/8) - n -
+1) w puts plane x_k at plane k and a plane of zeros at plane n, as x < 2^n
+(_plane_masks keeps spread, the shift and the folds per n).
+_plane_tables keeps Q_0, ..., Q_{n-1} as linalg.nibble_windows of x.  Q_j
+spans planes j..n, which sit at the bottom of the value: plane 0 on top
+makes a lane as narrow as the planes it holds, and the tables about half
+the bytes that plane 0 at the bottom would.  One bit transpose
 (linalg.bit_column_bytes) of xx | xl << n(n-1)/2 per equation gives every
 a_jk and d_k as the bytes of one plane, and each lane is one slice of
 those bytes behind its d_j.
@@ -173,18 +177,21 @@ out-of-order or reformatted lines are format errors.  n alone fixes where
 everything in that text is, and _layout(secret, n) describes it once, in
 a small cache: each body line's name + "=", the width and digit count of
 the five lines that repeat, and the text's length.  _key_text writes by
-it, and decode_key reads at its offsets (_canonical_values): every size-n
-file holds at least n^2 / 2 digits, so a claimed n with n^2 > 2 len(text)
-fails first; then the length, the three header lines whole, then for
-each line its name, exactly its value's digits, binascii.a2b_hex of them
-with their slack bits, and its newline, and last a scan of the values
-for A-F, which a2b_hex accepts.  Text that passes is encode_key's text of
-the key built from its values: each value has exactly its line's width,
-the public values are the key's fields as they are, and on the secret
-ones BitMatrix.from_bits then to_bits is the identity.  Any other text
-goes to _raise_format_error, a line parser that only reports errors: it
-names a bad value's line first, then a broken key invariant, then the
-first line that differs from _key_text of the values it parsed.
+it, and decode_key reads a public file at its offsets
+(_canonical_values): every size-n public file holds at least n^3 / 4
+digits, so a claimed n with n^2 > 2 len(text) fails first; then the
+length, the three header lines whole, then for each line its name,
+exactly its value's digits, binascii.a2b_hex of them with their slack
+bits, and its newline, and last a scan of the values for A-F, which
+a2b_hex accepts.  Text that passes is encode_key's text of the key whose
+fields are its values: each value has exactly its line's width, and the
+fields are kept as they are.  A secret file, eight short lines, and any
+text that fails there go to _decode_lines, a line parser: it names a bad
+value's line first, then a broken key invariant, and returns the key only
+if _key_text of the values it parsed is the text, else names the first
+line that differs.  On a secret file the text it builds costs little
+next to building the key: a secret decode by lines measured within 2 % of
+one at offsets at n = 65, 129 and 257.
 """
 
 from __future__ import annotations
@@ -378,29 +385,34 @@ def _fold(v: int, steps) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _plane_masks(n: int) -> tuple[bytes, bytes, tuple]:
-    """(zero, one, folds) for the bit planes of n variables: planes of 0x00
-    and of 0xFF bytes, which make the mask of the planes that x selects
-    (module docstring), and the _fold_steps of the n + 1 planes."""
+def _plane_masks(n: int) -> tuple[tuple[bytes, ...], int, tuple]:
+    """(spread, shift, folds) for the bit planes of n variables: spread[b]
+    is the 8 planes of 0x00 or 0xFF bytes that byte b's bits select, bit 0
+    first, so that the join of spread over x's little-endian bytes, read
+    big-endian and shifted right by shift, is the mask of the planes that x
+    selects (module docstring); folds is the _fold_steps of the n + 1
+    planes."""
     size = (n + 7) // 8
-    return bytes(size), b"\xff" * size, _fold_steps(n + 1, 8 * size)
+    planes = (bytes(size), b"\xff" * size)
+    spread = tuple(b"".join(planes[b >> t & 1] for t in range(8)) for b in range(256))
+    return spread, (8 * size - n - 1) * 8 * size, _fold_steps(n + 1, 8 * size)
 
 
 def _plane_tables(n: int, fields, z) -> tuple:
-    """linalg.nibble_windows of the bit-plane lanes Q_{n-1}, ..., Q_0
-    (module docstring), so that apply_windows of x reversed is the plane
-    sum at x.  Entry p of the bit transpose of xx | xl << n(n-1)/2 per
-    equation is the vector over the equations of pair p's a_jk, or of
-    d_{p - n(n-1)/2}, most significant byte first: row j of the pairs, read
-    big-endian behind d_j and ahead of z_j = z[j], puts plane k of Q_j in
-    bits (n - k) w .. (n + 1 - k) w - 1."""
+    """linalg.nibble_windows of the bit-plane lanes Q_0, ..., Q_{n-1}
+    (module docstring), so that apply_windows of x is the plane sum at x.
+    Entry p of the bit transpose of xx | xl << n(n-1)/2 per equation is the
+    vector over the equations of pair p's a_jk, or of d_{p - n(n-1)/2},
+    most significant byte first: row j of the pairs, read big-endian behind
+    d_j and ahead of z_j = z[j], puts plane k of Q_j in bits (n - k) w ..
+    (n + 1 - k) w - 1."""
     size = (n + 7) // 8
     pairs = n * (n - 1) // 2
     stride = (pairs + n + 7) // 8
     data = b"".join((xx | xl << pairs).to_bytes(stride, "little") for xx, _, xl, _, _ in fields)
     planes = b"".join(bit_column_bytes(data, stride, pairs + n))
     lanes = []
-    for j in range(n - 1, -1, -1):
+    for j in range(n):
         start = (j * n - j * (j + 1) // 2) * size  # row j of the pairs
         diagonal = (pairs + j) * size
         lanes.append(int.from_bytes(
@@ -426,15 +438,15 @@ class _Certified:
         self._lanes = _lane_tables(n, fields)
 
     def fraction(self, x: int) -> tuple[int, int]:
-        """(r, z(x)) from one lookup, the plane sum at x from 1: r, the
-        right-hand side of the system at x, is e xor the fold of the planes
-        that x selects, and z(x) = M(x) p0 is plane n (module docstring)."""
+        """(r, z(x)) from one lookup, the plane sum at x from 1, with x as it
+        is: r, the right-hand side of the system at x, is e xor the fold of
+        the planes that x selects, under the mask that spread builds from
+        x's bytes, and z(x) = M(x) p0 is plane n (module docstring)."""
         n = self.field.n
-        zero, one, folds = _plane_masks(n)
-        digits = f"{x:0{n}b}"[::-1]  # x_0 first, as plane 0 is the top one
-        v = apply_windows(self._planes, int(digits, 2), 1)
-        select = digits.encode().replace(b"0", zero).replace(b"1", one) + zero
-        return _fold(v & int.from_bytes(select, "big"), folds) ^ self._e, v & (1 << n) - 1
+        spread, shift, folds = _plane_masks(n)
+        v = apply_windows(self._planes, x, 1)
+        select = b"".join(map(spread.__getitem__, x.to_bytes((n + 7) // 8, "little")))
+        return _fold(v & int.from_bytes(select, "big") >> shift, folds) ^ self._e, v & (1 << n) - 1
 
     def solve(self, blocks) -> list[int]:
         """The solutions P (r / z(x)) of the systems at blocks, by one field
@@ -466,10 +478,10 @@ def _z_rows(n: int, fields, p0: int) -> list[int]:
     return rows
 
 
-def _certify(n: int, fields) -> tuple | None:
-    """(field, P, z) if B_j = Mult(z_j) M(0), z_j = B_j p0, for every j,
-    else None; None too when M(0) is singular.  z lists the z_j, the
-    columns of the matrix read off the xy fields (_z_rows).
+def _certify(n: int, fields) -> _Certified | None:
+    """The _Certified of the key, with P = M(0)^-1 and the z_j, the columns
+    of the matrix read off the xy fields (_z_rows), if B_j = Mult(z_j) M(0),
+    z_j = B_j p0, for every j, else None; None too when M(0) is singular.
 
     The columns m_k of M(0), packed one per lane, are tabulated once by
     their byte multiples, and each z_j takes one carry-less product
@@ -490,7 +502,7 @@ def _certify(n: int, fields) -> tuple | None:
     columns = bit_columns(data, field.lane_bytes, n)
     if any(column != f[1] for column, f in zip(columns, fields)):
         return None
-    return field, p, z
+    return _Certified(fields, field, p, z)
 
 
 def _equation_widths(n: int) -> tuple[tuple[str, int], ...]:
@@ -671,8 +683,7 @@ class PublicKey:
             raise ValueError("block length mismatch")
         self._blocks += len(blocks)
         if self._inversion is None and self._blocks >= _certify_after(n):
-            certificate = _certify(n, self.fields)
-            self._inversion = certificate is not None and _Certified(self.fields, *certificate)
+            self._inversion = _certify(n, self.fields) or False
         if self._inversion:
             return self._inversion.solve(blocks)
         return [solve_linear(*self.linear_system(x)) for x in blocks]
@@ -904,33 +915,26 @@ def _key_text(secret: bool, n: int, values) -> str:
     return "".join(parts)
 
 
-def _has_capitals(text: str, start: int = 0) -> bool:
-    """Whether text holds a digit A-F from start on: a2b_hex accepts them,
-    and the canonical form does not."""
-    return any(text.find(digit, start) >= 0 for digit in "ABCDEF")
-
-
 def _canonical_values(text: str):
-    """(secret, n, values) when text is the file encode_key writes for the
-    values, else None.  Each check reads the text at the offset the layout
-    fixes: the header is the only text built, and each value's digits the
-    only part of the text copied."""
-    secret = text.startswith(_SECRET_MAGIC + "\n")
-    if not (secret or text.startswith(_PUBLIC_MAGIC + "\n")):
+    """(n, values) when text is the public key file encode_key writes for
+    the values, else None.  Each check reads the text at the offset the
+    layout fixes: the header is the only text built, and each value's
+    digits the only part of the text copied."""
+    if not text.startswith(_PUBLIC_MAGIC + "\n"):
         return None
-    start = len(_SECRET_MAGIC if secret else _PUBLIC_MAGIC) + 1
+    start = len(_PUBLIC_MAGIC) + 1
     try:
         n = int(text[start:text.find("\n", start)].partition(" ")[0].partition("=")[2])
     except ValueError:
         return None
-    # every size-n file holds at least n^2 / 2 digits (A1 and A2, or any
-    # xy), so a huge claimed n fails here and builds no layout
+    # every size-n public file holds n^3 / 4 digits and more (its xy
+    # lines), so a huge claimed n fails here and builds no layout
     if n < 3 or n % 2 == 0 or n * n > 2 * len(text):
         return None
-    (names, widths), length = _layout(secret, n)
+    (names, widths), length = _layout(False, n)
     if len(text) != length:
         return None
-    header = _header(secret, n)
+    header = _header(False, n)
     if not text.startswith(header):
         return None
     # the lines at their offsets then end exactly at len(text)
@@ -955,16 +959,15 @@ def _canonical_values(text: str):
             value = int.from_bytes(data, "little")
             if value >> nbits:
                 return None
-            # a secret line name holds an "A"; no public one holds a capital
-            if secret and _has_capitals(digits):
-                return None
         if not text.startswith("\n", pos):
             return None
         pos += 1
         values.append(value)
-    if not secret and _has_capitals(text, len(header)):
+    # a2b_hex accepts the digits A-F, which the canonical form does not,
+    # and no line name holds a capital
+    if any(text.find(digit, len(header)) >= 0 for digit in "ABCDEF"):
         return None
-    return secret, n, values
+    return n, values
 
 
 def _key_of(secret: bool, n: int, values):
@@ -987,19 +990,22 @@ def decode_key(text: str):
 
     The text must be exactly what encode_key writes for its key (module
     docstring); anything else, a trace-0 alpha or a singular matrix
-    included, raises KeyFormatError.
+    included, raises KeyFormatError.  A public file is read at its offsets
+    (_canonical_values); a secret file, and any text that fails there, by
+    lines (_decode_lines).
     """
     parsed = _canonical_values(text)
     if parsed is None:
-        _raise_format_error(text)
-    return _key_of(*parsed)
+        return _decode_lines(text)
+    return _key_of(False, *parsed)
 
 
-def _raise_format_error(text: str):
-    """Raise the KeyFormatError of a text that is not canonical, found line
-    by line: a value error, then a key invariant, then the first line that
-    differs from the canonical text.  n is bounded only by the line count,
-    so the widths are read lazily, and no layout is built before the values."""
+def _decode_lines(text: str):
+    """The key of a text read line by line, if the text is _key_text of its
+    values, else its KeyFormatError: a value error, then a key invariant,
+    then the first line that differs from the canonical text.  n is bounded
+    only by the line count, so the widths are read lazily, and no layout is
+    built before the values."""
     lines = text.splitlines()
     if not lines:
         raise KeyFormatError("empty key file")
@@ -1033,9 +1039,9 @@ def _raise_format_error(text: str):
             values.append(int(value) if nbits == 1 else hex_to_bits(value, nbits))
         except ValueError as exc:
             raise KeyFormatError(f"line {number}: {exc}") from exc
-    _key_of(secret, n, values)
-    # _canonical_values accepts every text that _key_text writes, so this
-    # text differs from the canonical one
+    key = _key_of(secret, n, values)
     canonical = _key_text(secret, n, values)
+    if canonical == text:
+        return key
     line = os.path.commonprefix((canonical, text)).count("\n") + 1
     raise KeyFormatError(f"line {line} is not in canonical form")

@@ -612,11 +612,13 @@ def test_fields_give_the_system_at_x(n, monkeypatch):
         assert key._inversion is None
 
 
-@pytest.mark.parametrize("n", [3, 5, 9, 33])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 33])
 def test_plane_tables_give_the_system_at_x(n):
     # a certified key's fraction(x), read off its plane tables and its z
     # map, is linear_system's right-hand side at x and M(x) p0, on an
-    # honest key and on a crafted one (whose z vanishes at e_0)
+    # honest key and on a crafted one (whose z vanishes at e_0); at n = 7
+    # and 15 the bytes of x hold n + 1 planes, and the select mask is not
+    # shifted
     rng = random.Random(0x91A + n)
     top = (1 << n) - 1
     xs = range(1 << n) if n < 10 else [0, 1, top, *(rng.getrandbits(n) for _ in range(60))]
@@ -628,6 +630,26 @@ def test_plane_tables_give_the_system_at_x(n):
         for x in xs:
             matrix, rhs = key.linear_system(x)
             assert inversion.fraction(x) == (rhs, matrix.mul_vec(p0))
+
+
+def test_plane_tables_fit_their_measured_size():
+    # the plane tables of an n = 129 key, by tracemalloc, in either lane
+    # order: 0.59 - 0.60 MB, as plane 0 sits on top of every lane
+    import tracemalloc
+
+    import ld2.keys as keys_mod
+    from ld2.linalg import AffineMap, BitMatrix, invert_matrix
+
+    n = 129
+    fields = keygen(n, seed=0x9A7E)[1].fields
+    p0 = AffineMap(invert_matrix(BitMatrix([f[3] for f in fields], n)), 0).apply(1)
+    z = BitMatrix(keys_mod._z_rows(n, fields, p0), n).transpose().rows
+    tracemalloc.start()
+    tables = keys_mod._plane_tables(n, fields, z)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert len(tables) == (n + 7) // 8
+    assert held <= 0.65e6
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 33])

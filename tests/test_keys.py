@@ -194,17 +194,23 @@ def test_round_trip_larger_keys():
     assert decode_key(encode_key(pk)) == pk
 
 
-def test_decode_does_no_encoding(monkeypatch):
-    # a canonical file is read at the offsets its layout fixes: decoding
-    # never encodes the key or builds the file's text, and a public key
-    # keeps the parsed values as its fields and builds no tables
-    import ld2.keys as keys_mod
-
-    texts = [
+def _decode_texts():
+    # the files of two key pairs, at n = 5 and 33: secret, public, secret,
+    # public
+    return [
         (key, encode_key(key))
         for n, seed in ((5, 0xDEC0), (33, 0xDEC1))
         for key in keygen(n, seed)
     ]
+
+
+def test_decode_does_no_encoding(monkeypatch):
+    # a canonical public file is read at the offsets its layout fixes:
+    # decoding never encodes the key or builds the file's text, and the key
+    # keeps the parsed values as its fields and builds no tables
+    import ld2.keys as keys_mod
+
+    texts = _decode_texts()
 
     def forbidden(*args):
         raise AssertionError("decode_key must not encode, build text or build tables")
@@ -212,16 +218,40 @@ def test_decode_does_no_encoding(monkeypatch):
     monkeypatch.setattr(keys_mod, "_lane_tables", forbidden)
     monkeypatch.setattr(keys_mod, "encode_key", forbidden)
     monkeypatch.setattr(keys_mod, "_key_text", forbidden)
-    for key, text in texts:
+    for key, text in texts[1::2]:
         decoded = decode_key(text)
-        assert decoded == key
-        assert isinstance(decoded, SecretKey) or decoded._inversion is None
-    # a file that is not canonical goes to the line parser, which may
-    # build the canonical text to name the first line that differs: here
-    # the last of the n = 5 public file's 28, with no final newline
+        assert decoded == key and decoded._inversion is None
+    # a file that is not canonical goes to the line reader, which builds
+    # the canonical text to name the first line that differs: here the
+    # last of the n = 5 public file's 28, with no final newline
     monkeypatch.undo()
     with pytest.raises(KeyFormatError, match="^line 28 is not in canonical form$"):
         decode_key(texts[1][1][:-1])
+
+
+def test_secret_decode_builds_one_text(monkeypatch):
+    # a secret file, five short lines, goes to the line reader, which
+    # builds the canonical text of the values it parsed once, compares it
+    # with the file and never encodes the key
+    import ld2.keys as keys_mod
+
+    texts = _decode_texts()[0::2]
+    built = []
+
+    def counted(secret, n, values, original=keys_mod._key_text):
+        built.append((secret, n))
+        return original(secret, n, values)
+
+    def forbidden(*args):
+        raise AssertionError("decode_key must not encode the key")
+
+    monkeypatch.setattr(keys_mod, "_key_text", counted)
+    monkeypatch.setattr(keys_mod, "encode_key", forbidden)
+    for key, text in texts:
+        del built[:]
+        decoded = decode_key(text)
+        assert isinstance(decoded, SecretKey) and decoded == key
+        assert built == [(True, key.field.n)]
 
 
 @pytest.mark.parametrize("n", [3, 9, 11, 99, 101, 129])
