@@ -108,9 +108,10 @@ def verify(pk: PublicKey, digest: int, signature: int) -> bool:
     A certified key, one that passed the certificate at its K-th
     encrypted block (K = n // 4 + 2), reads its equations from window
     tables of its lane-major copy, behind a six-equation gate
-    (PublicKey.holds); any other key, below K or refused, evaluates them
-    on its key-file fields.  The keys module docstring gives the layout of
-    the copy and the tables' memory.  verify builds no tables.
+    (PublicKey.holds), which its first verify builds; any other key, below
+    K or refused, evaluates them on its key-file fields and builds no
+    tables.  The keys module docstring gives the layout of the copy and
+    the tables' memory.
     """
     return pk.holds(signature, digest)
 

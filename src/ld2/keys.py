@@ -25,9 +25,10 @@ and only ever moves forward:
 
     below K     the fields; solve eliminates (linalg.solve_linear)
     refused     the fields, for good; solve eliminates
-    certified   the fields and a _Certified, every table the key builds:
-                the lane-major copy's window tables and the bit planes;
-                solve takes one Field.inv a call (_Certified.solve)
+    certified   the fields and a _Certified, encryption's tables: the bit
+                planes; solve takes one Field.inv a call (_Certified.solve).
+                The first holds builds verification's tables, the
+                lane-major copy's window tables (PublicKey._lanes)
 
 derive_public_key and decode_key build the fields and nothing else, and
 encode_key writes them as they are.  A QuadraticEquation is a view of
@@ -80,11 +81,15 @@ linalg.nibble_windows of L_0..L_{n-1}, with L_n as the constant, so a
 lane sum is one linalg.apply_windows call.  holds first reads them cut to
 the first min(_GATE, n) = 6 chunks, a gate that checks six equations with
 one lookup, one AND and one parity fold, and only a pair that passes it,
-about one forgery in 64, reads the whole tables.  Only a _Certified
-builds both sets (_lane_tables), once.  By tracemalloc they take 0.34,
-2.4 and 17.9 MB at n = 65, 129 and 257 (0.44, 3.0 and 22.6 MB at the peak
-of the build), and a certified key's plane tables (below) 0.09, 0.60 and
-4.5 MB (0.32, 1.4 and 7.8 MB at the peak of their build).
+about one forgery in 64, reads the whole tables.  holds builds both sets
+(_lane_tables) once, at its first call on a certified key, after the
+range check, so a key that only encrypts never builds them.  By
+tracemalloc they take 0.34, 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44,
+3.0 and 22.6 MB at the peak of the build), and a certified key's plane
+tables (below) 0.09, 0.60 and 4.5 MB (0.32, 1.4 and 7.8 MB at the peak of
+their build).  With the per-n caches warm, a decoded key that one 3 KiB
+message certifies holds 0.65 and 4.6 MB more at n = 129 and 257, and 2.4
+and 17.9 MB more after its first holds.
 
 linalg.solve_linear eliminates; the construction gives a shortcut.
 Equation i is coordinate i, in the polynomial basis of the public
@@ -141,22 +146,21 @@ the bytes that plane 0 at the bottom would.  One bit transpose
 a_jk and d_k as the bytes of one plane, and each lane is one slice of
 those bytes behind its d_j.
 
-Pinned to one CPU of a shared 2-CPU x86-64 machine, the K-th block of a
-key that passes, the certificate, plane and lane tables, takes
-about 1.5-2.8, 5.5-9.5, 31-44 and 230-270 ms at n = 33, 65, 129 and 257
-(the lane tables 0.5-0.8, 1.8-3.2, 8.5-14 and 49-78 ms, the plane tables
-0.3-0.5, 1.2-2.0, 4.8-8.5 and 29-43 ms), and of a key it refuses 0.7-1.3,
-2.5-4.2, 13-21 and 130-175 ms.  A certified block then takes 0.04-0.08,
-0.06-0.11, 0.11-0.21 and 0.30-0.51 ms alone, and about half that in a
-message, against 0.15-0.28, 0.38-0.65, 1.0-1.8 and 4.3-7.0 ms by
-elimination from the fields.  The build pays for itself after 14, 17-18,
-21-47 and 36-65 blocks one at a time (12, 15-16, 20-44 and 35-63 in a
-message), and K = n // 4 + 2 (_certify_after: 10, 18, 34 and 66) is
-within about a factor of two of that at each size: the ski-rental rule
-(Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy caching",
-Algorithmica 3, 1988), by which buying at the break-even costs at most
-about twice the best choice made in hindsight.  K is at least 2, so a
-key that encrypts one block builds no tables.
+Pinned to one CPU of a shared 2-CPU x86-64 machine, over three runs on a
+decoded key of keygen(n, 7), the K-th block of a key that passes, the
+certificate and the plane tables, takes about 0.9-1.1, 2.9-3.2, 14-15 and 117-168 ms at
+n = 33, 65, 129 and 257.  A certified block then takes 0.034-0.037,
+0.051-0.056, 0.091-0.101 and 0.19-0.29 ms alone, against 0.12-0.13,
+0.26-0.27, 0.59-0.63 and 1.5-1.6 ms by elimination from the fields.  The
+build pays for itself after 10-11, 14-15, 27-28 and 92-131 blocks one at
+a time, and K = n // 4 + 2 (_certify_after: 10, 18, 34 and 66) is within
+about a factor of two of that at each size: the ski-rental rule (Karlin,
+Manasse, Rudolph and Sleator, "Competitive snoopy caching", Algorithmica
+3, 1988), by which buying at the break-even costs at most about twice the
+best choice made in hindsight.  K is at least 2, so a key that encrypts
+one block builds no tables.  The first holds on a certified key, which
+builds the lane tables, takes 0.38-0.42, 1.5-1.6, 6.7-7.2 and 40-64 ms,
+and a valid verify after it 6-7, 12-13, 32-35 and 130-220 us.
 
 Key files are line oriented:
 
@@ -422,20 +426,19 @@ def _plane_tables(n: int, fields, z) -> tuple:
 
 
 class _Certified:
-    """All that a key that passed the certificate builds, once: the field
-    of the public modulus, P = M(0)^-1 as an AffineMap, the plane tables
-    (with the z_j) and e, the c fields as one vector, for y = P (r /
-    z(x)); and the lane tables, which PublicKey.holds reads (module docstring)."""
+    """What encryption reads on a key that passed the certificate, built
+    once: the field of the public modulus, P = M(0)^-1 as an AffineMap, the
+    plane tables (with the z_j) and e, the c fields as one vector, for y =
+    P (r / z(x)) (module docstring).  The lane tables are verification's,
+    and PublicKey.holds builds them."""
 
-    __slots__ = ("field", "p", "_planes", "_e", "_lanes")
+    __slots__ = ("field", "p", "_planes", "_e")
 
     def __init__(self, fields, field: Field, p: AffineMap, z: tuple[int, ...]):
-        n = field.n
         self.field = field
         self.p = p
-        self._planes = _plane_tables(n, fields, z)
+        self._planes = _plane_tables(field.n, fields, z)
         self._e = sum(f[4] << i for i, f in enumerate(fields))
-        self._lanes = _lane_tables(n, fields)
 
     def fraction(self, x: int) -> tuple[int, int]:
         """(r, z(x)) from one lookup, the plane sum at x from 1, with x as it
@@ -598,11 +601,12 @@ class PublicKey:
     fields holds, per equation, its five key-file fields (xx, xy, xl, yl,
     c), always; equations views each of them as a QuadraticEquation.
     _blocks counts the blocks solved; _inversion is None until the K-th,
-    then a _Certified, which holds every table the key builds, or False for
-    a key the certificate refused (module docstring).
+    then a _Certified, which holds encryption's tables, or False for a key
+    the certificate refused; _lanes, verification's lane tables, is None
+    until the first holds on a certified key (module docstring).
     """
 
-    __slots__ = ("n", "fields", "_blocks", "_inversion")
+    __slots__ = ("n", "fields", "_blocks", "_inversion", "_lanes")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -627,6 +631,7 @@ class PublicKey:
         self.fields = fields
         self._blocks = 0
         self._inversion = None
+        self._lanes = None
 
     @property
     def equations(self) -> tuple[QuadraticEquation, ...]:
@@ -638,20 +643,22 @@ class PublicKey:
 
         On a key that is not certified the equations are evaluated one by
         one on the fields, against T (the xx monomials at x) and Y = x (x)
-        y, until one is 1 (_vanish_on_fields).  On a certified key, the
-        gate's lane sum, then the whole one, is ANDed with terms = x | y <<
-        n | 1 << 2n in every chunk, and _even_chunks folds the equations'
-        parities at once.
+        y, until one is 1 (_vanish_on_fields).  On a certified key, whose
+        first call builds the lane tables, the gate's lane sum, then the
+        whole one, is ANDed with terms = x | y << n | 1 << 2n in every
+        chunk, and _even_chunks folds the equations' parities at once.
         """
         n = self.n
         top = 1 << n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
-        certified = self._inversion
-        if not certified:
-            return _vanish_on_fields(n, self.fields, x, y)
+        lanes = self._lanes
+        if lanes is None:
+            if not self._inversion:
+                return _vanish_on_fields(n, self.fields, x, y)
+            lanes = self._lanes = _lane_tables(n, self.fields)
         terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
-        (windows, constant), (gate, gate_constant) = certified._lanes
+        (windows, constant), (gate, gate_constant) = lanes
         return _even_chunks(
             n, apply_windows(gate, x, gate_constant), terms, min(_GATE, n)
         ) and _even_chunks(n, apply_windows(windows, x, constant), terms, n)

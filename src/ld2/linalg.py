@@ -14,11 +14,12 @@ from the images of the basis vectors, one table per window of input bits:
 the elimination's tables of pivot sums, gf2n's byte multiples of
 lane-packed elements, the 4-bit windows (nibble_windows, apply_windows)
 through which AffineMap applies its matrix and a certified
-keys.PublicKey takes every lane sum of its lane-major copy and of its bit
-planes, both built once, when the certificate passes at the K-th block,
-and gf2n's byte-window Frobenius tables.  AffineMap eliminates only in
-inverse(); keys.SecretKey checks both secret maps and keeps s^-1.
-Keygen's xorshift64* generator is here too.
+keys.PublicKey takes every lane sum of its bit planes, built once when
+the certificate passes at the K-th block, and of its lane-major copy,
+built once at its first holds after that, and gf2n's byte-window
+Frobenius tables.  AffineMap eliminates only in inverse(); keys.SecretKey
+checks both secret maps and keeps s^-1.  Keygen's xorshift64* generator
+is here too.
 """
 
 from __future__ import annotations

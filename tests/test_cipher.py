@@ -296,6 +296,34 @@ def test_decrypt_error_branch(monkeypatch, toy_sk):
         decrypt_block(toy_sk, 0)
 
 
+class _FirstApplyWrong:
+    """An affine map whose first apply is off by one bit: a fault in
+    decryption's first t(y)."""
+
+    def __init__(self, t):
+        self.t = t
+        self.calls = 0
+
+    def apply(self, y):
+        self.calls += 1
+        return self.t.apply(y) ^ (self.calls == 1)
+
+
+def test_a_fault_in_the_first_t_of_y_is_caught():
+    # R(u, v) is linear in v with coefficient w(u) != 0, so a wrong first
+    # v = t(y) gives an x with R(s(x), v) = 0: only the residual's own t(y)
+    # catches it, in a message and in a block
+    sk, pk = keygen(9, seed=0xFA17)
+    ciphertext = encrypt_message(pk, b"abc")
+    sk.t = _FirstApplyWrong(sk.t)
+    with pytest.raises(DecryptionError, match=r"^block 0: decrypted block fails"):
+        decrypt_message(sk, ciphertext)
+    sk.t.calls = 0
+    with pytest.raises(DecryptionError, match=r"^decrypted block fails"):
+        decrypt_block(sk, int.from_bytes(ciphertext[:2], "little"))
+    assert sk.t.calls == 2
+
+
 @pytest.mark.parametrize("k", range(3))
 def test_decrypt_message_errors_name_the_block(monkeypatch, k):
     import ld2.cipher as cipher_mod
@@ -583,7 +611,7 @@ def test_fields_give_the_system_at_x(n, monkeypatch):
     import ld2.keys as keys_mod
 
     def forbidden(*args):
-        raise AssertionError("the lane tables are built at the K-th block only")
+        raise AssertionError("only holds on a certified key builds the lane tables")
 
     monkeypatch.setattr(keys_mod, "_lane_tables", forbidden)
     rng = random.Random(0xF1E + n)
@@ -680,9 +708,11 @@ def test_certificate_reads_z_off_the_fields(n):
 
 def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     # each call logs its n: calls of _certify, builds of the plane tables
-    # and lanes of the lane tables
+    # and lanes of the lane tables, which the first holds on a certified
+    # key builds, after its range check
     import ld2.keys as keys_mod
 
+    lane_tables = keys_mod._lane_tables
     calls, builds, lanes = [], [], []
     for name, log in (("_certify", calls), ("_plane_tables", builds), ("_lane_tables", lanes)):
         def counted(n, *args, original=getattr(keys_mod, name), log=log):
@@ -692,27 +722,46 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
         monkeypatch.setattr(keys_mod, name, counted)
     n = 33
     k = _certify_after(n)
-    _, pk = keygen(n, seed=0xCE27)
+    sk, pk = keygen(n, seed=0xCE27)
+    digest = 0x5EED
+    signature = sign(sk, digest)
+
+    def verified(key):
+        return verify(key, digest, signature), verify(key, digest, signature ^ 1)
+
     prng = Prng(0xB10C)
     blocks = [prng.bits(n) for _ in range(3 * k)]
     expected = [_eliminated(pk, x) for x in blocks]
     # encrypt_block counts one block a call: K - 1 by elimination, which
-    # builds no tables of any kind, then the K-th call certifies the key
-    # and every later block is inverted
+    # builds no tables of any kind, nor does holds below K
     assert [repr(encrypt_block(pk, x)) for x in blocks[:k - 1]] == expected[:k - 1]
+    assert verified(pk) == (True, False)
     assert calls == builds == lanes == [] and pk._inversion is None
+    # the K-th call certifies the key and builds its plane tables once, and
+    # every later block is inverted; encryption builds no lane tables
     assert repr(encrypt_block(pk, blocks[k - 1])) == expected[k - 1]
-    # a key that passes the certificate builds its lane and plane tables once
-    assert calls == builds == lanes == [n] and pk._inversion._lanes is not None
+    assert calls == builds == [n] and lanes == [] and pk._inversion and pk._lanes is None
     assert [repr(encrypt_block(pk, x)) for x in blocks[k:]] == expected[k:]
-    assert calls == builds == lanes == [n]
+    assert calls == builds == [n] and lanes == []
+    # an out-of-range holds on the certified key raises and builds nothing
+    for x, y in ((1 << n, 0), (0, 1 << n), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="^block length mismatch$"):
+            pk.holds(x, y)
+    assert lanes == [] and pk._lanes is None
+    # its first holds builds the lane tables of its fields, once
+    assert verified(pk) == (True, False)
+    assert lanes == [n] and pk._lanes == lane_tables(n, pk.fields)
+    assert verified(pk) == (True, False)
     message = bytes(range(200))
     assert decrypt_message(keygen(n, seed=0xCE27)[0], encrypt_message(pk, message)) == message
-    assert calls == builds == lanes == [n]
-    # a message of K blocks or more certifies a fresh key first
+    assert calls == builds == [n] and lanes == [n]
+    # a message of K blocks or more certifies a fresh key first; a key
+    # that only encrypts never builds the lane tables
     _, fresh = keygen(n, seed=0xCE27)
-    assert encrypt_message(fresh, message) == encrypt_message(pk, message)
-    assert calls == builds == lanes == [n, n] and fresh._inversion
+    for _ in range(3):
+        assert encrypt_message(fresh, message) == encrypt_message(pk, message)
+    assert calls == builds == [n, n] and lanes == [n] and fresh._inversion
+    assert fresh._lanes is None
     # a key that fails the certificate is checked once, and keeps elimination
     fields = [list(f) for f in pk.fields]
     fields[0][1] ^= 1 << 40  # one xy bit
@@ -720,5 +769,8 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     outcomes = [outcome(encrypt_block, tampered, x) for x in blocks]
     assert outcomes == [_eliminated(tampered, x) for x in blocks]
     outcome(encrypt_message, tampered, message)
-    # and builds nothing: no lane tables and no plane tables
-    assert calls == [n, n, n] and builds == lanes == [n, n] and tampered._inversion is False
+    # and builds nothing, verifying included: no lane and no plane tables
+    verify(tampered, digest, signature)
+    assert tampered.holds(1, 2) in (True, False)
+    assert calls == [n, n, n] and builds == [n, n] and lanes == [n]
+    assert tampered._inversion is False and tampered._lanes is None

@@ -305,8 +305,9 @@ def test_a_claimed_huge_n_fails_at_once():
 def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     # a key holds its file fields; keygen, the codec, verification, the
     # equation views, the CLI's verify and inspect, linear_system and the
-    # first K - 1 encrypted blocks never build the tables, and the K-th
-    # block certifies the key and builds them once, from the fields
+    # first K - 1 encrypted blocks never build the lane tables; the K-th
+    # block certifies the key, and its first holds after that builds them
+    # once, from the fields
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, sign, verify
     from ld2.cli import main
@@ -342,8 +343,11 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     assert [encrypt_block(decoded, 5) for _ in range(k - 2)] == [first] * (k - 2)
     assert calls == [] and decoded._inversion is None
     assert encrypt_block(decoded, 5) == first
-    assert calls == [decoded.fields] and decoded._inversion._lanes is not None
+    assert calls == [] and decoded._inversion and decoded._lanes is None
+    assert verify(decoded, 3, signature) and not verify(decoded, 3, signature ^ 4)
+    assert calls == [decoded.fields] and decoded._lanes is not None
     assert encrypt_block(decoded, 5) == first and decoded.linear_system(6)
+    assert decoded.holds(1, 2) in (True, False)
     assert decoded.equations == pk.equations and pk._inversion is None
     assert len(calls) == 1
     built = PublicKey(n, pk.equations)
@@ -381,8 +385,9 @@ def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
 
 def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
     # keygen, the key codec, verification and the first K - 1 encrypted
-    # blocks never pay for the window tables of the copy; the K-th block
-    # certifies the key and builds them, once per key
+    # blocks never pay for the window tables of the copy, nor does
+    # encryption after the K-th block, which certifies the key; the first
+    # holds after it builds them, once per key
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, encrypt_message, sign, verify
 
@@ -410,20 +415,25 @@ def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
     assert [encrypt_block(pk, 5) for _ in range(k - 2)] == [first] * (k - 2)
     assert builds == [] and pk._inversion is None
     assert encrypt_block(pk, 5) == first
-    assert builds == [9] and pk._inversion._lanes is not None
     assert encrypt_block(pk, 5) == first
     encrypt_message(pk, b"lane-major")
+    assert builds == [] and pk._inversion and pk._lanes is None
+    check(pk)
+    assert builds == [9] and pk._lanes is not None
     check(pk)
     assert builds == [9]
-    # a message of K blocks or more builds them on a fresh key
+    # a message of K blocks or more certifies a fresh key, whose first
+    # holds builds them: the tables of equal fields are equal
     assert encrypt_message(decoded, b"lane-major") == encrypt_message(pk, b"lane-major")
     assert encrypt_block(decoded, 5) == first
-    assert builds == [9, 9]
+    assert builds == [9] and decoded._inversion and decoded._lanes is None
+    check(decoded)
+    assert builds == [9, 9] and decoded._lanes == pk._lanes
 
 
 @pytest.mark.parametrize("n", [9, 65])
 def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
-    # with the copy, which the K-th block builds on certifying the key,
+    # with the copy, which the first holds on a certified key builds,
     # valid pairs and forgeries go through the gate tables and the copy
     # alone; a decoded key without it evaluates on its file fields, once
     # per call, and builds no tables

@@ -577,8 +577,8 @@ def test_linear_system_and_holds_match_evaluate(n, seed, fill):
         pk = PublicKey(n, [QuadraticEquation(n, *f) for f in key_fields])
         values = [eq.evaluate(x, y) for eq in pk.equations]
         # holds evaluates every equation on the fields until the K-th
-        # block, and after it on a refused key; a certified key reads its
-        # lane tables
+        # block, and after it on a refused key; a certified key builds its
+        # lane tables at its first holds and reads them
         assert pk.holds(x, y) == (not any(values))
         matrix, rhs = pk.linear_system(x)
         for i, row in enumerate(matrix.rows):
@@ -588,8 +588,9 @@ def test_linear_system_and_holds_match_evaluate(n, seed, fill):
         # before it solves them
         with contextlib.suppress(SingularMatrixError):
             pk.solve([x] * _certify_after(n))
+        assert pk._lanes is None
         assert pk.holds(x, y) == (not any(values))
-    assert pk._inversion._lanes is not None
+    assert pk._inversion and pk._lanes is not None
 
 
 @settings(deadline=None)
