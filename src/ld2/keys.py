@@ -27,8 +27,10 @@ and only ever moves forward:
     refused     the fields, for good; solve eliminates
     certified   the fields and a _Certified, encryption's tables: the bit
                 planes; solve takes one Field.inv a call (_Certified.solve).
-                The first holds builds verification's tables, the
-                lane-major copy's window tables (PublicKey._lanes)
+                The first holds builds verification's tables
+                (PublicKey._verification): the gate's window tables, then
+                the whole lane tables below n = _PRODUCT_FROM, or the M(0)
+                map from there
 
 derive_public_key and decode_key build the fields and nothing else, and
 encode_key writes them as they are.  A QuadraticEquation is a view of
@@ -78,18 +80,23 @@ coefficients of y, and parity(v & x) ^ v_2n, v the chunk, is the rest.
 The key keeps the copy only as 4-bit window tables, the Four Russians
 lookup (Bard, IACR ePrint 2006/251) that AffineMap uses:
 linalg.nibble_windows of L_0..L_{n-1}, with L_n as the constant, so a
-lane sum is one linalg.apply_windows call.  holds first reads them cut to
-the first min(_GATE, n) = 6 chunks, a gate that checks six equations with
-one lookup, one AND and one parity fold, and only a pair that passes it,
-about one forgery in 64, reads the whole tables.  holds builds both sets
-(_lane_tables) once, at its first call on a certified key, after the
-range check, so a key that only encrypts never builds them.  By
-tracemalloc they take 0.34, 2.4 and 17.9 MB at n = 65, 129 and 257 (0.44,
-3.0 and 22.6 MB at the peak of the build), and a certified key's plane
-tables (below) 0.09, 0.60 and 4.5 MB (0.32, 1.4 and 7.8 MB at the peak of
-their build).  With the per-n caches warm, a decoded key that one 3 KiB
-message certifies holds 0.65 and 4.6 MB more at n = 129 and 257, and 2.4
-and 17.9 MB more after its first holds.
+lane sum is one linalg.apply_windows call (_lane_tables, of any leading
+equations' fields).  holds first reads the tables of the first min(_GATE,
+n) = 6 equations' copy, a gate that checks six equations with one
+lookup, one AND and one parity fold.  Only a pair that passes it, about
+one forgery in 64, reads on: below n = _PRODUCT_FROM = 97 the tables of
+all n equations' copy, and from there one field product that checks
+them all (below, after the certificate).  holds builds what its path
+reads, the gate and then the whole tables or the M(0) map, once, at its
+first call on a certified key, after the range check, so a key that only
+encrypts never builds them.  By tracemalloc the gate and whole tables
+take 0.06 and 0.35 MB at n = 33 and 65, and the gate and M(0) map 0.10,
+0.15 and 0.52 MB at n = 97, 129 and 257, where the whole tables would
+take 1.06, 2.4 and 17.9 MB.  A certified key's plane tables (below) take
+0.09, 0.60 and 4.5 MB at n = 65, 129 and 257 (0.32, 1.4 and 7.8 MB at the
+peak of their build).  With the per-n caches warm, a decoded key that one
+3 KiB message certifies holds 0.11, 0.64 and 4.6 MB more at n = 65, 129
+and 257, and 0.46, 0.79 and 5.1 MB more after its first holds.
 
 linalg.solve_linear eliminates; the construction gives a shortcut.
 Equation i is coordinate i, in the polynomial basis of the public
@@ -146,6 +153,18 @@ the bytes that plane 0 at the bottom would.  One bit transpose
 a_jk and d_k as the bytes of one plane, and each lane is one slice of
 those bytes behind its d_j.
 
+Verification on a certified key reads the same identity.  Equation i at
+(x, y) is bit i of M(x) y + r(x), so every equation vanishes exactly when
+M(x) y = r(x), that is, as the certificate proved M(x) = Mult(z(x)) M(0),
+when r(x) = z(x) (M(0) y) in F(2^n).  The check is exact, z(x) = 0
+included: M(x) is then zero, and both sides ask for r(x) = 0.  From n =
+_PRODUCT_FROM a pair that passes the gate takes one fraction(x), M(0)
+applied to y as an AffineMap whose rows are the yl fields, and one
+Field.mul.  The whole lane tables' lookup sums n chunks of 2n + 1 bits,
+and a valid verify by the product took 1.01-1.14 times as long as
+through them at n = 65, 0.98-1.02 at 81, 0.94-0.96 at 97, 0.88 at 113
+and 0.74-0.78 at 129 (_PRODUCT_FROM gives the runs).
+
 Pinned to one CPU of a shared 2-CPU x86-64 machine, over three runs on a
 decoded key of keygen(n, 7), the K-th block of a key that passes, the
 certificate and the plane tables, takes about 0.9-1.1, 2.9-3.2, 14-15 and 117-168 ms at
@@ -159,8 +178,12 @@ Manasse, Rudolph and Sleator, "Competitive snoopy caching", Algorithmica
 3, 1988), by which buying at the break-even costs at most about twice the
 best choice made in hindsight.  K is at least 2, so a key that encrypts
 one block builds no tables.  The first holds on a certified key, which
-builds the lane tables, takes 0.38-0.42, 1.5-1.6, 6.7-7.2 and 40-64 ms,
-and a valid verify after it 6-7, 12-13, 32-35 and 130-220 us.
+builds the gate and whole lane tables at n = 33 and 65 and the gate and
+the M(0) map at 129 and 257, takes 0.64-0.71, 2.2-2.3, 1.7-2.3 and
+6.9-8.0 ms (five runs on a key of keygen(n, 0x4C44325F424E4348) that a
+3 KiB message certified), and a valid verify after it 6.4-7.4,
+13.4-13.5, 28-47 and 76-83 us (medians of 21 rounds of 300, two runs, one
+per CPU).
 
 Key files are line oriented:
 
@@ -288,6 +311,18 @@ def _vanish_on_fields(n: int, fields, x: int, y: int) -> bool:
 # tables
 _GATE = 6
 
+# n from which holds checks a certified key past the gate by one field
+# product, r(x) = z(x) M(0) y, rather than the whole lane tables (module
+# docstring).  Valid verify on a key of keygen(n, 0x4C44325F424E4348)
+# that a 3 KiB message certified, medians of 21 alternating rounds of 300,
+# pinned to one CPU of a shared 2-CPU x86-64 machine, two or three runs:
+# the product took 1.01-1.14 times as long as the whole tables at n = 65
+# (won 0 and 5 of 21 rounds), 0.98-1.02 at 81 (7, 8), 0.94-0.96 at 97
+# (17, 20, 21), 0.88 at 113 (20, 21) and 0.74-0.78 at 129 (20, 21).  From
+# 97 on, the gate and the M(0) map take 0.10-0.52 MB where the gate and
+# the whole tables take 1.06-17.9 MB.
+_PRODUCT_FROM = 97
+
 
 def _chunk_bytes(n: int) -> int:
     """Bytes per chunk of the lane-major copy: enough for 2n + 1 bits that
@@ -353,14 +388,12 @@ def _lane_major(n: int, fields) -> tuple[int, ...]:
 
 
 def _lane_tables(n: int, fields) -> tuple:
-    """((windows, constant), (gate windows, gate constant)): lanes 0..n-1 of
-    the lane-major copy as linalg.nibble_windows of x, with lane n as the
-    constant, whole and cut to their first min(_GATE, n) chunks.
+    """(windows, constant): lanes 0..n-1 of the lane-major copy of fields,
+    all n equations or the gate's first min(_GATE, n), as
+    linalg.nibble_windows of x, with lane n as the constant.
     apply_windows(windows, x, constant) is then the lane sum at x."""
     lanes = _lane_major(n, fields)
-    cut = (1 << 8 * _chunk_bytes(n) * min(_GATE, n)) - 1
-    gate = [lane & cut for lane in lanes]
-    return (nibble_windows(lanes[:n]), lanes[n]), (nibble_windows(gate[:n]), gate[n])
+    return nibble_windows(lanes[:n]), lanes[n]
 
 
 def _certify_after(n: int) -> int:
@@ -429,8 +462,10 @@ class _Certified:
     """What encryption reads on a key that passed the certificate, built
     once: the field of the public modulus, P = M(0)^-1 as an AffineMap, the
     plane tables (with the z_j) and e, the c fields as one vector, for y =
-    P (r / z(x)) (module docstring).  The lane tables are verification's,
-    and PublicKey.holds builds them."""
+    P (r / z(x)) (module docstring).  From n = _PRODUCT_FROM, holds reads
+    fraction too, for its check r(x) = z(x) M(0) y, exact on this key as
+    M(x) = Mult(z(x)) M(0); the M(0) map and the lane tables are
+    verification's, and PublicKey.holds builds them."""
 
     __slots__ = ("field", "p", "_planes", "_e")
 
@@ -602,11 +637,13 @@ class PublicKey:
     c), always; equations views each of them as a QuadraticEquation.
     _blocks counts the blocks solved; _inversion is None until the K-th,
     then a _Certified, which holds encryption's tables, or False for a key
-    the certificate refused; _lanes, verification's lane tables, is None
-    until the first holds on a certified key (module docstring).
+    the certificate refused; _verification, verification's tables (the
+    gate's lane tables, then the whole lane tables, or None and the M(0)
+    map from n = _PRODUCT_FROM), is None until the first holds on a
+    certified key (module docstring).
     """
 
-    __slots__ = ("n", "fields", "_blocks", "_inversion", "_lanes")
+    __slots__ = ("n", "fields", "_blocks", "_inversion", "_verification")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -631,7 +668,7 @@ class PublicKey:
         self.fields = fields
         self._blocks = 0
         self._inversion = None
-        self._lanes = None
+        self._verification = None
 
     @property
     def equations(self) -> tuple[QuadraticEquation, ...]:
@@ -644,24 +681,39 @@ class PublicKey:
         On a key that is not certified the equations are evaluated one by
         one on the fields, against T (the xx monomials at x) and Y = x (x)
         y, until one is 1 (_vanish_on_fields).  On a certified key, whose
-        first call builds the lane tables, the gate's lane sum, then the
-        whole one, is ANDed with terms = x | y << n | 1 << 2n in every
-        chunk, and _even_chunks folds the equations' parities at once.
+        first call builds verification's tables, the gate's lane sum is
+        ANDed with terms = x | y << n | 1 << 2n in every chunk, and
+        _even_chunks folds its six equations' parities at once.  A pair
+        that passes the gate is then checked the same way through the
+        whole lane tables below n = _PRODUCT_FROM, and from there by one
+        field product: the certificate proved M(x) = Mult(z(x)) M(0), so
+        every equation vanishes, M(x) y = r(x), exactly when r(x) = z(x)
+        (M(0) y) in F(2^n), with r(x) and z(x) from _Certified.fraction.
         """
         n = self.n
         top = 1 << n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
-        lanes = self._lanes
-        if lanes is None:
+        tables = self._verification
+        if tables is None:
             if not self._inversion:
                 return _vanish_on_fields(n, self.fields, x, y)
-            lanes = self._lanes = _lane_tables(n, self.fields)
+            fields = self.fields
+            gate = _lane_tables(n, fields[:_GATE])
+            if n < _PRODUCT_FROM:
+                tables = gate, _lane_tables(n, fields), None
+            else:  # M(0), whose rows are the yl fields
+                tables = gate, None, AffineMap(BitMatrix([f[3] for f in fields], n), 0)
+            self._verification = tables
+        (gate, gate_constant), lanes, m0 = tables
         terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
-        (windows, constant), (gate, gate_constant) = lanes
-        return _even_chunks(
-            n, apply_windows(gate, x, gate_constant), terms, min(_GATE, n)
-        ) and _even_chunks(n, apply_windows(windows, x, constant), terms, n)
+        if not _even_chunks(n, apply_windows(gate, x, gate_constant), terms, min(_GATE, n)):
+            return False
+        if m0 is None:
+            return _even_chunks(n, apply_windows(lanes[0], x, lanes[1]), terms, n)
+        inversion = self._inversion
+        r, z = inversion.fraction(x)
+        return r == inversion.field.mul(z, m0.apply(y))
 
     def linear_system(self, x: int):
         """Matrix and right-hand side of the linear system in y at fixed x,

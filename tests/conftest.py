@@ -11,8 +11,10 @@ from ld2.cli import (
     toy_secret_key,
 )
 from ld2.cipher import DecryptionError, decrypt_block, unpad_message
+import ld2.keys as keys_mod
 from ld2.gf2n import Field, packed_size
-from ld2.keys import QuadraticEquation, derive_public_key
+from ld2.keys import QuadraticEquation, _lane_tables, derive_public_key
+from ld2.linalg import AffineMap, BitMatrix
 
 
 def outcome(fn, *args) -> str:
@@ -41,6 +43,18 @@ def decrypt_per_block(sk, data: bytes) -> bytes:
         except DecryptionError as exc:
             raise DecryptionError(f"block {index}: {exc}") from exc
     return unpad_message(blocks, n)
+
+
+def verification_tables(n: int, fields) -> tuple:
+    """What holds builds for verification on a certified key with these
+    fields, made here by the unpatched _lane_tables: the gate's lane tables,
+    then the whole lane tables below keys._PRODUCT_FROM, else None and M(0)
+    as a map whose rows are the yl fields.  The two constants are read at
+    the call, so a test may patch them."""
+    gate = _lane_tables(n, fields[:min(keys_mod._GATE, n)])
+    if n < keys_mod._PRODUCT_FROM:
+        return gate, _lane_tables(n, fields), None
+    return gate, None, AffineMap(BitMatrix([f[3] for f in fields], n), 0)
 
 
 @pytest.fixture(scope="session")

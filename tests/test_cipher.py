@@ -18,10 +18,10 @@ from ld2.cipher import (
     unpad_message,
     verify,
 )
-from conftest import decrypt_per_block, outcome
+from conftest import decrypt_per_block, outcome, verification_tables
 from ld2.gf2n import Field, packed_size
-from ld2.keys import PublicKey, QuadraticEquation, _certify_after, decode_key, encode_key
-from ld2.keys import keygen, relation_residual
+from ld2.keys import _GATE, _PRODUCT_FROM, PublicKey, QuadraticEquation, _certify_after
+from ld2.keys import decode_key, encode_key, keygen, relation_residual
 from ld2.linalg import Prng, SingularMatrixError, random_invertible, solve_linear
 from ld2.permutation import CentralMap
 
@@ -707,70 +707,77 @@ def test_certificate_reads_z_off_the_fields(n):
 
 
 def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
-    # each call logs its n: calls of _certify, builds of the plane tables
-    # and lanes of the lane tables, which the first holds on a certified
-    # key builds, after its range check
+    # each call logs its count of equations: calls of _certify, builds of
+    # the plane tables and of the lane tables, which the first holds on a
+    # certified key builds, after its range check: the gate's, then the
+    # whole tables below _PRODUCT_FROM; from there it builds the M(0) map
     import ld2.keys as keys_mod
 
-    lane_tables = keys_mod._lane_tables
     calls, builds, lanes = [], [], []
     for name, log in (("_certify", calls), ("_plane_tables", builds), ("_lane_tables", lanes)):
-        def counted(n, *args, original=getattr(keys_mod, name), log=log):
-            log.append(n)
-            return original(n, *args)
+        def counted(n, fields, *args, original=getattr(keys_mod, name), log=log):
+            log.append(len(fields))
+            return original(n, fields, *args)
 
         monkeypatch.setattr(keys_mod, name, counted)
-    n = 33
-    k = _certify_after(n)
-    sk, pk = keygen(n, seed=0xCE27)
-    digest = 0x5EED
-    signature = sign(sk, digest)
+    for n in (33, _PRODUCT_FROM):
+        for log in (calls, builds, lanes):
+            log.clear()
+        k = _certify_after(n)
+        held = [_GATE] + [n] * (n < _PRODUCT_FROM)  # the lane tables of one holds
+        sk, pk = keygen(n, seed=0xCE27)
+        digest = 0x5EED
+        signature = sign(sk, digest)
 
-    def verified(key):
-        return verify(key, digest, signature), verify(key, digest, signature ^ 1)
+        def verified(key):
+            return verify(key, digest, signature), verify(key, digest, signature ^ 1)
 
-    prng = Prng(0xB10C)
-    blocks = [prng.bits(n) for _ in range(3 * k)]
-    expected = [_eliminated(pk, x) for x in blocks]
-    # encrypt_block counts one block a call: K - 1 by elimination, which
-    # builds no tables of any kind, nor does holds below K
-    assert [repr(encrypt_block(pk, x)) for x in blocks[:k - 1]] == expected[:k - 1]
-    assert verified(pk) == (True, False)
-    assert calls == builds == lanes == [] and pk._inversion is None
-    # the K-th call certifies the key and builds its plane tables once, and
-    # every later block is inverted; encryption builds no lane tables
-    assert repr(encrypt_block(pk, blocks[k - 1])) == expected[k - 1]
-    assert calls == builds == [n] and lanes == [] and pk._inversion and pk._lanes is None
-    assert [repr(encrypt_block(pk, x)) for x in blocks[k:]] == expected[k:]
-    assert calls == builds == [n] and lanes == []
-    # an out-of-range holds on the certified key raises and builds nothing
-    for x, y in ((1 << n, 0), (0, 1 << n), (-1, 0), (0, -1)):
-        with pytest.raises(ValueError, match="^block length mismatch$"):
-            pk.holds(x, y)
-    assert lanes == [] and pk._lanes is None
-    # its first holds builds the lane tables of its fields, once
-    assert verified(pk) == (True, False)
-    assert lanes == [n] and pk._lanes == lane_tables(n, pk.fields)
-    assert verified(pk) == (True, False)
-    message = bytes(range(200))
-    assert decrypt_message(keygen(n, seed=0xCE27)[0], encrypt_message(pk, message)) == message
-    assert calls == builds == [n] and lanes == [n]
-    # a message of K blocks or more certifies a fresh key first; a key
-    # that only encrypts never builds the lane tables
-    _, fresh = keygen(n, seed=0xCE27)
-    for _ in range(3):
-        assert encrypt_message(fresh, message) == encrypt_message(pk, message)
-    assert calls == builds == [n, n] and lanes == [n] and fresh._inversion
-    assert fresh._lanes is None
-    # a key that fails the certificate is checked once, and keeps elimination
-    fields = [list(f) for f in pk.fields]
-    fields[0][1] ^= 1 << 40  # one xy bit
-    tampered = PublicKey(n, [QuadraticEquation(n, *f) for f in fields])
-    outcomes = [outcome(encrypt_block, tampered, x) for x in blocks]
-    assert outcomes == [_eliminated(tampered, x) for x in blocks]
-    outcome(encrypt_message, tampered, message)
-    # and builds nothing, verifying included: no lane and no plane tables
-    verify(tampered, digest, signature)
-    assert tampered.holds(1, 2) in (True, False)
-    assert calls == [n, n, n] and builds == [n, n] and lanes == [n]
-    assert tampered._inversion is False and tampered._lanes is None
+        prng = Prng(0xB10C)
+        blocks = [prng.bits(n) for _ in range(3 * k)]
+        expected = [_eliminated(pk, x) for x in blocks]
+        # encrypt_block counts one block a call: K - 1 by elimination, which
+        # builds no tables of any kind, nor does holds below K
+        assert [repr(encrypt_block(pk, x)) for x in blocks[:k - 1]] == expected[:k - 1]
+        assert verified(pk) == (True, False)
+        assert calls == builds == lanes == [] and pk._inversion is None
+        # the K-th call certifies the key and builds its plane tables once,
+        # and every later block is inverted; encryption builds no lane tables
+        assert repr(encrypt_block(pk, blocks[k - 1])) == expected[k - 1]
+        assert calls == builds == [n] and lanes == [] and pk._inversion
+        assert pk._verification is None
+        assert [repr(encrypt_block(pk, x)) for x in blocks[k:]] == expected[k:]
+        assert calls == builds == [n] and lanes == []
+        # an out-of-range holds on the certified key raises and builds nothing
+        for x, y in ((1 << n, 0), (0, 1 << n), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="^block length mismatch$"):
+                pk.holds(x, y)
+        assert lanes == [] and pk._verification is None
+        # its first holds builds verification's tables of its fields, once
+        assert verified(pk) == (True, False)
+        tables = pk._verification
+        assert lanes == held and tables == verification_tables(n, pk.fields)
+        assert verified(pk) == (True, False)
+        assert pk._verification is tables
+        message = bytes(range(200)) * (n // 33)
+        assert decrypt_message(keygen(n, seed=0xCE27)[0], encrypt_message(pk, message)) == message
+        assert calls == builds == [n] and lanes == held
+        # a message of K blocks or more certifies a fresh key first; a key
+        # that only encrypts never builds verification's tables
+        _, fresh = keygen(n, seed=0xCE27)
+        for _ in range(3):
+            assert encrypt_message(fresh, message) == encrypt_message(pk, message)
+        assert calls == builds == [n, n] and lanes == held and fresh._inversion
+        assert fresh._verification is None
+        # a key that fails the certificate is checked once, and keeps
+        # elimination
+        fields = [list(f) for f in pk.fields]
+        fields[0][1] ^= 1 << 40  # one xy bit
+        tampered = PublicKey(n, [QuadraticEquation(n, *f) for f in fields])
+        outcomes = [outcome(encrypt_block, tampered, x) for x in blocks]
+        assert outcomes == [_eliminated(tampered, x) for x in blocks]
+        outcome(encrypt_message, tampered, message)
+        # and builds nothing, verifying included: no lane and no plane tables
+        verify(tampered, digest, signature)
+        assert tampered.holds(1, 2) in (True, False)
+        assert calls == [n, n, n] and builds == [n, n] and lanes == held
+        assert tampered._inversion is False and tampered._verification is None

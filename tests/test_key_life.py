@@ -3,25 +3,30 @@
 A PublicKey counts the blocks it solves, and the call that brings the
 count to K = n // 4 + 2 or past it certifies the key or refuses it, for
 good: below K, refused and certified are its three states.  A certified
-key builds its plane tables with the certificate, and its lane tables at
-its first holds.  This machine drives five keys of one size n in {3, 5,
-7, 9} through random sequences of solve, holds, ld2.cipher's
-encrypt_message and verify, and encode_key then decode_key, which starts a
-fresh key below K, with batches that straddle K.  The oracle is the
+key builds its plane tables with the certificate, and verification's
+tables at its first holds: the gate's lane tables, then the whole lane
+tables below keys._PRODUCT_FROM, or the M(0) map from there.  This
+machine drives five keys of one size n in {3, 5, 7, 9} through random
+sequences of solve, holds, ld2.cipher's encrypt_message and verify, and
+encode_key then decode_key, which starts a fresh key below K, with
+batches that straddle K.  The oracle is the
 fields: every solution is solve_linear(*linear_system(x)), every holds
 _vanish_on_fields, and whether the certificate passes is read off the
 systems M(x) at x = 0 and at each e_j, never off the tables.  The keys are
 an honest keygen key, test_cipher's crafted key (certified, with a zero
 z(x)), an all-ones key (refused), a random-field key (almost always refused)
 and the honest key with one xy bit flipped (M(0) invertible, refused).
+It runs twice: as the code stands, where every n it draws verifies
+through the whole lane tables, and with _PRODUCT_FROM at 3 and a gate of
+one equation, where every one verifies by the field product.
 
 After every step each key is in the state its block count gives; once it
 leaves the state below K it keeps the same object; _certify ran once
 since the key was born if the count reached K, else never; the plane
-tables once if the key is certified; the lane tables once, from holds,
-if the key is certified and has held since, else never, and they equal
-the lane tables of its fields; and encode_key gives the text the key had
-at birth.
+tables once if the key is certified; verification's tables once, from
+holds, if the key is certified and has held since, else never, and they
+equal the tables of its fields and keep their object; and encode_key
+gives the text the key had at birth.
 """
 
 import contextlib
@@ -37,6 +42,7 @@ from ld2.cipher import MalformedKeyError, encrypt_message, pad_message, verify
 from ld2.gf2n import Field, packed_size
 from ld2.keys import PublicKey, decode_key, encode_key, keygen
 from ld2.linalg import SingularMatrixError, rank, solve_linear
+from conftest import verification_tables
 from test_cipher import _crafted_key
 
 def _keys(n: int, seed: int) -> list[PublicKey]:
@@ -96,16 +102,17 @@ class _Life:
         self.text = encode_key(key)
         self.held = False
         self.inversion = None
+        self.verification = None
 
 
 class KeyLife(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        # builds per key, by the id of the fields tuple it passes; every
-        # key of an example stays alive, so no id is reused
+        # the equation counts of the builds per key, by the id of its
+        # fields tuple; every key of an example stays alive, so no id is
+        # reused
         self.builds = {name: {} for name in ("_certify", "_plane_tables", "_lane_tables")}
         self.retired = []
-        self.lane_tables = keys_mod._lane_tables
         self.patches = [
             mock.patch.object(keys_mod, name, self._counted(name, getattr(keys_mod, name)))
             for name in self.builds
@@ -119,12 +126,15 @@ class KeyLife(RuleBasedStateMachine):
 
     def _counted(self, name, original):
         def counted(n, fields, *args):
+            key = fields
             if name == "_lane_tables":
+                # the gate's build takes a slice of the fields: log it
+                # under the key whose holds asked for it
                 caller = sys._getframe(1)
                 assert caller.f_code is PublicKey.holds.__code__, "lane tables outside holds"
                 assert caller.f_locals["self"]._inversion, "lane tables on an uncertified key"
-            log = self.builds[name]
-            log[id(fields)] = log.get(id(fields), 0) + 1
+                key = caller.f_locals["self"].fields
+            self.builds[name].setdefault(id(key), []).append(len(fields))
             return original(n, fields, *args)
 
         return counted
@@ -225,19 +235,41 @@ class KeyLife(RuleBasedStateMachine):
                 assert state is life.inversion
             life.inversion = state
             certified = isinstance(state, keys_mod._Certified)
-            builds = {name: log.get(id(key.fields), 0) for name, log in self.builds.items()}
+            held = certified and life.held
+            n = self.n
+            builds = {name: log.get(id(key.fields), []) for name, log in self.builds.items()}
             assert builds == {
-                "_certify": int(life.blocks >= self.k),
-                "_plane_tables": int(certified),
-                "_lane_tables": int(certified and life.held),
+                "_certify": [n] * (life.blocks >= self.k),
+                "_plane_tables": [n] * certified,
+                "_lane_tables": ([min(keys_mod._GATE, n)]
+                                 + [n] * (n < keys_mod._PRODUCT_FROM)) * held,
             }
-            if certified and life.held:
-                assert key._lanes == self.lane_tables(self.n, key.fields)
+            tables = key._verification
+            if held:
+                assert tables == verification_tables(n, key.fields)
             else:
-                assert key._lanes is None
+                assert tables is None
+            if life.verification is not None:
+                assert tables is life.verification
+            life.verification = tables
             assert encode_key(key) == life.text
 
 
+class KeyLifeByProduct(KeyLife):
+    """The machine with _PRODUCT_FROM at 3, so that every certified key it
+    draws checks a pair past the gate by the field product, and a gate of
+    one equation, which about half the flipped pairs pass: a gate of six
+    would cover every equation at n = 3 and 5 and most of them at 7 and 9."""
+
+    def __init__(self):
+        super().__init__()
+        for name, value in (("_PRODUCT_FROM", 3), ("_GATE", 1)):
+            patch = mock.patch.object(keys_mod, name, value)
+            patch.start()
+            self.patches.append(patch)
+
+
 TestKeyLife = KeyLife.TestCase
-TestKeyLife.settings = settings(
+TestKeyLifeByProduct = KeyLifeByProduct.TestCase
+TestKeyLife.settings = TestKeyLifeByProduct.settings = settings(
     max_examples=40, stateful_step_count=30, derandomize=True, database=None, deadline=None)

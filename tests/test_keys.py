@@ -11,6 +11,8 @@ from ld2.keys import (
     PublicKey,
     QuadraticEquation,
     SecretKey,
+    _GATE,
+    _PRODUCT_FROM,
     _certify_after,
     decode_key,
     derive_public_key,
@@ -19,9 +21,10 @@ from ld2.keys import (
     relation_residual,
 )
 from ld2.linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, random_invertible
+from ld2.linalg import solve_linear
 from ld2.permutation import CentralMap, is_permutation_bruteforce
 
-from conftest import TOY_ALPHA
+from conftest import TOY_ALPHA, verification_tables
 
 
 # --- the hidden relation ----------------------------------------------------
@@ -307,7 +310,7 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     # equation views, the CLI's verify and inspect, linear_system and the
     # first K - 1 encrypted blocks never build the lane tables; the K-th
     # block certifies the key, and its first holds after that builds them
-    # once, from the fields
+    # once, from the fields: the gate's, then the whole tables
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, sign, verify
     from ld2.cli import main
@@ -343,16 +346,17 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     assert [encrypt_block(decoded, 5) for _ in range(k - 2)] == [first] * (k - 2)
     assert calls == [] and decoded._inversion is None
     assert encrypt_block(decoded, 5) == first
-    assert calls == [] and decoded._inversion and decoded._lanes is None
+    assert calls == [] and decoded._inversion and decoded._verification is None
     assert verify(decoded, 3, signature) and not verify(decoded, 3, signature ^ 4)
-    assert calls == [decoded.fields] and decoded._lanes is not None
+    assert calls == [decoded.fields[:_GATE], decoded.fields]
+    assert decoded._verification == verification_tables(n, decoded.fields)
     assert encrypt_block(decoded, 5) == first and decoded.linear_system(6)
     assert decoded.holds(1, 2) in (True, False)
     assert decoded.equations == pk.equations and pk._inversion is None
-    assert len(calls) == 1
+    assert len(calls) == 2
     built = PublicKey(n, pk.equations)
     assert built == pk and built.fields == pk.fields and built._inversion is None
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
@@ -385,58 +389,68 @@ def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
 
 def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
     # keygen, the key codec, verification and the first K - 1 encrypted
-    # blocks never pay for the window tables of the copy, nor does
-    # encryption after the K-th block, which certifies the key; the first
-    # holds after it builds them, once per key
+    # blocks never pay for verification's tables, nor does encryption
+    # after the K-th block, which certifies the key; the first holds after
+    # it builds them, once per key: the gate's lane tables, then below
+    # _PRODUCT_FROM the whole lane tables, and from there the M(0) map and
+    # no whole lane tables
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, encrypt_message, sign, verify
 
-    builds = []
+    builds = []  # the equation count of each lane table build
     original = keys_mod._lane_tables
 
     def counted(n, fields):
-        builds.append(n)
+        builds.append(len(fields))
         return original(n, fields)
 
     monkeypatch.setattr(keys_mod, "_lane_tables", counted)
-    sk, pk = keygen(9, seed=0x1A2E)
-    decoded = decode_key(encode_key(pk))
+    for n in (9, _PRODUCT_FROM):
+        builds.clear()
+        sk, pk = keygen(n, seed=0x1A2E)
+        decoded = decode_key(encode_key(pk))
+        signature = sign(sk, 3)
+        message = b"lane-major" * (n // 2)  # K blocks or more
+        once = [min(_GATE, n)] + [n] * (n < _PRODUCT_FROM)
 
-    def check(key):
-        assert key.holds(1, 2) in (True, False)
-        assert verify(key, 3, sign(sk, 3))
-        assert not verify(key, 3, sign(sk, 3) ^ 1)
+        def check(key):
+            assert key.holds(1, 2) in (True, False)
+            assert verify(key, 3, signature)
+            assert not verify(key, 3, signature ^ 1)
 
-    for key in (pk, decoded):
-        check(key)
-    assert builds == [] and pk._inversion is None and decoded._inversion is None
-    k = _certify_after(9)
-    first = encrypt_block(pk, 5)
-    assert [encrypt_block(pk, 5) for _ in range(k - 2)] == [first] * (k - 2)
-    assert builds == [] and pk._inversion is None
-    assert encrypt_block(pk, 5) == first
-    assert encrypt_block(pk, 5) == first
-    encrypt_message(pk, b"lane-major")
-    assert builds == [] and pk._inversion and pk._lanes is None
-    check(pk)
-    assert builds == [9] and pk._lanes is not None
-    check(pk)
-    assert builds == [9]
-    # a message of K blocks or more certifies a fresh key, whose first
-    # holds builds them: the tables of equal fields are equal
-    assert encrypt_message(decoded, b"lane-major") == encrypt_message(pk, b"lane-major")
-    assert encrypt_block(decoded, 5) == first
-    assert builds == [9] and decoded._inversion and decoded._lanes is None
-    check(decoded)
-    assert builds == [9, 9] and decoded._lanes == pk._lanes
+        for key in (pk, decoded):
+            check(key)
+        assert builds == [] and pk._inversion is None and decoded._inversion is None
+        k = _certify_after(n)
+        first = encrypt_block(pk, 5)
+        assert [encrypt_block(pk, 5) for _ in range(k - 2)] == [first] * (k - 2)
+        assert builds == [] and pk._inversion is None
+        assert encrypt_block(pk, 5) == first
+        assert encrypt_block(pk, 5) == first
+        encrypt_message(pk, message)
+        assert builds == [] and pk._inversion and pk._verification is None
+        check(pk)
+        tables = pk._verification
+        assert builds == once and tables == verification_tables(n, pk.fields)
+        assert (tables[1] is None) == (tables[2] is not None) == (n >= _PRODUCT_FROM)
+        check(pk)
+        assert builds == once and pk._verification is tables
+        # a message of K blocks or more certifies a fresh key, whose first
+        # holds builds them: the tables of equal fields are equal
+        assert encrypt_message(decoded, message) == encrypt_message(pk, message)
+        assert encrypt_block(decoded, 5) == first
+        assert builds == once and decoded._inversion and decoded._verification is None
+        check(decoded)
+        assert builds == once * 2 and decoded._verification == tables
 
 
-@pytest.mark.parametrize("n", [9, 65])
+@pytest.mark.parametrize("n", [9, 65, 129])
 def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
-    # with the copy, which the first holds on a certified key builds,
-    # valid pairs and forgeries go through the gate tables and the copy
-    # alone; a decoded key without it evaluates on its file fields, once
-    # per call, and builds no tables
+    # with verification's tables, which the first holds on a certified
+    # key builds, valid pairs and forgeries go through the gate tables and
+    # the whole copy (n = 9, 65) or one field product (n = 129) alone; a
+    # decoded key without them evaluates on its file fields, once per
+    # call, and builds no tables
     import ld2.keys as keys_mod
     from ld2.cipher import sign, verify
 
@@ -470,8 +484,8 @@ def test_holds_reads_only_the_tables_with_the_copy(n, monkeypatch):
 def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     # the decoded key evaluates every equation on its file fields; the
     # other, certified at the K-th block, checks the gate's through its
-    # tables, then all of them from the copy.  Both see the valid pair and
-    # every one-bit flip of the signature and of the digest
+    # tables, then all of them by one field product.  Both see the valid
+    # pair and every one-bit flip of the signature and of the digest
     from ld2.cipher import sign
 
     sk, pk = keygen(n, seed=0x1A6E + n)
@@ -487,6 +501,32 @@ def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     assert [pk.holds(*pair) for pair in pairs] == expected
     assert [decoded.holds(*pair) for pair in pairs] == expected
     assert decoded._inversion is None
+
+
+@pytest.mark.parametrize("n", [_PRODUCT_FROM, 129])
+def test_the_field_product_finds_one_failing_equation_past_the_gate(n):
+    # the certificate reads only xy and yl, so a generated key with one
+    # constant flipped stays certified; at a valid pair of the generated
+    # key that equation alone fails, and past the gate only the field
+    # product sees it.  At a pair that the flipped key's own system gives
+    # every equation holds
+    from ld2.cipher import sign
+
+    sk, pk = keygen(n, seed=0x1A5E + n)
+    rng = random.Random(n)
+    digest = rng.getrandbits(n)
+    signature = sign(sk, digest)
+    for i in (0, _GATE - 1, _GATE, n // 2, n - 1):
+        fields = list(pk.fields)
+        fields[i] = (*fields[i][:4], fields[i][4] ^ 1)
+        key = PublicKey._from_fields(n, tuple(fields))
+        key.solve([0] * _certify_after(n))
+        assert key._inversion
+        assert not key.holds(signature, digest)
+        assert key._verification[2] is not None
+        x = rng.getrandbits(n)
+        y = solve_linear(*key.linear_system(x))
+        assert key.holds(x, y) and not key.holds(x, y ^ 1 << i)
 
 
 def test_toy_secret_encoding_is_stable(toy_sk):

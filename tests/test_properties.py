@@ -56,9 +56,12 @@ from ld2.keys import (
     PublicKey,
     QuadraticEquation,
     _GATE,
+    _PRODUCT_FROM,
     _certify_after,
+    _chunk_bytes,
     _equation_widths,
     _key_text,
+    _lane_major,
     _layout,
     _residual_uv,
     decode_key,
@@ -568,6 +571,11 @@ def test_linear_system_and_holds_match_evaluate(n, seed, fill):
     rng = random.Random(seed)
     fields = _random_fields(rng, n, fill)
     x, y = rng.getrandbits(n), rng.getrandbits(n)
+    # the gate's copy, cut from the first min(_GATE, n) equations' fields
+    # alone, is the whole copy cut to its first chunks
+    gate = min(_GATE, n)
+    cut = (1 << 8 * _chunk_bytes(n) * gate) - 1
+    assert _lane_major(n, fields[:gate]) == tuple(lane & cut for lane in _lane_major(n, fields))
     # the same xx, xl and c under the xy and yl of a generated key, which
     # are all the certificate reads: a key it certifies, where the random
     # fields give one it refuses (all but a few of them)
@@ -577,8 +585,8 @@ def test_linear_system_and_holds_match_evaluate(n, seed, fill):
         pk = PublicKey(n, [QuadraticEquation(n, *f) for f in key_fields])
         values = [eq.evaluate(x, y) for eq in pk.equations]
         # holds evaluates every equation on the fields until the K-th
-        # block, and after it on a refused key; a certified key builds its
-        # lane tables at its first holds and reads them
+        # block, and after it on a refused key; a certified key builds
+        # verification's tables at its first holds and reads them
         assert pk.holds(x, y) == (not any(values))
         matrix, rhs = pk.linear_system(x)
         for i, row in enumerate(matrix.rows):
@@ -588,17 +596,19 @@ def test_linear_system_and_holds_match_evaluate(n, seed, fill):
         # before it solves them
         with contextlib.suppress(SingularMatrixError):
             pk.solve([x] * _certify_after(n))
-        assert pk._lanes is None
+        assert pk._verification is None
         assert pk.holds(x, y) == (not any(values))
-    assert pk._inversion and pk._lanes is not None
+    assert pk._inversion and pk._verification is not None
 
 
 @settings(deadline=None)
-@given(st.sampled_from([3, 5, 7, 9, 11, 13, 31, 33, 65]), st.integers(0, (1 << 64) - 1), st.data())
+@given(st.sampled_from([3, 5, 7, 9, 11, 13, 31, 33, 65, _PRODUCT_FROM - 2, _PRODUCT_FROM, 129]),
+       st.integers(0, (1 << 64) - 1), st.data())
 def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed, data):
     # random fields whose constants make every equation vanish at (x, y),
     # then at most one constant flipped: inside the gate, which its tables
-    # see, or past it, where only the whole lane-major copy can; both with
+    # see, or past it, where only the whole lane-major copy (below
+    # _PRODUCT_FROM) or the field product (from there) can; both with
     # equal weight (at n = 3 and 5 the gate covers every equation)
     import ld2.keys as keys_mod
 
@@ -627,7 +637,8 @@ def test_holds_finds_the_one_failing_equation_with_and_without_the_copy(n, seed,
     # fields before the K-th block and after it.  The xy and yl of a
     # generated key, which are all the certificate reads, under the same
     # xx and xl give a key it certifies, which holds reads on its fields,
-    # then from the K-th block through its gate and lane tables
+    # then from the K-th block through its gate and lane tables or its
+    # gate and the field product
     generated = _public_key(n).fields
     twin = [(xx, gen[1], xl, gen[3], c) for (xx, _, xl, _, c), gen in zip(fields, generated)]
     for pk in (key(fields), key(twin)):
