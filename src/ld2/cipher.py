@@ -103,20 +103,10 @@ def sign(sk: SecretKey, digest: int) -> int:
 
 
 def verify(pk: PublicKey, digest: int, signature: int) -> bool:
-    """Check a signature by checking the public equations; no solve needed.
-
-    A certified key, one that passed the certificate at its K-th
-    encrypted block (K = n // 4 + 2), first checks six equations through
-    window tables of their lane-major copy, a gate that its first verify
-    builds (PublicKey.holds).  A pair that passes the gate is checked
-    below n = keys._PRODUCT_FROM through the same tables of all n
-    equations, and from there by one field product, r(x) = z(x) M(0) y,
-    which holds exactly when every equation does, as the certificate
-    proved M(x) = Mult(z(x)) M(0).  Any other key, below K or refused,
-    evaluates the equations on its key-file fields and builds no tables.
-    The keys module docstring gives the layout, the threshold's
-    measurements and the tables' memory.
-    """
+    """Check a signature by checking the public equations at it; no solve
+    needed.  PublicKey.holds gives how: on the key-file fields for a key
+    below K or refused, and through the tables that its first verify
+    builds for a certified key."""
     return pk.holds(signature, digest)
 
 

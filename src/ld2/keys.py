@@ -25,12 +25,12 @@ and only ever moves forward:
 
     below K     the fields; solve eliminates (linalg.solve_linear)
     refused     the fields, for good; solve eliminates
-    certified   the fields and a _Certified, encryption's tables: the bit
-                planes; solve takes one Field.inv a call (_Certified.solve).
-                The first holds builds verification's tables
-                (PublicKey._verification): the gate's window tables, then
-                the whole lane tables below n = _PRODUCT_FROM, or the M(0)
-                map from there
+    certified   the fields and a _Certified, which holds every table the
+                key builds: from the certificate, M(0) and P = M(0)^-1 as
+                AffineMaps and the bit planes, so solve takes one Field.inv
+                a call (_Certified.solve); from the first holds,
+                verification's lane tables, the gate's and below n =
+                _PRODUCT_FROM the whole ones (_Certified.build_lanes)
 
 derive_public_key and decode_key build the fields and nothing else, and
 encode_key writes them as they are.  A QuadraticEquation is a view of
@@ -80,23 +80,25 @@ coefficients of y, and parity(v & x) ^ v_2n, v the chunk, is the rest.
 The key keeps the copy only as 4-bit window tables, the Four Russians
 lookup (Bard, IACR ePrint 2006/251) that AffineMap uses:
 linalg.nibble_windows of L_0..L_{n-1}, with L_n as the constant, so a
-lane sum is one linalg.apply_windows call (_lane_tables, of any leading
-equations' fields).  holds first reads the tables of the first min(_GATE,
-n) = 6 equations' copy, a gate that checks six equations with one
-lookup, one AND and one parity fold.  Only a pair that passes it, about
-one forgery in 64, reads on: below n = _PRODUCT_FROM = 97 the tables of
-all n equations' copy, and from there one field product that checks
-them all (below, after the certificate).  holds builds what its path
-reads, the gate and then the whole tables or the M(0) map, once, at its
-first call on a certified key, after the range check, so a key that only
-encrypts never builds them.  By tracemalloc the gate and whole tables
-take 0.06 and 0.35 MB at n = 33 and 65, and the gate and M(0) map 0.10,
-0.15 and 0.52 MB at n = 97, 129 and 257, where the whole tables would
-take 1.06, 2.4 and 17.9 MB.  A certified key's plane tables (below) take
-0.09, 0.60 and 4.5 MB at n = 65, 129 and 257 (0.32, 1.4 and 7.8 MB at the
-peak of their build).  With the per-n caches warm, a decoded key that one
-3 KiB message certifies holds 0.11, 0.64 and 4.6 MB more at n = 65, 129
-and 257, and 0.46, 0.79 and 5.1 MB more after its first holds.
+lane sum is one linalg.apply_windows call.  holds first reads the tables
+of the copy cut to its first min(_GATE, n) = 6 chunks, a gate that
+checks six equations with one lookup, one AND and one parity fold.  Only
+a pair that passes it, about one forgery in 64, reads on: below n =
+_PRODUCT_FROM = 97 the tables of the whole copy, and from there one
+field product that checks them all (below, after the certificate).  So
+holds builds what its path reads, once, at its first call on a certified
+key, after the range check, from one walk of the fields
+(_Certified.build_lanes): all n equations below _PRODUCT_FROM, whose
+copy gives the whole tables and, cut, the gate's, and the first six from
+there, for the gate's alone.  A key that only encrypts never walks them.
+By tracemalloc the gate and whole tables take 0.06 and 0.35 MB at n = 33
+and 65, and the gate alone 0.08, 0.12 and 0.45 MB at n = 97, 129 and
+257, where the whole tables would take 1.06, 2.4 and 17.9 MB.  A
+certified key's plane tables (below) take 0.09, 0.60 and 4.5 MB at n =
+65, 129 and 257 (0.32, 1.4 and 7.8 MB at the peak of their build).  With
+the per-n caches warm, a decoded key that one 3 KiB message certifies
+holds 0.12, 0.67 and 4.65 MB more at n = 65, 129 and 257, M(0) and its
+inverse included, and 0.47, 0.80 and 5.1 MB more after its first holds.
 
 linalg.solve_linear eliminates; the construction gives a shortcut.
 Equation i is coordinate i, in the polynomial basis of the public
@@ -113,14 +115,16 @@ shortcut by a certificate.  M(x) = M(0) + sum_j x_j B_j, where row i of
 B_j is row j of equation i's xy.  If B_j = Mult(z_j) M(0), z_j = B_j p0,
 for every j, then z(x) = 1 + sum_j x_j z_j and M(x) = Mult(z(x)) M(0) for
 every x: M(x) is singular exactly when z(x) = 0, and that raises the
-MalformedKeyError elimination raises.  _certify reads the z_j off the xy
-fields: bit i of z_j is the parity of row j of xy_i under p0, so xy_i AND
-p0 in every row, each row folded onto bit j*n by ceil(log2 n) masked
-shift-XORs and compressed by the diagonal, is row i of the matrix whose
-columns are the z_j (_z_rows).  n lane products check every j, as
-derivation takes the coefficients.  A key whose M(0) is singular, or that
-fails for any j, is refused for good, keeps the elimination and builds
-nothing.
+MalformedKeyError elimination raises.  _certify forms M(0) once, as an
+AffineMap whose rows are the yl fields, and takes P as its inverse.  It
+reads the z_j off the xy fields: bit i of z_j is the parity of row j of
+xy_i under p0, so xy_i AND p0 in every row, each row folded onto bit j*n
+by ceil(log2 n) masked shift-XORs and compressed by the diagonal, is row
+i of the matrix whose columns are the z_j (_z_rows, by steps that
+_spread_masks builds once per n).  n lane products through the columns
+of M(0) check every j, as derivation takes the coefficients.  A key
+whose M(0) is singular, or that fails for any j, is refused for good,
+keeps the elimination and builds nothing.
 
 A key that passes then builds the tables that _Certified.fraction reads
 r(x) and z(x) off, in one lookup.  r(x) is e plus the quadratic form
@@ -158,12 +162,12 @@ Verification on a certified key reads the same identity.  Equation i at
 M(x) y = r(x), that is, as the certificate proved M(x) = Mult(z(x)) M(0),
 when r(x) = z(x) (M(0) y) in F(2^n).  The check is exact, z(x) = 0
 included: M(x) is then zero, and both sides ask for r(x) = 0.  From n =
-_PRODUCT_FROM a pair that passes the gate takes one fraction(x), M(0)
-applied to y as an AffineMap whose rows are the yl fields, and one
-Field.mul.  The whole lane tables' lookup sums n chunks of 2n + 1 bits,
-and a valid verify by the product took 1.01-1.14 times as long as
-through them at n = 65, 0.98-1.02 at 81, 0.94-0.96 at 97, 0.88 at 113
-and 0.74-0.78 at 129 (_PRODUCT_FROM gives the runs).
+_PRODUCT_FROM a pair that passes the gate takes one fraction(x), the
+certificate's M(0) map applied to y, and one Field.mul.  The whole lane
+tables' lookup sums n chunks of 2n + 1 bits, and a valid verify by the
+product took 1.01-1.14 times as long as through them at n = 65,
+0.98-1.02 at 81, 0.94-0.96 at 97, 0.88 at 113 and 0.74-0.78 at 129
+(_PRODUCT_FROM gives the runs).
 
 Pinned to one CPU of a shared 2-CPU x86-64 machine, over three runs on a
 decoded key of keygen(n, 7), the K-th block of a key that passes, the
@@ -178,12 +182,12 @@ Manasse, Rudolph and Sleator, "Competitive snoopy caching", Algorithmica
 3, 1988), by which buying at the break-even costs at most about twice the
 best choice made in hindsight.  K is at least 2, so a key that encrypts
 one block builds no tables.  The first holds on a certified key, which
-builds the gate and whole lane tables at n = 33 and 65 and the gate and
-the M(0) map at 129 and 257, takes 0.64-0.71, 2.2-2.3, 1.7-2.3 and
-6.9-8.0 ms (five runs on a key of keygen(n, 0x4C44325F424E4348) that a
-3 KiB message certified), and a valid verify after it 6.4-7.4,
-13.4-13.5, 28-47 and 76-83 us (medians of 21 rounds of 300, two runs, one
-per CPU).
+walks all n equations at n = 33 and 65 for the gate's and whole lane
+tables and six at 129 and 257 for the gate's, takes 0.47-0.57, 1.8-1.9,
+1.5-1.6 and 6.8-7.0 ms (five runs on a key of keygen(n,
+0x4C44325F424E4348) that a 3 KiB message certified), and a valid verify
+after it 6.4-7.4, 13.4-13.5, 28-47 and 76-83 us (medians of 21 rounds of
+300, two runs, one per CPU).
 
 Key files are line oriented:
 
@@ -233,7 +237,7 @@ from dataclasses import dataclass
 from .gf2n import Field, bits_to_hex, byte_multiples, clmul_bytes, find_irreducible, hex_to_bits
 from .gf2n import packed_size
 from .linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, apply_windows
-from .linalg import bit_column_bytes, bit_columns, invert_matrix, nibble_windows, random_invertible
+from .linalg import bit_column_bytes, bit_columns, nibble_windows, random_invertible
 from .linalg import rank, solve_linear
 
 
@@ -273,24 +277,22 @@ def _compress(x: int, mask: int, steps) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _spread_masks(n: int) -> tuple[int, int, int, tuple]:
-    """The constant masks of _monomials for n variables: comb, 1 at every
-    multiple of n - 1 below (n - 1)^2; diagonal, 1 at every multiple of n
-    below n^2; triangle, the bits j*n + k with j < k < n; and the
-    _compress_steps of triangle."""
+def _spread_masks(n: int) -> tuple[int, int, int, tuple, tuple]:
+    """The constant masks of _monomials and _z_rows for n variables: comb,
+    1 at every multiple of n - 1 below (n - 1)^2; diagonal, 1 at every
+    multiple of n below n^2; triangle, the bits j*n + k with j < k < n;
+    and the _compress_steps of triangle and of diagonal."""
+    comb = sum(1 << (k * (n - 1)) for k in range(n - 1))
+    diagonal = sum(1 << (j * n) for j in range(n))
     triangle = sum(((1 << n) - (2 << j)) << (j * n) for j in range(n))
-    return (
-        sum(1 << (k * (n - 1)) for k in range(n - 1)),
-        sum(1 << (j * n) for j in range(n)),
-        triangle,
-        _compress_steps(triangle, n * n),
-    )
+    steps = [_compress_steps(mask, n * n) for mask in (triangle, diagonal)]
+    return comb, diagonal, triangle, *steps
 
 
 def _monomials(n: int, x: int, y: int) -> tuple[int, int]:
     """(T, Y): the monomials x_j x_k (j < k) in the order of xx, and
     x (x) y, row-major as xy is (module docstring)."""
-    comb, diagonal, triangle, steps = _spread_masks(n)
+    comb, diagonal, triangle, steps, _ = _spread_masks(n)
     low = (1 << n - 1) - 1  # bits 0..n-2 of x
     sx = (x & low) * comb & diagonal | x >> n - 1 << n * (n - 1)
     return _compress(x * sx, triangle, steps), y * sx
@@ -319,8 +321,8 @@ _GATE = 6
 # the product took 1.01-1.14 times as long as the whole tables at n = 65
 # (won 0 and 5 of 21 rounds), 0.98-1.02 at 81 (7, 8), 0.94-0.96 at 97
 # (17, 20, 21), 0.88 at 113 (20, 21) and 0.74-0.78 at 129 (20, 21).  From
-# 97 on, the gate and the M(0) map take 0.10-0.52 MB where the gate and
-# the whole tables take 1.06-17.9 MB.
+# 97 on, the gate's tables take 0.08-0.45 MB where the gate's and the
+# whole tables take 1.06-17.9 MB.
 _PRODUCT_FROM = 97
 
 
@@ -387,15 +389,6 @@ def _lane_major(n: int, fields) -> tuple[int, ...]:
     return (*lanes, int.from_bytes(affine, "little"))
 
 
-def _lane_tables(n: int, fields) -> tuple:
-    """(windows, constant): lanes 0..n-1 of the lane-major copy of fields,
-    all n equations or the gate's first min(_GATE, n), as
-    linalg.nibble_windows of x, with lane n as the constant.
-    apply_windows(windows, x, constant) is then the lane sum at x."""
-    lanes = _lane_major(n, fields)
-    return nibble_windows(lanes[:n]), lanes[n]
-
-
 def _certify_after(n: int) -> int:
     """K, the encrypted-block count at which a key is certified (module
     docstring): at least 2, so a key that encrypts one block never pays
@@ -459,21 +452,41 @@ def _plane_tables(n: int, fields, z) -> tuple:
 
 
 class _Certified:
-    """What encryption reads on a key that passed the certificate, built
-    once: the field of the public modulus, P = M(0)^-1 as an AffineMap, the
-    plane tables (with the z_j) and e, the c fields as one vector, for y =
-    P (r / z(x)) (module docstring).  From n = _PRODUCT_FROM, holds reads
-    fraction too, for its check r(x) = z(x) M(0) y, exact on this key as
-    M(x) = Mult(z(x)) M(0); the M(0) map and the lane tables are
-    verification's, and PublicKey.holds builds them."""
+    """Everything a key that passed the certificate builds, each part once.
+    At the K-th block: the field of the public modulus, m0, M(0) as an
+    AffineMap whose rows are the yl fields, p = M(0)^-1, the plane tables
+    (with the z_j) and e, the c fields as one vector, so that encryption
+    solves y = P (r / z(x)) (module docstring).  At the first holds,
+    build_lanes: gate and lanes, verification's lane tables, each a
+    (windows, constant) pair, and None until then.  lanes stays None from
+    n = _PRODUCT_FROM, where holds checks r(x) = z(x) M(0) y by fraction
+    and m0, exact on this key as M(x) = Mult(z(x)) M(0)."""
 
-    __slots__ = ("field", "p", "_planes", "_e")
+    __slots__ = ("field", "m0", "p", "_planes", "_e", "gate", "lanes")
 
-    def __init__(self, fields, field: Field, p: AffineMap, z: tuple[int, ...]):
+    def __init__(self, fields, field: Field, m0: AffineMap, p: AffineMap, z: tuple[int, ...]):
         self.field = field
+        self.m0 = m0
         self.p = p
         self._planes = _plane_tables(field.n, fields, z)
         self._e = sum(f[4] << i for i, f in enumerate(fields))
+        self.gate = self.lanes = None
+
+    def build_lanes(self, fields) -> tuple:
+        """Build gate and lanes from one _lane_major walk, of all n
+        equations below n = _PRODUCT_FROM and of the first _GATE from
+        there, and return gate: the copy cut to its first min(_GATE, n)
+        chunks.  Each is linalg.nibble_windows of lanes 0..n-1, with lane n
+        as the constant, so apply_windows(windows, x, constant) is the lane
+        sum at x."""
+        n = self.field.n
+        gate = min(_GATE, n)
+        copy = _lane_major(n, fields if n < _PRODUCT_FROM else fields[:gate])
+        cut = (1 << 8 * _chunk_bytes(n) * gate) - 1
+        self.gate = nibble_windows([lane & cut for lane in copy[:n]]), copy[n] & cut
+        if n < _PRODUCT_FROM:
+            self.lanes = nibble_windows(copy[:n]), copy[n]
+        return self.gate
 
     def fraction(self, x: int) -> tuple[int, int]:
         """(r, z(x)) from one lookup, the plane sum at x from 1, with x as it
@@ -500,13 +513,12 @@ def _z_rows(n: int, fields, p0: int) -> list[int]:
     docstring).  Each fold's shift is masked to the row's bits 0..width -
     half - 1, so that an odd width pulls in no bit of the next row; the
     compress by the diagonal drops the bits the folds leave above j*n."""
-    diagonal = _spread_masks(n)[1]
+    _, diagonal, _, _, gather = _spread_masks(n)
     folds, width = [], n
     while width > 1:
         half = (width + 1) // 2
         folds.append((half, ((1 << width - half) - 1) * diagonal))
         width = half
-    gather = _compress_steps(diagonal, n * n)
     rows = []
     for f in fields:
         v = f[1] & p0 * diagonal
@@ -517,30 +529,32 @@ def _z_rows(n: int, fields, p0: int) -> list[int]:
 
 
 def _certify(n: int, fields) -> _Certified | None:
-    """The _Certified of the key, with P = M(0)^-1 and the z_j, the columns
-    of the matrix read off the xy fields (_z_rows), if B_j = Mult(z_j) M(0),
-    z_j = B_j p0, for every j, else None; None too when M(0) is singular.
+    """The _Certified of the key, with M(0), P = M(0)^-1 and the z_j, the
+    columns of the matrix read off the xy fields (_z_rows), if B_j =
+    Mult(z_j) M(0), z_j = B_j p0, for every j, else None; None too when
+    M(0) is singular.
 
-    The columns m_k of M(0), packed one per lane, are tabulated once by
-    their byte multiples, and each z_j takes one carry-less product
-    through them: z_j m_k for every k, in key-file order.  One bit
-    transpose (linalg.bit_columns) of the n products holds in entry i bit
-    i of every z_j m_k, at bit j n + k: equation i's xy if the check holds."""
-    m0 = BitMatrix([f[3] for f in fields], n)
+    The columns m_k of M(0), read off its map's tables (AffineMap.columns)
+    and packed one per lane, are tabulated once by their byte multiples,
+    and each z_j takes one carry-less product through them: z_j m_k for
+    every k, in key-file order.  One bit transpose (linalg.bit_columns) of
+    the n products holds in entry i bit i of every z_j m_k, at bit j n + k:
+    equation i's xy if the check holds."""
+    m0 = AffineMap(BitMatrix([f[3] for f in fields], n), 0)
     try:
-        p = AffineMap(invert_matrix(m0), 0)
+        p = m0.inverse()
     except SingularMatrixError:
         return None
     z = BitMatrix(_z_rows(n, fields, p.apply(1)), n).transpose().rows
     field = Field(n)
-    multiples = byte_multiples(field.pack_lanes(m0.transpose().rows))
+    multiples = byte_multiples(field.pack_lanes(m0.columns))
     row = field.lane_bytes * n
     data = b"".join(
         field.fold_lanes(clmul_bytes(multiples, zj)).to_bytes(row, "little") for zj in z)
     columns = bit_columns(data, field.lane_bytes, n)
     if any(column != f[1] for column, f in zip(columns, fields)):
         return None
-    return _Certified(fields, field, p, z)
+    return _Certified(fields, field, m0, p, z)
 
 
 def _equation_widths(n: int) -> tuple[tuple[str, int], ...]:
@@ -636,14 +650,11 @@ class PublicKey:
     fields holds, per equation, its five key-file fields (xx, xy, xl, yl,
     c), always; equations views each of them as a QuadraticEquation.
     _blocks counts the blocks solved; _inversion is None until the K-th,
-    then a _Certified, which holds encryption's tables, or False for a key
-    the certificate refused; _verification, verification's tables (the
-    gate's lane tables, then the whole lane tables, or None and the M(0)
-    map from n = _PRODUCT_FROM), is None until the first holds on a
-    certified key (module docstring).
+    then a _Certified, which holds every table the key builds, or False
+    for a key the certificate refused (module docstring).
     """
 
-    __slots__ = ("n", "fields", "_blocks", "_inversion", "_verification")
+    __slots__ = ("n", "fields", "_blocks", "_inversion")
 
     def __init__(self, n: int, equations):
         if n < 3 or n % 2 == 0:
@@ -668,7 +679,6 @@ class PublicKey:
         self.fields = fields
         self._blocks = 0
         self._inversion = None
-        self._verification = None
 
     @property
     def equations(self) -> tuple[QuadraticEquation, ...]:
@@ -681,39 +691,32 @@ class PublicKey:
         On a key that is not certified the equations are evaluated one by
         one on the fields, against T (the xx monomials at x) and Y = x (x)
         y, until one is 1 (_vanish_on_fields).  On a certified key, whose
-        first call builds verification's tables, the gate's lane sum is
-        ANDed with terms = x | y << n | 1 << 2n in every chunk, and
-        _even_chunks folds its six equations' parities at once.  A pair
-        that passes the gate is then checked the same way through the
-        whole lane tables below n = _PRODUCT_FROM, and from there by one
-        field product: the certificate proved M(x) = Mult(z(x)) M(0), so
-        every equation vanishes, M(x) y = r(x), exactly when r(x) = z(x)
-        (M(0) y) in F(2^n), with r(x) and z(x) from _Certified.fraction.
+        first call builds verification's lane tables
+        (_Certified.build_lanes), the gate's lane sum is ANDed with terms =
+        x | y << n | 1 << 2n in every chunk, and _even_chunks folds its six
+        equations' parities at once.  A pair that passes the gate is then
+        checked the same way through the whole lane tables below n =
+        _PRODUCT_FROM, and from there by one field product: the
+        certificate proved M(x) = Mult(z(x)) M(0), so every equation
+        vanishes, M(x) y = r(x), exactly when r(x) = z(x) (M(0) y) in
+        F(2^n), with r(x) and z(x) from _Certified.fraction.
         """
         n = self.n
         top = 1 << n
         if not (0 <= x < top and 0 <= y < top):
             raise ValueError("block length mismatch")
-        tables = self._verification
-        if tables is None:
-            if not self._inversion:
-                return _vanish_on_fields(n, self.fields, x, y)
-            fields = self.fields
-            gate = _lane_tables(n, fields[:_GATE])
-            if n < _PRODUCT_FROM:
-                tables = gate, _lane_tables(n, fields), None
-            else:  # M(0), whose rows are the yl fields
-                tables = gate, None, AffineMap(BitMatrix([f[3] for f in fields], n), 0)
-            self._verification = tables
-        (gate, gate_constant), lanes, m0 = tables
-        terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
-        if not _even_chunks(n, apply_windows(gate, x, gate_constant), terms, min(_GATE, n)):
-            return False
-        if m0 is None:
-            return _even_chunks(n, apply_windows(lanes[0], x, lanes[1]), terms, n)
         inversion = self._inversion
+        if not inversion:
+            return _vanish_on_fields(n, self.fields, x, y)
+        windows, constant = inversion.gate or inversion.build_lanes(self.fields)
+        terms = (x | y << n | 1 << 2 * n).to_bytes(_chunk_bytes(n), "little")
+        if not _even_chunks(n, apply_windows(windows, x, constant), terms, min(_GATE, n)):
+            return False
+        lanes = inversion.lanes
+        if lanes:
+            return _even_chunks(n, apply_windows(lanes[0], x, lanes[1]), terms, n)
         r, z = inversion.fraction(x)
-        return r == inversion.field.mul(z, m0.apply(y))
+        return r == inversion.field.mul(z, inversion.m0.apply(y))
 
     def linear_system(self, x: int):
         """Matrix and right-hand side of the linear system in y at fixed x,

@@ -13,12 +13,14 @@ strided byte slice at once.  window_tables tabulates an F_2-linear map
 from the images of the basis vectors, one table per window of input bits:
 the elimination's tables of pivot sums, gf2n's byte multiples of
 lane-packed elements, the 4-bit windows (nibble_windows, apply_windows)
-through which AffineMap applies its matrix and a certified
-keys.PublicKey takes every lane sum of its bit planes, built once when
-the certificate passes at the K-th block, and of its lane-major copy,
-built once at its first holds after that, and gf2n's byte-window
-Frobenius tables.  AffineMap eliminates only in inverse(); keys.SecretKey
-checks both secret maps and keeps s^-1.  Keygen's xorshift64* generator
+through which AffineMap applies its matrix and a certified key
+(keys._Certified) takes every lane sum of its bit planes, built once
+when the certificate passes at the K-th block, and of its lane-major
+copy, built from one walk of the key's fields at its first holds after
+that, and gf2n's byte-window Frobenius tables.  AffineMap eliminates only
+in inverse(): keys.SecretKey checks both secret maps and keeps s^-1, and
+the certificate forms M(0) as an AffineMap, reads its columns back from
+the tables and keeps its inverse.  Keygen's xorshift64* generator
 is here too.
 """
 

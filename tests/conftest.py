@@ -13,8 +13,8 @@ from ld2.cli import (
 from ld2.cipher import DecryptionError, decrypt_block, unpad_message
 import ld2.keys as keys_mod
 from ld2.gf2n import Field, packed_size
-from ld2.keys import QuadraticEquation, _lane_tables, derive_public_key
-from ld2.linalg import AffineMap, BitMatrix
+from ld2.keys import QuadraticEquation, _lane_major, derive_public_key
+from ld2.linalg import nibble_windows
 
 
 def outcome(fn, *args) -> str:
@@ -46,15 +46,22 @@ def decrypt_per_block(sk, data: bytes) -> bytes:
 
 
 def verification_tables(n: int, fields) -> tuple:
-    """What holds builds for verification on a certified key with these
-    fields, made here by the unpatched _lane_tables: the gate's lane tables,
-    then the whole lane tables below keys._PRODUCT_FROM, else None and M(0)
-    as a map whose rows are the yl fields.  The two constants are read at
-    the call, so a test may patch them."""
-    gate = _lane_tables(n, fields[:min(keys_mod._GATE, n)])
-    if n < keys_mod._PRODUCT_FROM:
-        return gate, _lane_tables(n, fields), None
-    return gate, None, AffineMap(BitMatrix([f[3] for f in fields], n), 0)
+    """(gate, lanes), what the first holds on a certified key with these
+    fields builds for verification, made here by the unpatched _lane_major
+    with a walk of its own for each: the lane tables of the first
+    min(keys._GATE, n) equations, then those of all n below
+    keys._PRODUCT_FROM, else None.  The two constants are read at the call,
+    so a test may patch them."""
+    def tables(count):
+        lanes = _lane_major(n, fields[:count])
+        return nibble_windows(lanes[:n]), lanes[n]
+
+    return tables(min(keys_mod._GATE, n)), tables(n) if n < keys_mod._PRODUCT_FROM else None
+
+
+def lane_tables(key) -> tuple:
+    """(gate, lanes) of a certified key: both None before its first holds."""
+    return key._inversion.gate, key._inversion.lanes
 
 
 @pytest.fixture(scope="session")

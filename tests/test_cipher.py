@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from ld2.cipher import (
     unpad_message,
     verify,
 )
-from conftest import decrypt_per_block, outcome, verification_tables
+from conftest import decrypt_per_block, lane_tables, outcome, verification_tables
 from ld2.gf2n import Field, packed_size
 from ld2.keys import _GATE, _PRODUCT_FROM, PublicKey, QuadraticEquation, _certify_after
 from ld2.keys import decode_key, encode_key, keygen, relation_residual
@@ -613,7 +614,7 @@ def test_fields_give_the_system_at_x(n, monkeypatch):
     def forbidden(*args):
         raise AssertionError("only holds on a certified key builds the lane tables")
 
-    monkeypatch.setattr(keys_mod, "_lane_tables", forbidden)
+    monkeypatch.setattr(keys_mod, "_lane_major", forbidden)
     rng = random.Random(0xF1E + n)
     top = (1 << n) - 1
     xs = [0, 1, top, *(rng.getrandbits(n) for _ in range(12))]
@@ -708,13 +709,14 @@ def test_certificate_reads_z_off_the_fields(n):
 
 def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
     # each call logs its count of equations: calls of _certify, builds of
-    # the plane tables and of the lane tables, which the first holds on a
-    # certified key builds, after its range check: the gate's, then the
-    # whole tables below _PRODUCT_FROM; from there it builds the M(0) map
+    # the plane tables and walks of the fields for the lane tables, which
+    # the first holds on a certified key builds, after its range check:
+    # one walk of all n below _PRODUCT_FROM, for the gate's and the whole
+    # tables, and of the gate's _GATE from there
     import ld2.keys as keys_mod
 
     calls, builds, lanes = [], [], []
-    for name, log in (("_certify", calls), ("_plane_tables", builds), ("_lane_tables", lanes)):
+    for name, log in (("_certify", calls), ("_plane_tables", builds), ("_lane_major", lanes)):
         def counted(n, fields, *args, original=getattr(keys_mod, name), log=log):
             log.append(len(fields))
             return original(n, fields, *args)
@@ -724,7 +726,7 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
         for log in (calls, builds, lanes):
             log.clear()
         k = _certify_after(n)
-        held = [_GATE] + [n] * (n < _PRODUCT_FROM)  # the lane tables of one holds
+        held = [n if n < _PRODUCT_FROM else _GATE]  # the walk of one holds
         sk, pk = keygen(n, seed=0xCE27)
         digest = 0x5EED
         signature = sign(sk, digest)
@@ -744,20 +746,20 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
         # and every later block is inverted; encryption builds no lane tables
         assert repr(encrypt_block(pk, blocks[k - 1])) == expected[k - 1]
         assert calls == builds == [n] and lanes == [] and pk._inversion
-        assert pk._verification is None
+        assert lane_tables(pk) == (None, None)
         assert [repr(encrypt_block(pk, x)) for x in blocks[k:]] == expected[k:]
         assert calls == builds == [n] and lanes == []
         # an out-of-range holds on the certified key raises and builds nothing
         for x, y in ((1 << n, 0), (0, 1 << n), (-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="^block length mismatch$"):
                 pk.holds(x, y)
-        assert lanes == [] and pk._verification is None
+        assert lanes == [] and lane_tables(pk) == (None, None)
         # its first holds builds verification's tables of its fields, once
         assert verified(pk) == (True, False)
-        tables = pk._verification
+        tables = lane_tables(pk)
         assert lanes == held and tables == verification_tables(n, pk.fields)
         assert verified(pk) == (True, False)
-        assert pk._verification is tables
+        assert all(map(operator.is_, lane_tables(pk), tables))
         message = bytes(range(200)) * (n // 33)
         assert decrypt_message(keygen(n, seed=0xCE27)[0], encrypt_message(pk, message)) == message
         assert calls == builds == [n] and lanes == held
@@ -767,7 +769,7 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
         for _ in range(3):
             assert encrypt_message(fresh, message) == encrypt_message(pk, message)
         assert calls == builds == [n, n] and lanes == held and fresh._inversion
-        assert fresh._verification is None
+        assert lane_tables(fresh) == (None, None)
         # a key that fails the certificate is checked once, and keeps
         # elimination
         fields = [list(f) for f in pk.fields]
@@ -780,4 +782,4 @@ def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
         verify(tampered, digest, signature)
         assert tampered.holds(1, 2) in (True, False)
         assert calls == [n, n, n] and builds == [n, n] and lanes == held
-        assert tampered._inversion is False and tampered._verification is None
+        assert tampered._inversion is False

@@ -4,8 +4,8 @@ A PublicKey counts the blocks it solves, and the call that brings the
 count to K = n // 4 + 2 or past it certifies the key or refuses it, for
 good: below K, refused and certified are its three states.  A certified
 key builds its plane tables with the certificate, and verification's
-tables at its first holds: the gate's lane tables, then the whole lane
-tables below keys._PRODUCT_FROM, or the M(0) map from there.  This
+tables at its first holds, from one walk of its fields: the gate's lane
+tables, and the whole lane tables below keys._PRODUCT_FROM.  This
 machine drives five keys of one size n in {3, 5, 7, 9} through random
 sequences of solve, holds, ld2.cipher's encrypt_message and verify, and
 encode_key then decode_key, which starts a fresh key below K, with
@@ -23,13 +23,14 @@ one equation, where every one verifies by the field product.
 After every step each key is in the state its block count gives; once it
 leaves the state below K it keeps the same object; _certify ran once
 since the key was born if the count reached K, else never; the plane
-tables once if the key is certified; verification's tables once, from
-holds, if the key is certified and has held since, else never, and they
-equal the tables of its fields and keep their object; and encode_key
-gives the text the key had at birth.
+tables once if the key is certified; one walk of the fields for
+verification's tables, from holds, if the key is certified and has held
+since, else none, and the tables equal those of its fields and keep their
+objects; and encode_key gives the text the key had at birth.
 """
 
 import contextlib
+import operator
 import random
 import sys
 from unittest import mock
@@ -102,7 +103,7 @@ class _Life:
         self.text = encode_key(key)
         self.held = False
         self.inversion = None
-        self.verification = None
+        self.tables = None
 
 
 class KeyLife(RuleBasedStateMachine):
@@ -111,7 +112,7 @@ class KeyLife(RuleBasedStateMachine):
         # the equation counts of the builds per key, by the id of its
         # fields tuple; every key of an example stays alive, so no id is
         # reused
-        self.builds = {name: {} for name in ("_certify", "_plane_tables", "_lane_tables")}
+        self.builds = {name: {} for name in ("_certify", "_plane_tables", "_lane_major")}
         self.retired = []
         self.patches = [
             mock.patch.object(keys_mod, name, self._counted(name, getattr(keys_mod, name)))
@@ -127,13 +128,15 @@ class KeyLife(RuleBasedStateMachine):
     def _counted(self, name, original):
         def counted(n, fields, *args):
             key = fields
-            if name == "_lane_tables":
-                # the gate's build takes a slice of the fields: log it
-                # under the key whose holds asked for it
-                caller = sys._getframe(1)
+            if name == "_lane_major":
+                # from n = _PRODUCT_FROM the walk takes a slice of the
+                # fields: log it under the key whose holds asked for it
+                build, caller = sys._getframe(1), sys._getframe(2)
+                assert build.f_code is keys_mod._Certified.build_lanes.__code__
                 assert caller.f_code is PublicKey.holds.__code__, "lane tables outside holds"
-                assert caller.f_locals["self"]._inversion, "lane tables on an uncertified key"
-                key = caller.f_locals["self"].fields
+                holder = caller.f_locals["self"]
+                assert holder._inversion is build.f_locals["self"], "another key's tables"
+                key = holder.fields
             self.builds[name].setdefault(id(key), []).append(len(fields))
             return original(n, fields, *args)
 
@@ -241,17 +244,15 @@ class KeyLife(RuleBasedStateMachine):
             assert builds == {
                 "_certify": [n] * (life.blocks >= self.k),
                 "_plane_tables": [n] * certified,
-                "_lane_tables": ([min(keys_mod._GATE, n)]
-                                 + [n] * (n < keys_mod._PRODUCT_FROM)) * held,
+                "_lane_major": [n if n < keys_mod._PRODUCT_FROM
+                                else min(keys_mod._GATE, n)] * held,
             }
-            tables = key._verification
-            if held:
-                assert tables == verification_tables(n, key.fields)
-            else:
-                assert tables is None
-            if life.verification is not None:
-                assert tables is life.verification
-            life.verification = tables
+            if certified:
+                tables = state.gate, state.lanes
+                assert tables == (verification_tables(n, key.fields) if held else (None, None))
+                if life.tables is not None and life.tables[0] is not None:
+                    assert all(map(operator.is_, tables, life.tables))
+                life.tables = tables
             assert encode_key(key) == life.text
 
 

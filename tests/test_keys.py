@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 import random
 import time
 
@@ -24,7 +25,7 @@ from ld2.linalg import AffineMap, BitMatrix, Prng, SingularMatrixError, random_i
 from ld2.linalg import solve_linear
 from ld2.permutation import CentralMap, is_permutation_bruteforce
 
-from conftest import TOY_ALPHA, verification_tables
+from conftest import TOY_ALPHA, lane_tables, verification_tables
 
 
 # --- the hidden relation ----------------------------------------------------
@@ -218,7 +219,7 @@ def test_decode_does_no_encoding(monkeypatch):
     def forbidden(*args):
         raise AssertionError("decode_key must not encode, build text or build tables")
 
-    monkeypatch.setattr(keys_mod, "_lane_tables", forbidden)
+    monkeypatch.setattr(keys_mod, "_lane_major", forbidden)
     monkeypatch.setattr(keys_mod, "encode_key", forbidden)
     monkeypatch.setattr(keys_mod, "_key_text", forbidden)
     for key, text in texts[1::2]:
@@ -310,20 +311,20 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     # equation views, the CLI's verify and inspect, linear_system and the
     # first K - 1 encrypted blocks never build the lane tables; the K-th
     # block certifies the key, and its first holds after that builds them
-    # once, from the fields: the gate's, then the whole tables
+    # once, from one walk of the fields: the gate's and the whole tables
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, sign, verify
     from ld2.cli import main
     from ld2.gf2n import bits_to_hex
 
     calls = []
-    original = keys_mod._lane_tables
+    original = keys_mod._lane_major
 
     def counted(n, fields):
         calls.append(fields)
         return original(n, fields)
 
-    monkeypatch.setattr(keys_mod, "_lane_tables", counted)
+    monkeypatch.setattr(keys_mod, "_lane_major", counted)
     n = 9
     sk, pk = keygen(n, seed=0x1A2F)
     secret, public = tmp_path / "k.sec", tmp_path / "k.pub"
@@ -346,17 +347,17 @@ def test_forms_and_tables_are_built_lazily(tmp_path, capsys, monkeypatch):
     assert [encrypt_block(decoded, 5) for _ in range(k - 2)] == [first] * (k - 2)
     assert calls == [] and decoded._inversion is None
     assert encrypt_block(decoded, 5) == first
-    assert calls == [] and decoded._inversion and decoded._verification is None
+    assert calls == [] and decoded._inversion and lane_tables(decoded) == (None, None)
     assert verify(decoded, 3, signature) and not verify(decoded, 3, signature ^ 4)
-    assert calls == [decoded.fields[:_GATE], decoded.fields]
-    assert decoded._verification == verification_tables(n, decoded.fields)
+    assert calls == [decoded.fields]
+    assert lane_tables(decoded) == verification_tables(n, decoded.fields)
     assert encrypt_block(decoded, 5) == first and decoded.linear_system(6)
     assert decoded.holds(1, 2) in (True, False)
     assert decoded.equations == pk.equations and pk._inversion is None
-    assert len(calls) == 2
+    assert len(calls) == 1
     built = PublicKey(n, pk.equations)
     assert built == pk and built.fields == pk.fields and built._inversion is None
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_secret_key_eliminates_a1_once_and_ranks_a2(monkeypatch):
@@ -391,27 +392,27 @@ def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
     # keygen, the key codec, verification and the first K - 1 encrypted
     # blocks never pay for verification's tables, nor does encryption
     # after the K-th block, which certifies the key; the first holds after
-    # it builds them, once per key: the gate's lane tables, then below
-    # _PRODUCT_FROM the whole lane tables, and from there the M(0) map and
-    # no whole lane tables
+    # it builds them, once per key, from one walk of the fields: the gate's
+    # lane tables and below _PRODUCT_FROM the whole lane tables, of all n
+    # equations, and from there the gate's alone, of its first _GATE
     import ld2.keys as keys_mod
     from ld2.cipher import encrypt_block, encrypt_message, sign, verify
 
-    builds = []  # the equation count of each lane table build
-    original = keys_mod._lane_tables
+    builds = []  # the equation count of each walk of the fields
+    original = keys_mod._lane_major
 
     def counted(n, fields):
         builds.append(len(fields))
         return original(n, fields)
 
-    monkeypatch.setattr(keys_mod, "_lane_tables", counted)
+    monkeypatch.setattr(keys_mod, "_lane_major", counted)
     for n in (9, _PRODUCT_FROM):
         builds.clear()
         sk, pk = keygen(n, seed=0x1A2E)
         decoded = decode_key(encode_key(pk))
         signature = sign(sk, 3)
         message = b"lane-major" * (n // 2)  # K blocks or more
-        once = [min(_GATE, n)] + [n] * (n < _PRODUCT_FROM)
+        once = [n if n < _PRODUCT_FROM else min(_GATE, n)]
 
         def check(key):
             assert key.holds(1, 2) in (True, False)
@@ -428,20 +429,81 @@ def test_lane_tables_are_built_once_at_the_kth_block(monkeypatch):
         assert encrypt_block(pk, 5) == first
         assert encrypt_block(pk, 5) == first
         encrypt_message(pk, message)
-        assert builds == [] and pk._inversion and pk._verification is None
+        assert builds == [] and pk._inversion and lane_tables(pk) == (None, None)
         check(pk)
-        tables = pk._verification
+        tables = lane_tables(pk)
         assert builds == once and tables == verification_tables(n, pk.fields)
-        assert (tables[1] is None) == (tables[2] is not None) == (n >= _PRODUCT_FROM)
+        assert (tables[1] is None) == (n >= _PRODUCT_FROM)
         check(pk)
-        assert builds == once and pk._verification is tables
+        assert builds == once and all(map(operator.is_, lane_tables(pk), tables))
         # a message of K blocks or more certifies a fresh key, whose first
         # holds builds them: the tables of equal fields are equal
         assert encrypt_message(decoded, message) == encrypt_message(pk, message)
         assert encrypt_block(decoded, 5) == first
-        assert builds == once and decoded._inversion and decoded._verification is None
+        assert builds == once and decoded._inversion and lane_tables(decoded) == (None, None)
         check(decoded)
-        assert builds == once * 2 and decoded._verification == tables
+        assert builds == once * 2 and lane_tables(decoded) == tables
+
+
+@pytest.mark.parametrize("n", [9, 33, 97, 129])
+def test_the_first_holds_on_a_certified_key_walks_the_fields_once(n, monkeypatch):
+    # each walk logs its count of equations: the first holds on a certified
+    # key walks all n below _PRODUCT_FROM and the gate's _GATE from there,
+    # once; a later holds, and any holds on a key below K, on a refused
+    # key or on a key that only encrypts, walks none
+    import ld2.keys as keys_mod
+    from ld2.cipher import sign, verify
+
+    walks = []
+    original = keys_mod._lane_major
+
+    def counted(n, fields):
+        walks.append(len(fields))
+        return original(n, fields)
+
+    monkeypatch.setattr(keys_mod, "_lane_major", counted)
+    sk, pk = keygen(n, seed=0x1A3E + n)
+    signature = sign(sk, 3)
+    tampered = [list(f) for f in pk.fields]
+    tampered[1][1] ^= 1 << n  # one xy bit
+    refused = PublicKey._from_fields(n, tuple(map(tuple, tampered)))
+    below = decode_key(encode_key(pk))
+    encrypting = decode_key(encode_key(pk))
+    k = _certify_after(n)
+    for key in (pk, refused, encrypting):
+        key.solve([0] * k)
+    below.solve([0] * (k - 1))
+    assert pk._inversion and encrypting._inversion and refused._inversion is False
+    assert below._inversion is None
+    for key in (below, refused):
+        for forged in (signature, signature ^ 1):
+            expected = not any(eq.evaluate(forged, 3) for eq in key.equations)
+            assert verify(key, 3, forged) == expected
+    assert verify(below, 3, signature) and not verify(below, 3, signature ^ 1)
+    assert walks == [] and lane_tables(encrypting) == (None, None)
+    assert verify(pk, 3, signature)
+    assert walks == [n if n < _PRODUCT_FROM else _GATE]
+    for _ in range(3):
+        assert verify(pk, 3, signature) and not verify(pk, 3, signature ^ 1)
+    encrypting.solve([1, 2])
+    assert walks == [n if n < _PRODUCT_FROM else _GATE]
+    assert lane_tables(encrypting) == (None, None)
+
+
+@pytest.mark.parametrize("n", [9, 33, 129])
+def test_the_certificate_keeps_m0_and_its_inverse(n):
+    # a certified key's m0 is M(0), whose row i is equation i's yl, and its
+    # p is M(0)^-1
+    _, pk = keygen(n, seed=0x30E + n)
+    pk.solve([0] * _certify_after(n))
+    certified = pk._inversion
+    assert certified
+    rng = random.Random(n)
+    for y in [0, 1, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(30))]:
+        image = certified.m0.apply(y)
+        for i, (_, _, _, yl, _) in enumerate(pk.fields):
+            assert image >> i & 1 == (yl & y).bit_count() & 1
+        assert certified.p.apply(image) == y
 
 
 @pytest.mark.parametrize("n", [9, 65, 129])
@@ -523,7 +585,7 @@ def test_the_field_product_finds_one_failing_equation_past_the_gate(n):
         key.solve([0] * _certify_after(n))
         assert key._inversion
         assert not key.holds(signature, digest)
-        assert key._verification[2] is not None
+        assert key._inversion.lanes is None
         x = rng.getrandbits(n)
         y = solve_linear(*key.linear_system(x))
         assert key.holds(x, y) and not key.holds(x, y ^ 1 << i)

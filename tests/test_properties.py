@@ -596,9 +596,9 @@ def test_linear_system_and_holds_match_evaluate(n, seed, fill):
         # before it solves them
         with contextlib.suppress(SingularMatrixError):
             pk.solve([x] * _certify_after(n))
-        assert pk._verification is None
+        assert not pk._inversion or pk._inversion.gate is None
         assert pk.holds(x, y) == (not any(values))
-    assert pk._inversion and pk._verification is not None
+    assert pk._inversion and pk._inversion.gate is not None
 
 
 @settings(deadline=None)
