@@ -12,7 +12,6 @@ import functools
 import math
 import sys
 import time
-from pathlib import Path
 
 from .cipher import (
     decrypt_block,
@@ -130,28 +129,15 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _read_key_file(path: str) -> str:
-    """A key file's text as it is on disk: with no newline translation, a
-    CR LF or CR line end reaches decode_key, which rejects it.  The text is
-    read in pieces and joined once, so that it is the only large block a
-    read allocates.  Reading the file whole takes two, its bytes and then
-    its text, and a process that calls main again and again could find no
-    hole for both: the heap then grew for them on each call and shrank when
-    they were freed, about 370 page faults a read of a public key at n =
-    129.  A decoding error is raised by a whole read, so that its position
-    counts from the start of the file, not of a piece."""
-    with open(path, newline="") as file:
-        try:
-            return "".join(iter(functools.partial(file.read, 1 << 16), ""))
-        except UnicodeDecodeError:
-            file.seek(0)
-            return file.read()
-
-
 def _key_file_text(path: str) -> str:
-    """_read_key_file(path); an error decoding the file names it."""
+    """A key file's text as it is on disk, read whole.  newline="": no
+    newline translation, so a CR LF or CR line end reaches decode_key,
+    which rejects it.  encoding="utf-8", not the locale's: a key file is
+    ASCII, and a byte that is not UTF-8 fails with the same message under
+    every locale, which gives its offset in the file and here its path."""
     try:
-        return _read_key_file(path)
+        with open(path, encoding="utf-8", newline="") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -190,15 +176,19 @@ def _cmd_keygen(args) -> int:
     else:
         seed = _parse_seed(args.seed)
     sk, pk = keygen(args.n, seed)
-    # newline="": the files hold encode_key's text byte for byte everywhere
-    Path(args.secret_out).write_text(encode_key(sk), newline="")
-    Path(args.public_out).write_text(encode_key(pk), newline="")
+    # newline="" and UTF-8: the files hold encode_key's text byte for byte
+    # under every platform and locale
+    for path, key in ((args.secret_out, sk), (args.public_out, pk)):
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            file.write(encode_key(key))
     return 0
 
 
 def _block_or_file(args, key, n: int, block_fn, message_fn) -> int:
     """Apply block_fn(key, block) to --block, or message_fn(key, data) to
-    the --in file, writing --out."""
+    the --in file, writing --out.  --out is opened only once message_fn
+    has returned, so a message that fails leaves a file already there as
+    it was, and creates none."""
     if (args.block is None) == (args.infile is None):
         raise CliError("give exactly one of --block or --in/--out")
     if args.infile is None and args.outfile is not None:
@@ -208,8 +198,10 @@ def _block_or_file(args, key, n: int, block_fn, message_fn) -> int:
         return 0
     if args.outfile is None:
         raise CliError("file mode needs --out")
-    data = Path(args.infile).read_bytes()
-    Path(args.outfile).write_bytes(message_fn(key, data))
+    with open(args.infile, "rb") as file:
+        data = message_fn(key, file.read())
+    with open(args.outfile, "wb") as file:
+        file.write(data)
     return 0
 
 

@@ -183,8 +183,8 @@ Manasse, Rudolph and Sleator, "Competitive snoopy caching", Algorithmica
 best choice made in hindsight.  K is at least 2, so a key that encrypts
 one block builds no tables.  The first holds on a certified key, which
 walks all n equations at n = 33 and 65 for the gate's and whole lane
-tables and six at 129 and 257 for the gate's, takes 0.47-0.57, 1.8-1.9,
-1.5-1.6 and 6.8-7.0 ms (five runs on a key of keygen(n,
+tables and six at 129 and 257 for the gate's, takes 0.37-0.41, 1.40-1.46,
+0.59-0.71 and 1.4-2.0 ms (five runs on a key of keygen(n,
 0x4C44325F424E4348) that a 3 KiB message certified), and a valid verify
 after it 6.4-7.4, 13.4-13.5, 28-47 and 76-83 us (medians of 21 rounds of
 300, two runs, one per CPU).
@@ -367,10 +367,11 @@ def _lane_major(n: int, fields) -> tuple[int, ...]:
     so each is the c bytes of its field from that bit's byte on, shifted
     right by the bit's place in the byte.  The bits above the row spill
     over from the next row or the next equation, and a mask per chunk
-    clears them.
+    clears them, as wide as the chunks of the equations walked: the
+    gate's walk takes six of n.
     """
     size = _chunk_bytes(n)
-    ones = _chunk_masks(n)[0]
+    ones = _chunk_masks(n)[0] & (1 << 8 * size * len(fields)) - 1
     xx_records = [f[0].to_bytes(n * (n - 1) // 16 + size, "little") for f in fields]
     xy_records = [f[1].to_bytes(n * n // 8 + size, "little") for f in fields]
 

@@ -1,4 +1,6 @@
+import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import ld2
-from ld2.cli import DEFAULT_SEED, MAX_N, fitted_exponent, main, run_bench
+from ld2.cli import DEFAULT_SEED, MAX_N, CliError, _key_file_text, fitted_exponent, main, run_bench
+
+SRC = str(Path(ld2.__file__).resolve().parent.parent)
 
 
 def _keygen(tmp_path, n=5, seed="2a"):
@@ -70,11 +74,18 @@ def test_decrypt_error_names_the_block(tmp_path, capsys):
     data[5] |= 0x80  # a slack bit of block 2
     enc.write_bytes(bytes(data))
     capsys.readouterr()
-    assert main(["decrypt", "--secret", str(secret),
-                 "--in", str(enc), "--out", str(tmp_path / "msg.dec")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: block 2: nonzero slack bits in ciphertext block\n"
+    dec = tmp_path / "msg.dec"
+    # --out is opened only after the message decrypts: absent, it is not
+    # created, and a file already there keeps its bytes
+    for old in (None, b"kept\r\n\xff"):
+        if old is not None:
+            dec.write_bytes(old)
+        assert main(["decrypt", "--secret", str(secret),
+                     "--in", str(enc), "--out", str(dec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: block 2: nonzero slack bits in ciphertext block\n"
+        assert dec.read_bytes() == old if old else not dec.exists()
 
 
 def test_decrypt_padding_error_names_the_block(tmp_path, capsys):
@@ -84,12 +95,15 @@ def test_decrypt_padding_error_names_the_block(tmp_path, capsys):
     enc = tmp_path / "msg.enc"
     enc.write_bytes(zero * 3)  # three blocks that decrypt to 0: no padding marker
     dec = tmp_path / "msg.dec"
-    assert main(["decrypt", "--secret", str(secret),
-                 "--in", str(enc), "--out", str(dec)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: block 2: no padding marker found\n"
-    assert not dec.exists()
+    for old in (None, b"kept\r\n\xff"):
+        if old is not None:
+            dec.write_bytes(old)
+        assert main(["decrypt", "--secret", str(secret),
+                     "--in", str(enc), "--out", str(dec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: block 2: no padding marker found\n"
+        assert dec.read_bytes() == old if old else not dec.exists()
 
 
 def test_file_mode_round_trip_1kib_n33(tmp_path):
@@ -254,22 +268,21 @@ def test_key_files_are_read_byte_for_byte(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: line 1 is not in canonical form\n")
 
 
-def test_a_key_file_longer_than_one_read_piece_is_read_whole(tmp_path):
-    # the CLI reads a key file 64 KiB at a time: at n = 65 a public key file
-    # takes two pieces, and a \r\n in the second still reaches decode_key
-    from ld2.cli import _read_key_file
-
+def test_a_long_key_file_is_read_as_it_is_on_disk(tmp_path):
+    # at n = 65 a public key file is past 64 KiB; a \r\n past that point
+    # still reaches decode_key untranslated
     _, public = _keygen(tmp_path, 65, seed="5")
     text = public.read_bytes()
     assert len(text) > 1 << 16
-    assert _read_key_file(str(public)) == text.decode()
+    assert _key_file_text(str(public)) == text.decode()
     copy = tmp_path / "copy.pub"
     copy.write_bytes(text[:70000] + b"\r\n" + text[70000:])
-    assert _read_key_file(str(copy)) == (text[:70000] + b"\r\n" + text[70000:]).decode()
-    # a byte that is not UTF-8 is reported at its offset in the file
+    assert _key_file_text(str(copy)) == (text[:70000] + b"\r\n" + text[70000:]).decode()
+    # a byte that is not UTF-8 is reported at its offset in the file, and
+    # the error names the file
     copy.write_bytes(text[:70000] + b"\xff" + text[70000:])
-    with pytest.raises(UnicodeDecodeError, match="in position 70000:"):
-        _read_key_file(str(copy))
+    with pytest.raises(CliError, match=f"^{re.escape(str(copy))}: 'utf-8' codec .* in position 70000:"):
+        _key_file_text(str(copy))
 
 
 def test_a_key_file_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys):
@@ -290,6 +303,30 @@ def test_a_key_file_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys):
     ):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {path}: {reason.format(at)}\n")
+
+
+def test_key_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale with UTF-8 mode off makes ASCII the locale's encoding;
+    # a fresh process there reports a bad byte as UTF-8's error, as under
+    # the default locale, and keygen writes the same bytes
+    ascii_locale = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    public = _keygen(tmp_path, 5, seed="5")[1]
+    bad = tmp_path / "bad.pub"
+    bad.write_bytes(b"\xff" + public.read_bytes())
+    verify = ["verify", "--public", str(bad), "--digest", "15", "--sig", "15"]
+    line = f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    out = tmp_path / "c"
+    out.mkdir()
+    keygen = ["keygen", "--n", "5", "--seed", "5",
+              "--secret-out", str(out / "key.sec"), "--public-out", str(out / "key.pub")]
+    for env in (os.environ, ascii_locale):
+        env = dict(env, PYTHONPATH=SRC)
+        run = subprocess.run([sys.executable, "-m", "ld2", *verify], env=env,
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (1, "", line)
+        subprocess.run([sys.executable, "-m", "ld2", *keygen], env=env, check=True)
+        for name in ("key.sec", "key.pub"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 @pytest.mark.parametrize("n", [33, 65])
@@ -377,9 +414,9 @@ def test_bench_rejects_bad_args(capsys, monkeypatch):
 
 
 def test_import_leaves_typing_unloaded():
-    # typing takes a few ms of a fresh process's import; -S keeps out site
-    # hooks, which may import it on their own
-    root = str(Path(ld2.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {root!r}); import ld2.cli; print('typing' in sys.modules)"
+    # typing and pathlib each take a few ms of a fresh process's import; -S
+    # keeps out site hooks, which may import them on their own
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import ld2.cli;"
+            " print('typing' in sys.modules, 'pathlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"

@@ -15,6 +15,8 @@ from ld2.keys import (
     _GATE,
     _PRODUCT_FROM,
     _certify_after,
+    _chunk_bytes,
+    _lane_major,
     decode_key,
     derive_public_key,
     encode_key,
@@ -563,6 +565,18 @@ def test_holds_agrees_with_and_without_the_lane_major_copy(n):
     assert [pk.holds(*pair) for pair in pairs] == expected
     assert [decoded.holds(*pair) for pair in pairs] == expected
     assert decoded._inversion is None
+
+
+@pytest.mark.parametrize("n", [_PRODUCT_FROM, 129])
+def test_the_gate_walk_fits_in_its_six_chunks(n):
+    # from _PRODUCT_FROM the first holds walks the gate's _GATE equations
+    # alone: each of its lanes lies in their six chunks, and is the lane of
+    # the walk of all n equations cut to them
+    fields = keygen(n, seed=0x6A7E + n)[1].fields
+    width = 8 * _chunk_bytes(n) * _GATE
+    gate = _lane_major(n, fields[:_GATE])
+    assert len(gate) == n + 1 and all(lane.bit_length() <= width for lane in gate)
+    assert gate == tuple(lane & (1 << width) - 1 for lane in _lane_major(n, fields))
 
 
 @pytest.mark.parametrize("n", [_PRODUCT_FROM, 129])
