@@ -115,37 +115,49 @@ def pad_message(data: bytes, n: int) -> list[int]:
 
     A single 1 bit follows the message bits, then zeros up to the next
     block boundary; aligned messages therefore gain a whole extra block.
+    The bits are read little-endian, block i holding bits i*n .. i*n + n - 1
+    of the stream.  Eight n-bit blocks are 8n bits, exactly n bytes, so
+    the stream is read n bytes at a time: data, the byte 0x01 (the marker)
+    and zeros up to a multiple of n bytes, each n-byte group one int split
+    into its 8 blocks, of which the first (8 len(data) + n) // n are kept.
+    The time is linear in len(data).
     """
     if n < 1:
         raise ValueError("block size must be positive")
-    stream = int.from_bytes(data, "little")
-    total = 8 * len(data)
-    stream |= 1 << total
-    total += 1
-    nblocks = -(-total // n)
+    count = (8 * len(data) + n) // n
+    padded = b"".join((data, b"\x01", bytes(-(len(data) + 1) % n)))
     mask = (1 << n) - 1
-    return [(stream >> (i * n)) & mask for i in range(nblocks)]
+    shifts = range(0, 8 * n, n)
+    groups = (int.from_bytes(padded[i : i + n], "little") for i in range(0, len(padded), n))
+    return [group >> shift & mask for group in groups for shift in shifts][:count]
 
 
 def unpad_message(blocks, n: int) -> bytes:
     """Inverse of pad_message: strip from the last 1 bit.
 
+    Every block is range-checked first.  Then each 8 blocks are joined
+    into n bytes, as pad_message splits them (8n bits are n bytes), by
+    three rounds that join neighbours, and the join of those bytes, with
+    its trailing zero bytes stripped, ends in the byte that holds the last
+    1 bit: the marker, if that byte is 0x01.  The time is linear in the
+    count of blocks.
+
     A padding error names the 0-based block that holds the last 1 bit, or
     the last block when there is none, as in "block 3: ...".
     """
-    stream = 0
-    for i, block in enumerate(blocks):
-        _check_block(block, n)
-        stream |= block << (i * n)
-    if stream == 0:
+    blocks = list(blocks)
+    if blocks and (min(blocks) < 0 or max(blocks) >> n):
+        raise ValueError("block length mismatch")
+    groups = blocks + [0] * (-len(blocks) % 8)
+    for shift in (n, 2 * n, 4 * n):  # pairs of blocks, then fours, then eights
+        groups = [low | high << shift for low, high in zip(groups[::2], groups[1::2])]
+    stream = b"".join(group.to_bytes(n, "little") for group in groups).rstrip(b"\0")
+    if not stream:
         raise PaddingError(f"block {max(len(blocks), 1) - 1}: no padding marker found")
-    total = stream.bit_length() - 1
-    if total % 8:
-        raise PaddingError(
-            f"block {total // n}: message length is not a whole number of bytes"
-        )
-    stream ^= 1 << total
-    return stream.to_bytes(total // 8, "little")
+    if stream[-1] != 1:  # the last 1 bit is not bit 0 of its byte
+        total = 8 * len(stream) - 9 + stream[-1].bit_length()
+        raise PaddingError(f"block {total // n}: message length is not a whole number of bytes")
+    return stream[:-1]
 
 
 def encrypt_message(pk: PublicKey, data: bytes) -> bytes:

@@ -117,14 +117,16 @@ for every j, then z(x) = 1 + sum_j x_j z_j and M(x) = Mult(z(x)) M(0) for
 every x: M(x) is singular exactly when z(x) = 0, and that raises the
 MalformedKeyError elimination raises.  _certify forms M(0) once, as an
 AffineMap whose rows are the yl fields, and takes P as its inverse.  It
-reads the z_j off the xy fields: bit i of z_j is the parity of row j of
-xy_i under p0, so xy_i AND p0 in every row, each row folded onto bit j*n
-by ceil(log2 n) masked shift-XORs and compressed by the diagonal, is row
-i of the matrix whose columns are the z_j (_z_rows, by steps that
-_spread_masks builds once per n).  n lane products through the columns
-of M(0) check every j, as derivation takes the coefficients.  A key
-whose M(0) is singular, or that fails for any j, is refused for good,
-keeps the elimination and builds nothing.
+reads the z_j straight off the xy fields: bit i of z_j is the parity of
+row j of xy_i under p0, so xy_i AND p0 in every row, each row folded
+onto its bit j*n by ceil(log2 n) masked shift-XORs, holds bit i of z_j
+at bit j*n.  The diagonal keeps those n bits, and a shift by i moves
+them to bits j*n + i: the OR over the equations holds z_j in row j, cut
+out by one shift and mask each (_z_columns), with no compress and no
+transpose.  n lane products through the columns of M(0) check every j,
+as derivation takes the coefficients.  A key whose M(0) is singular, or
+that fails for any j, is refused for good, keeps the elimination and
+builds nothing.
 
 A key that passes then builds the tables that _Certified.fraction reads
 r(x) and z(x) off, in one lookup.  r(x) is e plus the quadratic form
@@ -277,22 +279,22 @@ def _compress(x: int, mask: int, steps) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _spread_masks(n: int) -> tuple[int, int, int, tuple, tuple]:
-    """The constant masks of _monomials and _z_rows for n variables: comb,
-    1 at every multiple of n - 1 below (n - 1)^2; diagonal, 1 at every
-    multiple of n below n^2; triangle, the bits j*n + k with j < k < n;
-    and the _compress_steps of triangle and of diagonal."""
+def _spread_masks(n: int) -> tuple[int, int, int, tuple]:
+    """The constant masks of _monomials and _z_columns for n variables:
+    comb, 1 at every multiple of n - 1 below (n - 1)^2; diagonal, 1 at
+    every multiple of n below n^2; triangle, the bits j*n + k with j < k <
+    n; and the _compress_steps of triangle.  The diagonal needs no compress:
+    _z_columns shifts it by the equation's index instead."""
     comb = sum(1 << (k * (n - 1)) for k in range(n - 1))
     diagonal = sum(1 << (j * n) for j in range(n))
     triangle = sum(((1 << n) - (2 << j)) << (j * n) for j in range(n))
-    steps = [_compress_steps(mask, n * n) for mask in (triangle, diagonal)]
-    return comb, diagonal, triangle, *steps
+    return comb, diagonal, triangle, _compress_steps(triangle, n * n)
 
 
 def _monomials(n: int, x: int, y: int) -> tuple[int, int]:
     """(T, Y): the monomials x_j x_k (j < k) in the order of xx, and
     x (x) y, row-major as xy is (module docstring)."""
-    comb, diagonal, triangle, steps, _ = _spread_masks(n)
+    comb, diagonal, triangle, steps = _spread_masks(n)
     low = (1 << n - 1) - 1  # bits 0..n-2 of x
     sx = (x & low) * comb & diagonal | x >> n - 1 << n * (n - 1)
     return _compress(x * sx, triangle, steps), y * sx
@@ -509,31 +511,31 @@ class _Certified:
         return [self.p.apply(q) for q in self.field.quotients(fractions)]
 
 
-def _z_rows(n: int, fields, p0: int) -> list[int]:
-    """The rows of the matrix whose column j is z_j = B_j p0 (module
-    docstring).  Each fold's shift is masked to the row's bits 0..width -
-    half - 1, so that an odd width pulls in no bit of the next row; the
-    compress by the diagonal drops the bits the folds leave above j*n."""
-    _, diagonal, _, _, gather = _spread_masks(n)
+def _z_columns(n: int, fields, p0: int) -> list[int]:
+    """The z_j = B_j p0 (module docstring).  Each fold's shift is masked to
+    the row's bits 0..width - half - 1, so that an odd width pulls in no bit
+    of the next row; the diagonal then keeps bit j*n of each row, bit i of
+    z_j, and a shift by i moves it to bit j*n + i, so row j of the OR over
+    the equations is z_j."""
+    diagonal = _spread_masks(n)[1]
     folds, width = [], n
     while width > 1:
         half = (width + 1) // 2
         folds.append((half, ((1 << width - half) - 1) * diagonal))
         width = half
-    rows = []
-    for f in fields:
-        v = f[1] & p0 * diagonal
+    z, p0_rows = 0, p0 * diagonal
+    for i, f in enumerate(fields):
+        v = f[1] & p0_rows
         for half, high in folds:
             v ^= v >> half & high
-        rows.append(_compress(v, diagonal, gather))
-    return rows
+        z |= (v & diagonal) << i
+    return [z >> j * n & (1 << n) - 1 for j in range(n)]
 
 
 def _certify(n: int, fields) -> _Certified | None:
-    """The _Certified of the key, with M(0), P = M(0)^-1 and the z_j, the
-    columns of the matrix read off the xy fields (_z_rows), if B_j =
-    Mult(z_j) M(0), z_j = B_j p0, for every j, else None; None too when
-    M(0) is singular.
+    """The _Certified of the key, with M(0), P = M(0)^-1 and the z_j, read
+    straight off the xy fields (_z_columns), if B_j = Mult(z_j) M(0), z_j =
+    B_j p0, for every j, else None; None too when M(0) is singular.
 
     The columns m_k of M(0), read off its map's tables (AffineMap.columns)
     and packed one per lane, are tabulated once by their byte multiples,
@@ -546,7 +548,7 @@ def _certify(n: int, fields) -> _Certified | None:
         p = m0.inverse()
     except SingularMatrixError:
         return None
-    z = BitMatrix(_z_rows(n, fields, p.apply(1)), n).transpose().rows
+    z = _z_columns(n, fields, p.apply(1))
     field = Field(n)
     multiples = byte_multiples(field.pack_lanes(m0.columns))
     row = field.lane_bytes * n

@@ -250,6 +250,75 @@ def test_unpad_rejects_misaligned_marker():
         unpad_message([0b000, 0b010], 3)
 
 
+def _big_int_pad(data, n):
+    """pad_message as one int over the whole message: the reference."""
+    if n < 1:
+        raise ValueError("block size must be positive")
+    stream = int.from_bytes(data, "little")
+    total = 8 * len(data)
+    stream |= 1 << total
+    total += 1
+    nblocks = -(-total // n)
+    mask = (1 << n) - 1
+    return [(stream >> (i * n)) & mask for i in range(nblocks)]
+
+
+def _big_int_unpad(blocks, n):
+    """unpad_message as one int over the whole list: the reference."""
+    stream = 0
+    for i, block in enumerate(blocks):
+        if not 0 <= block < 1 << n:
+            raise ValueError("block length mismatch")
+        stream |= block << (i * n)
+    if stream == 0:
+        raise PaddingError(f"block {max(len(blocks), 1) - 1}: no padding marker found")
+    total = stream.bit_length() - 1
+    if total % 8:
+        raise PaddingError(
+            f"block {total // n}: message length is not a whole number of bytes"
+        )
+    stream ^= 1 << total
+    return stream.to_bytes(total // 8, "little")
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 17, 65, 129])
+def test_framing_matches_the_big_int_reference(n):
+    # every length up to 3n + 2 bytes, where the groups of n bytes start
+    # and end, and random lengths up to 4 KiB; then corrupted block lists:
+    # no marker, a marker off a byte boundary, an out-of-range block and
+    # the empty list, each with the reference's outcome
+    rng = random.Random(0xF4A + n)
+    lengths = [*range(3 * n + 3), *(rng.randrange(4097) for _ in range(12)), 4096]
+    for length in lengths:
+        data = rng.randbytes(length)
+        blocks = pad_message(data, n)
+        assert blocks == _big_int_pad(data, n)
+        assert unpad_message(blocks, n) == data
+        assert unpad_message(iter(blocks), n) == data
+        corrupted = [[0] * len(blocks), []]
+        for _ in range(4):
+            # move the last 1 bit: clear the marker, or set a bit past it
+            flipped = list(blocks)
+            bit = rng.randrange(8 * length, len(blocks) * n)
+            flipped[bit // n] ^= 1 << bit % n
+            corrupted.append(flipped)
+            wide = list(blocks)
+            wide[rng.randrange(len(wide))] = rng.choice([1 << n, -1])
+            corrupted.append(wide)
+        corrupted.append([rng.getrandbits(n) for _ in range(rng.randrange(1, 20))])
+        for case in corrupted:
+            assert outcome(unpad_message, case, n) == outcome(_big_int_unpad, case, n)
+    for length in range(0, 3 * n + 3, max(1, n // 4)):
+        # a marker off a byte boundary in each position of its byte
+        for shift in range(1, 8):
+            blocks = _big_int_pad(bytes(length), n)
+            bit = 8 * length + shift
+            blocks += [0] * (bit // n + 1 - len(blocks))
+            blocks[bit // n] |= 1 << bit % n
+            assert outcome(unpad_message, blocks, n) == outcome(_big_int_unpad, blocks, n)
+            assert "whole number of bytes" in outcome(unpad_message, blocks, n)
+
+
 # --- message mode --------------------------------------------------------------------
 
 def test_message_round_trip():
@@ -672,7 +741,7 @@ def test_plane_tables_fit_their_measured_size():
     n = 129
     fields = keygen(n, seed=0x9A7E)[1].fields
     p0 = AffineMap(invert_matrix(BitMatrix([f[3] for f in fields], n)), 0).apply(1)
-    z = BitMatrix(keys_mod._z_rows(n, fields, p0), n).transpose().rows
+    z = keys_mod._z_columns(n, fields, p0)
     tracemalloc.start()
     tables = keys_mod._plane_tables(n, fields, z)
     held = tracemalloc.get_traced_memory()[0]
@@ -683,10 +752,9 @@ def test_plane_tables_fit_their_measured_size():
 
 @pytest.mark.parametrize("n", [3, 5, 9, 33])
 def test_certificate_reads_z_off_the_fields(n):
-    # bit j of row i of the z map's matrix is the parity of row j of
-    # equation i's xy under p, here bit by bit, on keys that pass the
-    # certificate, all-ones keys and random-field keys, with p at 1, all
-    # ones and random
+    # bit i of z_j is the parity of row j of equation i's xy under p, here
+    # bit by bit, on keys that pass the certificate, all-ones keys and
+    # random-field keys, with p at 1, all ones and random
     import ld2.keys as keys_mod
 
     rng = random.Random(0x2E0 + n)
@@ -700,11 +768,43 @@ def test_certificate_reads_z_off_the_fields(n):
     ]
     for key in keys:
         for p in (1, (1 << n) - 1, rng.getrandbits(n)):
-            expected = []
+            rows = []
             for _, xy, _, _, _ in key.fields:
                 bits = [[xy >> j * n + k & p >> k & 1 for k in range(n)] for j in range(n)]
-                expected.append(sum((sum(row) & 1) << j for j, row in enumerate(bits)))
-            assert keys_mod._z_rows(n, key.fields, p) == expected
+                rows.append(sum((sum(row) & 1) << j for j, row in enumerate(bits)))
+            # row i above holds bit i of every z_j: transposed, z_j is column j
+            expected = [sum((row >> j & 1) << i for i, row in enumerate(rows))
+                        for j in range(n)]
+            assert keys_mod._z_columns(n, key.fields, p) == expected
+
+
+@pytest.mark.parametrize("n", [3, 9, 33])
+def test_z_columns_match_the_linear_systems(n):
+    # z_j = B_j p0 = (M(e_j) + M(0)) p0, with M(x) from linear_system and
+    # BitMatrix.mul_vec, on an honest key, a crafted key and a random-field
+    # key, at p0 = M(0)^-1 e0 where M(0) is invertible and at random p
+    import ld2.keys as keys_mod
+    from ld2.linalg import AffineMap, invert_matrix
+
+    rng = random.Random(0x2C0 + n)
+    widths = [width for _, width in keys_mod._equation_widths(n)]
+    keys = [
+        keygen(n, seed=0x2C0 + n)[1],
+        _crafted_key(n, 0x2C1 + n),
+        PublicKey._from_fields(n, tuple(tuple(rng.getrandbits(w) for w in widths)
+                                        for _ in range(n))),
+    ]
+    for key in keys:
+        m0 = key.linear_system(0)[0]
+        ps = [rng.getrandbits(n), 1]
+        try:
+            ps.append(AffineMap(invert_matrix(m0), 0).apply(1))
+        except SingularMatrixError:
+            assert key is keys[2]
+        for p in ps:
+            expected = [key.linear_system(1 << j)[0].mul_vec(p) ^ m0.mul_vec(p)
+                        for j in range(n)]
+            assert keys_mod._z_columns(n, key.fields, p) == expected
 
 
 def test_a_key_is_certified_once_at_the_kth_block(monkeypatch):
